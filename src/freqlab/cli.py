@@ -9,8 +9,12 @@ Three subcommands drive the library from JSON configs:
 
 Exit codes: 0 success (including branch verdicts), 1 scenario failure
 (margins violated or an admissibility regime error), 2 usage or
-configuration error, 3 solver failure.  Set FREQLAB_CACHE=0 to disable
-the in-process operator cache.
+configuration error, 3 solver failure.  A scenario that cannot run
+writes ``<stem>.error.json`` with its status: ``regime_error`` (exit 1),
+``scenario_error`` or ``field_error`` (a field its config cannot build,
+such as a Holder amplitude that leaves the ellipticity budget; exit 2),
+or ``solver_error`` (exit 3).  Set FREQLAB_CACHE=0 to disable the
+in-process operator cache.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
+from .coefficients import FieldError
 from .experiments import (
     RegimeError,
     ScenarioConfig,
@@ -357,6 +362,9 @@ def _run_one(cfg: ScenarioConfig) -> dict:
     except SolverError as err:
         return {"scenario": cfg.scenario, "status": "solver_error",
                 "message": str(err)}
+    except FieldError as err:
+        return {"scenario": cfg.scenario, "status": "field_error",
+                "message": str(err)}
     return {"scenario": cfg.scenario, "status": "report", "report": report}
 
 
@@ -434,7 +442,7 @@ def cmd_experiment(args) -> int:
                   file=sys.stderr)
             if outcome["status"] == "solver_error":
                 exit_code = max(exit_code, EXIT_SOLVER)
-            elif outcome["status"] == "scenario_error":
+            elif outcome["status"] in ("scenario_error", "field_error"):
                 exit_code = max(exit_code, EXIT_USAGE)
             else:
                 exit_code = max(exit_code, EXIT_FAILED)

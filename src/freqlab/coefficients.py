@@ -261,11 +261,7 @@ class CoefficientField:
         def ev(pts: np.ndarray) -> np.ndarray:
             out = np.ones(pts.shape[0])
             for i in range(k):
-                d = np.sqrt(np.sum((pts - pts_anchor[i]) ** 2, axis=1))
-                prof = np.zeros_like(d)
-                pos = d > 0.0
-                prof[pos] = modulus.omega(np.minimum(d[pos], 1.0))
-                out += amp * sgn[i] * prof
+                out += amp * sgn[i] * _cusp_profile(modulus, pts, pts_anchor[i])
             return out
 
         return cls(Arity.ISOTROPIC, n, ev, lam, declared_modulus=modulus,
@@ -294,21 +290,16 @@ class CoefficientField:
         if not 0.0 <= spread < 0.5:
             raise FieldError(f"amplitude {amp} pushes eigenvalues past 1/2")
         lam = min(1.0 - spread, 1.0 / (1.0 + spread))
-        e1 = np.array([[1.0, 0.0], [0.0, -1.0]])
-        e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-        def profile(pts: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            d = np.sqrt(np.sum((pts - anchor) ** 2, axis=1))
-            prof = np.zeros_like(d)
-            pos = d > 0.0
-            prof[pos] = modulus.omega(np.minimum(d[pos], 1.0))
-            return prof
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            c1 = profile(pts, pts_anchor[0])
-            c2 = profile(pts, pts_anchor[1])
-            out = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
-            out += amp * (c1[:, None, None] * e1 + c2[:, None, None] * e2)
+            # I + amp * (c1 * diag(1, -1) + c2 * [[0, 1], [1, 0]])
+            a1 = amp * _cusp_profile(modulus, pts, pts_anchor[0])
+            a2 = amp * _cusp_profile(modulus, pts, pts_anchor[1])
+            out = np.empty((pts.shape[0], 2, 2))
+            np.add(1.0, a1, out=out[:, 0, 0])
+            np.subtract(1.0, a1, out=out[:, 1, 1])
+            out[:, 0, 1] = a2
+            out[:, 1, 0] = a2
             return out
 
         return cls(Arity.ANISOTROPIC, n, ev, lam, declared_modulus=modulus,
@@ -401,6 +392,18 @@ class HomogeneousField(CoefficientField):
     anchor_radius: float = 0.0
 
 
+def _cusp_profile(modulus: Modulus, pts: np.ndarray,
+                  anchor: np.ndarray) -> np.ndarray:
+    """omega(min(|x - anchor|, 1)) per point; omega(0) = 0 for every kind."""
+    diff = pts[:, 0] - anchor[0]
+    d2 = diff * diff
+    for j in range(1, pts.shape[1]):
+        diff = pts[:, j] - anchor[j]
+        d2 += diff * diff
+    np.sqrt(d2, out=d2)
+    return modulus.omega(np.minimum(d2, 1.0, out=d2))
+
+
 def _jsonify(obj: Any) -> Any:
     if isinstance(obj, Mapping):
         return {str(k): _jsonify(v) for k, v in obj.items()}
@@ -459,6 +462,7 @@ def beta_vector(f: CoefficientField, x: Any) -> np.ndarray:
 # -- mollification ------------------------------------------------------
 
 _KERNEL_POINTS_PER_AXIS = 64
+_MOLLIFY_BLOCK_SAMPLES = 2 ** 14
 
 
 @lru_cache(maxsize=8)
@@ -508,6 +512,13 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
     radius domain_radius - eps.  When the input carries a modulus or
     Holder certificate, ``meta`` records the implied sup-distance bound
     omega(eps) and gradient bound C * omega(eps) / eps.
+
+    Each value is sum_k w_k f(p - eps c_k) over every kernel node.  The
+    evaluator visits the points in blocks of about 2^14 kernel samples
+    (at least one point per block), so the block's sample coordinates
+    and base values stay in cache, and reduces each block with one
+    matrix product of the weights against its (points, nodes, entries)
+    values.
     """
     e = float(eps)
     if not 0.0 < e < 1.0:
@@ -516,14 +527,13 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
         raise FieldError(
             f"scale {e} leaves no evaluation domain inside radius {f.domain_radius}")
     offsets, weights = _kernel_table(f.n)
-    shifted = e * offsets
+    shifted = (e * offsets).ravel()
     radius = f.domain_radius - e
     k = weights.size
-    budget = 2 ** 21 if f.arity is Arity.ISOTROPIC else 2 ** 19
-    chunk = max(1, budget // k)
+    chunk = max(1, _MOLLIFY_BLOCK_SAMPLES // k)
     base_ev = f.evaluator
-    aniso = f.arity is Arity.ANISOTROPIC
     nn = f.n
+    value_shape = (nn, nn) if f.arity is Arity.ANISOTROPIC else ()
 
     def ev(pts: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(pts * pts, axis=1))
@@ -533,17 +543,15 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
                 f"point at radius {rmax:.6g} outside mollified domain "
                 f"of radius {radius:.6g}")
         m = pts.shape[0]
-        out = np.empty((m, nn, nn)) if aniso else np.empty(m)
+        out = np.empty((m, math.prod(value_shape)))
         for lo in range(0, m, chunk):
             hi = min(lo + chunk, m)
-            block = pts[lo:hi, None, :] - shifted[None, :, :]
+            # rows p - eps * c_k, point-major; tiling keeps the subtraction
+            # contiguous where broadcasting would loop over n entries
+            block = np.tile(pts[lo:hi], k) - shifted
             vals = base_ev(block.reshape(-1, nn))
-            if aniso:
-                vals = vals.reshape(hi - lo, k, nn, nn)
-                out[lo:hi] = np.einsum("mkij,k->mij", vals, weights)
-            else:
-                out[lo:hi] = vals.reshape(hi - lo, k) @ weights
-        return out
+            out[lo:hi] = weights @ vals.reshape(hi - lo, k, -1)
+        return out.reshape((m,) + value_shape)
 
     if f.declared_modulus is not None:
         sup_bound = float(f.declared_modulus.omega(min(e, 1.0)))

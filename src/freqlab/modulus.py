@@ -139,12 +139,11 @@ class Modulus:
         if self.kind == "power":
             return t**self.alpha
         if self.kind == "log_power":
-            out = np.zeros_like(t)
-            cut = self.t_cut
-            pos = t > 0.0
-            tc = np.minimum(t[pos], cut)
-            out[pos] = tc * np.log(1.0 / tc) ** self.p
-            return out
+            tc = np.minimum(t, self.t_cut)
+            # t = 0 gives 0 * inf here; the where below maps it to 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = tc * np.log(1.0 / tc) ** self.p
+            return np.where(t > 0.0, val, 0.0)
         return self._omega_tabulated(t)
 
     def _omega_tabulated(self, t: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -389,19 +390,27 @@ class _Assembly:
         return self._lu
 
 
-_CACHE: dict[tuple, _Assembly] = {}
-_CACHE_LIMIT = 8
+# Entries are (field, assembly).  Serializable fields share an entry by
+# config hash; a raw-callable field matches only itself, and the entry
+# holding it keeps its id from passing to a new field.  The only reuse
+# is weighted_gradient_energy after solves on the same (grid, field)
+# pairs, so two entries suffice and pin no further LU factors.
+_CACHE: dict[tuple, tuple[CoefficientField, _Assembly]] = {}
+_CACHE_LIMIT = 2
+_CACHE_LOCK = threading.Lock()
 
 
 def clear_operator_cache() -> None:
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
-def _field_fingerprint(f: CoefficientField) -> str:
+def _field_fingerprint(f: CoefficientField) -> Optional[str]:
+    """Hash of the field's config; None for fields wrapping raw callables."""
     try:
         cfg = f.to_config()
     except FieldError:
-        return f"custom-{id(f)}"
+        return None
     return hashlib.sha1(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
@@ -410,13 +419,17 @@ def _get_assembly(grid: PolarGrid, f: CoefficientField,
                   potential=None) -> _Assembly:
     if os.environ.get("FREQLAB_CACHE", "1") == "0" or potential is not None:
         return _Assembly(grid, f, potential)
-    key = (grid.key(), _field_fingerprint(f))
-    asm = _CACHE.get(key)
-    if asm is None:
-        asm = _Assembly(grid, f, None)
+    fingerprint = _field_fingerprint(f)
+    key = (grid.key(), fingerprint or f"custom-{id(f)}")
+    with _CACHE_LOCK:
+        entry = _CACHE.get(key)
+    if entry is not None and (fingerprint is not None or entry[0] is f):
+        return entry[1]
+    asm = _Assembly(grid, f, None)
+    with _CACHE_LOCK:
         if len(_CACHE) >= _CACHE_LIMIT:
             _CACHE.pop(next(iter(_CACHE)))
-        _CACHE[key] = asm
+        _CACHE[key] = (f, asm)
     return asm
 
 

@@ -346,6 +346,20 @@ def test_cli_experiment_regime_error_exit(tmp_path, capsys):
                                                 abs=0.05)
 
 
+def test_cli_experiment_field_error_exit(tmp_path, capsys):
+    # a Holder amplitude that leaves [1/2, 2] cannot be synthesized
+    cfg = write_config(tmp_path / "e.json", {"schema": 1, "sweep": [{
+        "scenario": "tildeN", **LOW,
+        "field_spec": {"kind": "holder", "alpha": 0.5, "amplitude": 0.9},
+    }]})
+    out = str(tmp_path / "out")
+    assert main(["experiment", "--config", cfg, "--out", out]) == 2
+    assert "field_error" in capsys.readouterr().err
+    error = json.load(open(os.path.join(out, "tildeN.error.json")))
+    assert error["status"] == "field_error"
+    assert "reduce amplitude" in error["message"]
+
+
 def test_cli_usage_errors():
     assert main([]) == 2
     assert main(["--version"]) == 0

@@ -13,6 +13,8 @@ from freqlab.coefficients import (
     empirical_modulus,
     generate_holder,
     homogeneous_projection,
+    _MOLLIFY_BLOCK_SAMPLES,
+    _kernel_table,
     kernel_gradient_constant,
     mollify,
     mu_factor,
@@ -187,6 +189,71 @@ def test_mollify_oscillation_never_grows():
     ref = f.evaluate(pts)
     bound = float(m.omega(0.05))
     assert np.max(np.abs(vals - ref)) <= bound + 1e-12
+
+
+def _direct_mollify(f, eps, pts):
+    # the rule sum_k w_k f(p - eps c_k), one point at a time
+    offsets, weights = _kernel_table(f.n)
+    return np.array([np.tensordot(weights, f.evaluator(p - eps * offsets),
+                                  axes=(0, 0)) for p in pts])
+
+
+_LOG_CUSP = Modulus.log_power(1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CoefficientField.cusp_isotropic(_LOG_CUSP, 0.4),
+    lambda: CoefficientField.cusp_anisotropic(_LOG_CUSP, 0.2),
+    lambda: generate_holder(0.75, 0.05, 3),
+    lambda: CoefficientField.affine(1.0, [0.2, -0.1]),
+], ids=["cusp_iso", "cusp_aniso", "holder", "affine"])
+def test_mollify_matches_direct_rule_across_blocks(build):
+    f = build()
+    fm = mollify(f, 0.05)
+    chunk = max(1, _MOLLIFY_BLOCK_SAMPLES // _kernel_table(2)[1].size)
+    pts = sample_disk(2500, radius=0.94, seed=11)
+    ref = _direct_mollify(f, 0.05, pts)
+    for count in (1, chunk - 1, chunk, chunk + 1, pts.shape[0]):
+        got = fm.evaluate(pts[:count])
+        assert got.shape == ref[:count].shape
+        assert np.max(np.abs(got - ref[:count])) <= 1e-14, count
+
+
+def _masked_profile(modulus, pts, anchor):
+    # reference cusp profile: omega applied only where |x - anchor| > 0
+    d = np.sqrt(np.sum((pts - anchor) ** 2, axis=1))
+    prof = np.zeros_like(d)
+    pos = d > 0.0
+    prof[pos] = modulus.omega(np.minimum(d[pos], 1.0))
+    return prof
+
+
+_CUSP_MODULI = [Modulus.linear(), Modulus.power(0.5), Modulus.log_power(0.5),
+                Modulus.log_power(1.0), Modulus.log_power(2.0),
+                Modulus.tabulated([0.01, 0.1, 1.0], [0.05, 0.2, 0.5])]
+
+
+@pytest.mark.parametrize("m", _CUSP_MODULI, ids=lambda m: m.kind)
+def test_cusp_evaluators_match_masked_formula(m):
+    anchors = np.array([(0.3, 0.4), (-0.5, 0.1)])
+    pts = np.concatenate([anchors, [(-0.9, -0.4), (0.99, 0.0)],
+                          sample_disk(20000, seed=5)])
+    amp = 0.1
+    iso = CoefficientField.cusp_isotropic(m, amp, anchors=anchors,
+                                          signs=[1.0, -1.0])
+    ref = np.ones(pts.shape[0])
+    for anchor, sign in zip(anchors, (1.0, -1.0)):
+        ref += amp * sign * _masked_profile(m, pts, anchor)
+    assert np.array_equal(iso.evaluate(pts), ref)
+
+    aniso = CoefficientField.cusp_anisotropic(m, amp, anchors=anchors)
+    c1 = _masked_profile(m, pts, anchors[0])
+    c2 = _masked_profile(m, pts, anchors[1])
+    e1 = np.array([[1.0, 0.0], [0.0, -1.0]])
+    e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ref = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+    ref += amp * (c1[:, None, None] * e1 + c2[:, None, None] * e2)
+    assert np.array_equal(aniso.evaluate(pts), ref)
 
 
 def test_kernel_gradient_constant_against_quadrature():

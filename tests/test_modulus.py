@@ -61,6 +61,26 @@ def test_log_power_constant_extension():
     assert np.all(np.diff(slopes) <= 1e-9)  # concave
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_log_power_omega_matches_masked_formula(p):
+    # reference: the formula applied only at t > 0, zero elsewhere
+    m = Modulus.log_power(p)
+    cut = m.t_cut
+    rng = np.random.default_rng(7)
+    t = np.concatenate([[0.0, 1e-300, 1e-12, cut, 1.0],
+                        np.nextafter(cut, [0.0, 1.0]), rng.random(2000)])
+    ref = np.zeros_like(t)
+    pos = t > 0.0
+    tc = np.minimum(t[pos], cut)
+    ref[pos] = tc * np.log(1.0 / tc) ** p
+    with np.errstate(all="raise"):
+        got = m.omega(t)
+        scalar = m.omega(0.0)
+    assert np.array_equal(got, ref)
+    assert scalar.shape == () and float(scalar) == 0.0
+    assert float(m.omega(cut)) == float(ref[3])
+
+
 def test_domain_errors():
     m = Modulus.linear()
     with pytest.raises(ValueError):

@@ -542,3 +542,46 @@ class TestOperatorCache:
         u1 = solve_dirichlet(f1, 1.0, np.ones(32), g)
         u2 = solve_dirichlet(f2, 1.0, np.ones(32), g)
         assert u1._assembly is not u2._assembly
+
+    def test_dropped_custom_fields_never_share_assembly(self):
+        # each field dies with its helper's frame, so the next one can
+        # get its id; the cell matrices must still scale with c
+        clear_operator_cache()
+        g = PolarGrid.disk(9, 16)
+
+        def cell_k(c):
+            f = CoefficientField.from_callable(
+                lambda p: np.full(p.shape[:-1], c),
+                arity=Arity.ISOTROPIC, n=2, lam=1.0 / c)
+            return solve_dirichlet(f, 1.0, np.ones(16), g)._assembly.cell_k
+
+        ref = cell_k(1.0)
+        for c in range(2, 9):
+            np.testing.assert_allclose(cell_k(float(c)), c * ref,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_cache_bounded_under_concurrent_solves(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from freqlab import solver
+
+        clear_operator_cache()
+        g = PolarGrid.disk(5, 8)
+        ref = solve_dirichlet(CoefficientField.constant(1.0), 1.0,
+                              np.ones(8), g)._assembly.cell_k
+        values = [1.0 + 0.1 * i for i in range(12)] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(
+                    solve_dirichlet, CoefficientField.constant(c), 1.0,
+                    np.ones(8), g) for c in values]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for c, u in zip(values, results):
+            np.testing.assert_allclose(u._assembly.cell_k, c * ref,
+                                       rtol=1e-14, atol=0.0)
+        assert len(solver._CACHE) <= solver._CACHE_LIMIT == 2
