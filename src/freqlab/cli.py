@@ -39,7 +39,12 @@ from .experiments import (
     default_sweep,
     run_scenario,
 )
-from .experiments.base import _modulus_from_spec, build_boundary, build_field
+from .experiments.base import (
+    _modulus_from_spec,
+    _plain,
+    build_boundary,
+    build_field,
+)
 from .frequency import almgren_frequency
 from .io import (
     SCHEMA_VERSION,
@@ -152,18 +157,6 @@ def _require(doc: dict, field: str, path: str):
     if field not in doc:
         raise ConfigError(f"{path}: missing required field {field!r}")
     return doc[field]
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # -- modulus ---------------------------------------------------------------
@@ -283,7 +276,7 @@ def cmd_solve(args) -> int:
         report = {
             "schema": SCHEMA_VERSION,
             "residual_norm": float(u.residual_norm),
-            "iterations": int(u.iterations),
+            "factor_fill": int(u.factor_fill),
             "grid": {"n_r": n_r, "n_theta": n_theta},
             "profile_window": [r_lo, r_hi],
         }

@@ -808,21 +808,28 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
 
     m = _HOLDER_GRID[n]
     rng = np.random.default_rng(int(seed))
-    noise = rng.standard_normal((m,) * n)
-    freq = np.fft.fftfreq(m, d=1.0 / m)
-    mesh = np.meshgrid(*([freq] * n), indexing="ij")
-    kmag = np.sqrt(sum(g * g for g in mesh))
-    shape = np.zeros_like(kmag)
-    nonzero = kmag > 0.0
-    shape[nonzero] = kmag[nonzero] ** (-a - 0.5 * n)
-    sample = np.fft.ifftn(np.fft.fftn(noise) * shape).real
+    # the noise is real, so the half spectrum along the last axis holds
+    # every mode; temporaries are dropped as soon as they are used
+    spectrum = np.fft.rfftn(rng.standard_normal((m,) * n))
+    freqs = [np.fft.fftfreq(m, d=1.0 / m)] * (n - 1) + [
+        np.fft.rfftfreq(m, d=1.0 / m)]
+    k2 = sum(fr.reshape((-1,) + (1,) * (n - 1 - i)) ** 2
+             for i, fr in enumerate(freqs))
+    k2.flat[0] = 1.0
+    spectrum *= np.sqrt(k2, out=k2) ** (-a - 0.5 * n)
+    del k2
+    spectrum.flat[0] = 0.0
+    values = np.fft.irfftn(spectrum, s=(m,) * n, axes=tuple(range(n)))
+    del spectrum
 
     # grid covers [-1, 1) per axis; index m//2 is the origin
     axes = [-1.0 + 2.0 * np.arange(m) / m for _ in range(n)]
     origin = (m // 2,) * n
-    sample = sample - sample[origin]
-    peak = float(np.abs(sample).max())
-    values = 1.0 + amp * sample / peak
+    values -= values[origin]
+    peak = float(np.abs(values).max())
+    values *= amp
+    values /= peak
+    values += 1.0
 
     lo, hi = float(values.min()), float(values.max())
     if lo < 0.5 or hi > 2.0:
@@ -832,10 +839,7 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
 
     # wrap one periodic row per axis so the closed ball is covered
     ext_axes = [np.append(ax, 1.0) for ax in axes]
-    ext = values
-    for axis in range(n):
-        first = np.take(ext, [0], axis=axis)
-        ext = np.concatenate([ext, first], axis=axis)
+    ext = np.pad(values, [(0, 1)] * n, mode="wrap")
 
     if n == 2:
         from scipy.interpolate import RectBivariateSpline

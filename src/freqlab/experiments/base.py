@@ -10,7 +10,9 @@ stable under refinement.
 
 from __future__ import annotations
 
+import json
 import math
+import threading
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -260,8 +262,30 @@ def _modulus_from_spec(spec: dict) -> Modulus:
     raise ValueError(f"unknown modulus kind {kind!r}")
 
 
+# Fields are immutable, so equal specs may share one object; a
+# scenario's base and refined runs build the same field back to back,
+# so two entries cover that reuse.
+_FIELDS: dict[str, CoefficientField] = {}
+_FIELDS_LIMIT = 2
+_FIELDS_LOCK = threading.Lock()
+
+
 def build_field(spec: dict) -> CoefficientField:
-    """Coefficient field from a config dict keyed by 'kind'."""
+    """Coefficient field from a config dict keyed by 'kind'; equal
+    specs, whatever their key order, return the same recent object."""
+    key = json.dumps(spec, sort_keys=True)
+    with _FIELDS_LOCK:
+        f = _FIELDS.get(key)
+    if f is None:
+        f = _make_field(spec)
+        with _FIELDS_LOCK:
+            f = _FIELDS.setdefault(key, f)
+            if len(_FIELDS) > _FIELDS_LIMIT:
+                _FIELDS.pop(next(iter(_FIELDS)))
+    return f
+
+
+def _make_field(spec: dict) -> CoefficientField:
     kind = spec.get("kind")
     if kind == "identity":
         return CoefficientField.identity(2)

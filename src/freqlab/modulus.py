@@ -142,7 +142,7 @@ class Modulus:
             tc = np.minimum(t, self.t_cut)
             # t = 0 gives 0 * inf here; the where below maps it to 0
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = tc * np.log(1.0 / tc) ** self.p
+                val = tc * (-np.log(tc)) ** self.p
             return np.where(t > 0.0, val, 0.0)
         return self._omega_tabulated(t)
 

@@ -404,6 +404,47 @@ def test_generate_holder_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def _complex_fft_holder(alpha, amplitude, seed, n, m):
+    """Grid values and c_h of the full complex-FFT synthesis."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((m,) * n)
+    freq = np.fft.fftfreq(m, d=1.0 / m)
+    mesh = np.meshgrid(*([freq] * n), indexing="ij")
+    kmag = np.sqrt(sum(g * g for g in mesh))
+    shape = np.zeros_like(kmag)
+    nonzero = kmag > 0.0
+    shape[nonzero] = kmag[nonzero] ** (-alpha - 0.5 * n)
+    sample = np.fft.ifftn(np.fft.fftn(noise) * shape).real
+    sample = sample - sample[(m // 2,) * n]
+    values = 1.0 + amplitude * sample / float(np.abs(sample).max())
+    c_h = 0.0
+    for axis in range(n):
+        for lag in (1, 2, 4, 8, 16):
+            d = np.abs(values - np.roll(values, lag, axis=axis))
+            c_h = max(c_h, float(d.max()) / (lag * 2.0 / m) ** alpha)
+    return values, c_h
+
+
+@pytest.mark.parametrize("alpha,amplitude,seed,n", [
+    (0.75, 0.05, 7, 2), (0.7, 0.4, 3, 2), (0.6, 0.1, 5, 3)])
+def test_generate_holder_matches_complex_fft_synthesis(alpha, amplitude,
+                                                       seed, n):
+    f = generate_holder(alpha, amplitude, seed, n=n)
+    m = f.meta["grid"]
+    values, c_h = _complex_fft_holder(alpha, amplitude, seed, n, m)
+    # grid nodes inside the unit ball, where the interpolant is exact
+    step = 8 if n == 2 else 4
+    idx = np.arange(0, m, step)
+    nodes = np.stack(np.meshgrid(*([idx] * n), indexing="ij"), axis=-1)
+    nodes = nodes.reshape(-1, n)
+    pts = -1.0 + 2.0 * nodes / m
+    inside = np.sum(pts * pts, axis=1) <= 1.0
+    got = f.evaluate(pts[inside])
+    want = values[tuple(nodes[inside].T)]
+    assert np.abs(got - want).max() <= 1e-14
+    assert f.holder[1] == pytest.approx(c_h, rel=1e-13)
+
+
 def test_generate_holder_three_dimensional():
     f = generate_holder(0.6, 0.1, seed=5, n=3)
     pts = sample_disk(64, seed=10, n=3)

@@ -13,6 +13,7 @@ from freqlab.experiments import (
     ScenarioConfig,
     ScenarioError,
     Verdict,
+    build_field,
     default_config,
     default_sweep,
     registered_scenarios,
@@ -110,6 +111,41 @@ def test_sweep_runner_preserves_order():
     reports = run_sweep(configs, jobs=2)
     assert [r.scenario for r in reports] == ["eps_approx", "stability"]
     assert all(r.verdict is Verdict.CONSISTENT for r in reports)
+
+
+def test_build_field_shares_equal_specs():
+    spec = {"kind": "holder", "alpha": 0.75, "amplitude": 0.05, "seed": 7}
+    f = build_field(spec)
+    assert build_field(dict(reversed(list(spec.items())))) is f
+    other_seed = build_field(dict(spec, seed=8))
+    other_amp = build_field(dict(spec, amplitude=0.04))
+    assert other_seed is not f and other_amp is not f
+    pts = np.array([[0.3, -0.2], [-0.5, 0.1]])
+    assert not np.array_equal(other_seed.evaluate(pts), f.evaluate(pts))
+    assert not np.array_equal(other_amp.evaluate(pts), f.evaluate(pts))
+    assert build_field(dict(spec, seed=8)) is other_seed
+
+
+def test_build_field_memo_bounded_under_threads():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from freqlab.experiments import base
+
+    values = [1.0 + 0.1 * i for i in range(8)] * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(build_field,
+                                   {"kind": "constant", "value": v})
+                       for v in values]
+            fields = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for v, f in zip(values, fields):
+        assert float(f.evaluate((0.1, 0.2))) == v
+    assert len(base._FIELDS) <= base._FIELDS_LIMIT == 2
 
 
 # -- anisotropic scenarios -----------------------------------------------

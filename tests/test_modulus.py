@@ -1,6 +1,7 @@
 """Moduli: transform values, Osgood classification, submultiplicativity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,13 +73,24 @@ def test_log_power_omega_matches_masked_formula(p):
     ref = np.zeros_like(t)
     pos = t > 0.0
     tc = np.minimum(t[pos], cut)
-    ref[pos] = tc * np.log(1.0 / tc) ** p
+    ref[pos] = tc * (-np.log(tc)) ** p
     with np.errstate(all="raise"):
         got = m.omega(t)
         scalar = m.omega(0.0)
     assert np.array_equal(got, ref)
     assert scalar.shape == () and float(scalar) == 0.0
     assert float(m.omega(cut)) == float(ref[3])
+
+
+def test_log_power_omega_finite_below_overflow():
+    # 1 / t overflows below about 5.6e-309; omega must stay finite there
+    m = Modulus.log_power(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = m.omega(np.array([1e-310, 5e-324]))
+        top = float(m.omega(m.t_cut))
+    assert np.all(np.isfinite(w))
+    assert np.all(w > 0.0) and np.all(w <= top)
 
 
 def test_domain_errors():

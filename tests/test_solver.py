@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import splu
 from scipy.special import i0
 
 from freqlab.coefficients import Arity, CoefficientField, FieldError, generate_holder
@@ -247,8 +248,7 @@ class TestSolveDirichlet:
         g = PolarGrid.disk(17, 32)
         rng = np.random.default_rng(5)
         with pytest.raises(SolverError, match="residual"):
-            solve_dirichlet(I2, 1.0, rng.normal(size=32), g,
-                            rtol=1e-30, preconditioner="jacobi")
+            solve_dirichlet(I2, 1.0, rng.normal(size=32), g, rtol=1e-30)
 
     def test_ellipticity_violation_is_domain_error(self):
         bad = CoefficientField.from_callable(
@@ -267,8 +267,6 @@ class TestSolveDirichlet:
         bad[3] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
             solve_dirichlet(I2, 1.0, bad, g)
-        with pytest.raises(SolverError, match="preconditioner"):
-            solve_dirichlet(I2, 1.0, np.ones(32), g, preconditioner="ilu")
         ann = PolarGrid.annulus(0.5, 1.0, 9, 32)
         with pytest.raises(SolverError, match="g_inner"):
             solve_dirichlet(I2, 1.0, np.ones(32), ann)
@@ -279,14 +277,19 @@ class TestSolveDirichlet:
             solve_dirichlet(CoefficientField.identity(3), 1.0,
                             np.ones(32), g)
 
-    def test_jacobi_preconditioner_agrees_with_lu(self):
-        g = PolarGrid.disk(25, 48)
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=48)
-        u1 = solve_dirichlet(I2, 1.0, data, g)
-        u2 = solve_dirichlet(I2, 1.0, data, g, preconditioner="jacobi")
-        assert u2.iterations > u1.iterations
-        assert np.abs(u1.values - u2.values).max() <= 1e-8
+    def test_direct_solve_matches_default_ordering(self):
+        # the minimum-degree ordering changes the fill, not the solution
+        field = generate_holder(0.75, 0.05, seed=7)
+        g = PolarGrid.disk(65, 128)
+        rng = np.random.default_rng(3)
+        u = solve_dirichlet(field, 1.0, rng.normal(size=128), g)
+        asm = u._assembly
+        ref_lu = splu(asm.k_ii)
+        ref = ref_lu.solve(-asm.k_ib @ u.boundary_data)
+        assert u.residual_norm <= 1e-12
+        assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
+        assert u.factor_fill == asm.lu.nnz
+        assert u.factor_fill < ref_lu.nnz
 
     def test_solves_are_deterministic(self):
         g = PolarGrid.disk(25, 48)
