@@ -780,6 +780,68 @@ def empirical_modulus(f: CoefficientField, sample_count: int,
 _HOLDER_GRID = {2: 1024, 3: 128}
 
 
+# points per pass of the spline evaluator, so that its two dozen
+# temporaries stay in cache (131,072 points: 15 ms, 21 ms in one pass)
+_SPLINE_BLOCK = 2 ** 14
+
+
+def _cubic_basis(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """First coefficient index and the four nonzero cubic B-splines on
+    knot vector t at x, by the de Boor-Cox recurrence unrolled as in
+    fitpack's ``fpbspl``.  Arguments are clamped into [t[3], t[-4]] like
+    fitpack's ``fpbisp``."""
+    x = np.clip(x, t[3], t[-4])
+    l = np.clip(np.searchsorted(t, x, side="right") - 1, 3, t.size - 5)
+    tm2, tm1, t0, t1, t2, t3 = (t[l + d] for d in range(-2, 4))
+    f = 1.0 / (t1 - t0)
+    h0, h1 = f * (t1 - x), f * (x - t0)
+    f = h0 / (t1 - tm1)
+    g0, g1 = f * (t1 - x), f * (x - tm1)
+    f = h1 / (t2 - t0)
+    g1 += f * (t2 - x)
+    g2 = f * (x - t0)
+    f = g0 / (t1 - tm2)
+    b0, b1 = f * (t1 - x), f * (x - tm2)
+    f = g1 / (t2 - tm1)
+    b1 += f * (t2 - x)
+    b2 = f * (x - tm1)
+    f = g2 / (t3 - t0)
+    b2 += f * (t3 - x)
+    b3 = f * (x - t0)
+    return l - 3, [b0, b1, b2, b3]
+
+
+def _bicubic_interpolant(axis: np.ndarray, values: np.ndarray
+                         ) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of fitpack's interpolating bicubic spline of ``values``
+    on the square grid ``axis`` x ``axis``.  Only the fit's knots and
+    coefficients are kept; evaluation sums the 4 x 4 coefficients of
+    each point by flat gathers instead of fitpack's per-point knot
+    search."""
+    from scipy.interpolate import RectBivariateSpline
+
+    tx, ty, c = RectBivariateSpline(axis, axis, values, kx=3, ky=3).tck
+    stride = ty.size - 4
+
+    def ev(pts: np.ndarray) -> np.ndarray:
+        out = np.zeros(pts.shape[0])
+        for lo in range(0, pts.shape[0], _SPLINE_BLOCK):
+            block = pts[lo:lo + _SPLINE_BLOCK]
+            ix, bx = _cubic_basis(tx, block[:, 0])
+            iy, by = _cubic_basis(ty, block[:, 1])
+            first = ix * stride + iy
+            part = out[lo:lo + _SPLINE_BLOCK]
+            for a in range(4):
+                row = first + a * stride
+                acc = c[row] * by[0]
+                for b in range(1, 4):
+                    acc += c[row + b] * by[b]
+                part += bx[a] * acc
+        return out
+
+    return ev
+
+
 def generate_holder(alpha: float, amplitude: float, seed: int,
                     n: int = 2) -> CoefficientField:
     """Random scalar field with target Holder exponent alpha.
@@ -842,12 +904,7 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
     ext = np.pad(values, [(0, 1)] * n, mode="wrap")
 
     if n == 2:
-        from scipy.interpolate import RectBivariateSpline
-
-        spline = RectBivariateSpline(ext_axes[0], ext_axes[1], ext, kx=3, ky=3)
-
-        def ev(pts: np.ndarray) -> np.ndarray:
-            return spline.ev(pts[:, 0], pts[:, 1])
+        ev = _bicubic_interpolant(ext_axes[0], ext)
     else:
         from scipy.interpolate import RegularGridInterpolator
 
@@ -856,13 +913,18 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
         def ev(pts: np.ndarray) -> np.ndarray:
             return interp(pts)
 
-    # Holder constant certificate from axis-aligned grid lags
+    # Holder constant certificate from axis-aligned periodic grid lags:
+    # values[i] - values[i - lag], with the wrapped rows, in one buffer
     h = 2.0 / m
     c_h = 0.0
+    diff = np.empty_like(values)
     for axis in range(n):
+        v, d = np.moveaxis(values, axis, 0), np.moveaxis(diff, axis, 0)
         for lag in (1, 2, 4, 8, 16):
-            d = np.abs(values - np.roll(values, lag, axis=axis))
-            c_h = max(c_h, float(d.max()) / (lag * h) ** a)
+            np.subtract(v[lag:], v[:-lag], out=d[lag:])
+            np.subtract(v[:lag], v[-lag:], out=d[:lag])
+            np.abs(diff, out=diff)
+            c_h = max(c_h, float(diff.max()) / (lag * h) ** a)
 
     return CoefficientField(
         Arity.ISOTROPIC, n, ev, 0.5, holder=(a, c_h),

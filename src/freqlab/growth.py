@@ -85,7 +85,7 @@ def phi_function(m: Modulus) -> Callable[[float], float]:
         p = m.p
         cut = math.exp(-p)
         c = cut * p**p
-        return lambda s: c / s if s > cut else math.log(1.0 / s) ** p
+        return lambda s: c / s if s > cut else (-math.log(s)) ** p
     return lambda s: float(m.phi(s))
 
 
@@ -238,9 +238,6 @@ class GrowthTrace:
     @property
     def steps(self) -> int:
         return len(self.t) - 1
-
-    def to_rows(self):
-        return [(float(tk), float(nk)) for tk, nk in zip(self.t, self.n)]
 
 
 def _probe_g_integrable(g: Callable[[float], float], depth: int = 40) -> bool:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import RectBivariateSpline
 
 from freqlab.coefficients import (
     Arity,
@@ -14,6 +15,7 @@ from freqlab.coefficients import (
     generate_holder,
     homogeneous_projection,
     _MOLLIFY_BLOCK_SAMPLES,
+    _bicubic_interpolant,
     _kernel_table,
     kernel_gradient_constant,
     mollify,
@@ -443,6 +445,38 @@ def test_generate_holder_matches_complex_fft_synthesis(alpha, amplitude,
     want = values[tuple(nodes[inside].T)]
     assert np.abs(got - want).max() <= 1e-14
     assert f.holder[1] == pytest.approx(c_h, rel=1e-13)
+
+
+def test_bicubic_interpolant_matches_fitpack_evaluation():
+    # fitpack's own evaluation of the same fit is the oracle, on the
+    # wrapped grid that generate_holder interpolates
+    m = 1024
+    values, _ = _complex_fft_holder(0.75, 0.05, 7, 2, m)
+    axis = np.append(-1.0 + 2.0 * np.arange(m) / m, 1.0)
+    grid = np.pad(values, [(0, 1), (0, 1)], mode="wrap")
+    spline = RectBivariateSpline(axis, axis, grid, kx=3, ky=3)
+    ev = _bicubic_interpolant(axis, grid)
+    knots = np.unique(np.concatenate(spline.get_knots()))
+    zeros = np.zeros_like(knots)
+    out = 1.0 + 1e-10
+    pts = np.concatenate([
+        sample_disk(20000, seed=12),
+        np.stack([knots, zeros], axis=1),
+        np.stack([zeros, knots], axis=1),
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]],
+        [[out, 0.0], [0.0, -out], [-0.6 * out, 0.8 * out]],
+    ])
+    got = ev(pts)
+    assert np.abs(got - spline.ev(pts[:, 0], pts[:, 1])).max() <= 2e-15
+    # beyond the grid the argument is clamped, not extrapolated
+    assert got[-3] == ev(np.array([[1.0, 0.0]]))[0]
+
+
+def test_generate_holder_clamps_points_just_outside_the_disk():
+    f = generate_holder(0.75, 0.05, seed=7)
+    edge = f.evaluate(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    beyond = f.evaluate(np.array([[1.0 + 1e-10, 0.0], [0.0, -1.0 - 1e-10]]))
+    assert np.array_equal(edge, beyond)
 
 
 def test_generate_holder_three_dimensional():

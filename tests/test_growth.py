@@ -1,6 +1,7 @@
 """Growth machinery: h-transform, continuous bound, discrete cascade."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,19 @@ def test_psi_phi_function_fast_paths():
             assert psi(s) == pytest.approx(float(m.psi(s)), rel=1e-12)
         for s in (1e-6, 0.01, 1.0 / math.e, 0.5, 1.0):
             assert phi(s) == pytest.approx(float(m.phi(s)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_log_power_phi_finite_below_overflow(p):
+    # 1 / s overflows below about 5.6e-309; phi(s) = log(1/s)^p does not
+    phi = phi_function(Modulus.log_power(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [phi(s) for s in (1e-310, 5e-324)]
+    want = [(310.0 * math.log(10.0)) ** p, (-math.log(5e-324)) ** p]
+    assert got == pytest.approx(want, rel=1e-12)
+    if p == 1.0:
+        assert got[0] == pytest.approx(713.80, abs=5e-3)
 
 
 def test_doubling_spot_check_flags():

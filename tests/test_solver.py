@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 from scipy.special import i0
 
@@ -25,6 +27,7 @@ from freqlab.solver import (
     solve_dirichlet,
     volume_mean_square,
     weighted_gradient_energy,
+    _rotated_tensor,
 )
 
 I2 = CoefficientField.identity(2)
@@ -278,7 +281,8 @@ class TestSolveDirichlet:
                             np.ones(32), g)
 
     def test_direct_solve_matches_default_ordering(self):
-        # the minimum-degree ordering changes the fill, not the solution
+        # the nested-dissection unknown order changes the fill, not the
+        # solution
         field = generate_holder(0.75, 0.05, seed=7)
         g = PolarGrid.disk(65, 128)
         rng = np.random.default_rng(3)
@@ -588,3 +592,102 @@ class TestOperatorCache:
             np.testing.assert_allclose(u._assembly.cell_k, c * ref,
                                        rtol=1e-14, atol=0.0)
         assert len(solver._CACHE) <= solver._CACHE_LIMIT == 2
+
+
+# -- frame rotation --------------------------------------------------------
+
+
+def _einsum_rotation(f, r, th):
+    """Q^T A Q as a three-operand matrix product per point."""
+    mats = f.evaluate(np.stack([r * np.cos(th), r * np.sin(th)], axis=-1))
+    c, s = np.cos(th), np.sin(th)
+    q = np.empty(th.shape + (2, 2))
+    q[..., 0, 0] = c
+    q[..., 0, 1] = -s
+    q[..., 1, 0] = s
+    q[..., 1, 1] = c
+    return np.einsum("...ji,...jk,...kl->...il", q, mats, q)
+
+
+def _matrix_field(off_lower):
+    def ev(p):
+        x, y = p[..., 0], p[..., 1]
+        out = np.empty(p.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 2.0 + 0.5 * x
+        out[..., 1, 1] = 1.5 - 0.3 * y
+        out[..., 0, 1] = 0.4 * x * y - 0.2
+        out[..., 1, 0] = off_lower(x, y)
+        return out
+    return CoefficientField.from_callable(ev, arity=Arity.ANISOTROPIC,
+                                          n=2, lam=0.2)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_rotated_tensor_matches_matrix_product(symmetric):
+    off = ((lambda x, y: 0.4 * x * y - 0.2) if symmetric
+           else (lambda x, y: 0.1 + 0.3 * x))
+    f = _matrix_field(off)
+    rng = np.random.default_rng(21)
+    r = np.sqrt(rng.random(20000))
+    th = 2.0 * math.pi * rng.random(20000)
+    got = _rotated_tensor(f, r, th)
+    want = _einsum_rotation(f, r, th)
+    assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+    gap = np.abs(got[..., 0, 1] - got[..., 1, 0]).max()
+    if symmetric:
+        assert gap == 0.0
+    else:
+        assert gap > 0.1
+        g = PolarGrid.disk(9, 16)
+        with pytest.raises(FieldError, match="asymmetric"):
+            solve_dirichlet(f, 1.0, np.ones(16), g)
+
+
+# -- unknown order: property tests ----------------------------------------
+
+
+def _polar_grid(kind, n_r, n_t):
+    if kind == "disk":
+        return PolarGrid.disk(n_r, n_t)
+    return PolarGrid.annulus(0.3, 1.0, n_r, n_t)
+
+
+GRIDS = st.builds(_polar_grid, st.sampled_from(["disk", "annulus"]),
+                  st.integers(2, 40), st.integers(8, 70))
+
+
+@given(GRIDS)
+def test_interior_is_a_permutation_of_the_free_nodes(g):
+    asm = solve_dirichlet(I2, 1.0, np.ones(g.n_theta), g,
+                          g_inner=np.ones(g.n_theta))._assembly
+    free = np.setdiff1d(np.arange(g.node_count), asm.boundary)
+    assert asm.interior.size == free.size
+    assert np.array_equal(np.sort(asm.interior), free)
+
+
+@given(GRIDS, st.integers(0, 2 ** 32 - 1))
+def test_dissection_solve_matches_default_ordering(g, seed):
+    rng = np.random.default_rng(seed)
+    n_t = g.n_theta
+    g_in, g_out = rng.normal(size=n_t), rng.normal(size=n_t)
+    u = solve_dirichlet(D21, 1.0, g_out, g, g_inner=g_in)
+    asm = u._assembly
+    rhs = -asm.k_ib @ (np.concatenate([g_in, g_out])
+                       if g.kind == "annulus" else g_out)
+    ref = splu(asm.k_ii).solve(rhs) if rhs.size else rhs
+    assert np.abs(u.values[asm.interior] - ref).max(initial=0.0) <= 1e-12
+
+
+@given(GRIDS, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_affine_datum_is_reproduced(g, a, b):
+    # affine in the logical coordinates (log r, theta) and periodic:
+    # a + b log r on annuli, the constant a on disks, whose origin node
+    # leaves log r out of the discrete space
+    b = b if g.kind == "annulus" else 0.0
+    n_t = g.n_theta
+    u = solve_dirichlet(I2, 1.0, np.full(n_t, a + b * math.log(g.r_out)), g,
+                        g_inner=np.full(n_t, a + b * math.log(g.r_in)))
+    exact = a + b * np.repeat(np.log(g.radii), n_t)
+    assert np.abs(u.node_grid().ravel() - exact).max() <= 1e-12
+    if g.kind == "disk":
+        assert abs(u.values[-1] - a) <= 1e-12
