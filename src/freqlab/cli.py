@@ -13,8 +13,7 @@ configuration error, 3 solver failure.  A scenario that cannot run
 writes ``<stem>.error.json`` with its status: ``regime_error`` (exit 1),
 ``scenario_error`` or ``field_error`` (a field its config cannot build,
 such as a Holder amplitude that leaves the ellipticity budget; exit 2),
-or ``solver_error`` (exit 3).  Set FREQLAB_CACHE=0 to disable the
-in-process operator cache.
+or ``solver_error`` (exit 3).
 """
 
 from __future__ import annotations
@@ -235,23 +234,30 @@ def cmd_solve(args) -> int:
         raise ConfigError(
             f"{args.config}: profile window [{r_lo}, {r_hi}] is invalid")
 
-    n_r = int(_require(grid_spec, "n_r", args.config))
-    n_theta = int(_require(grid_spec, "n_theta", args.config))
+    n_r = _require(grid_spec, "n_r", args.config)
+    n_theta = _require(grid_spec, "n_theta", args.config)
     if args.resolution is not None:
         n_r, n_theta = args.resolution
     r_min = grid_spec.get("r_min")
     try:
+        n_r, n_theta = int(n_r), int(n_theta)
+        r_min = None if r_min is None else float(r_min)
+        grids = [PolarGrid.disk(n_r, n_theta, r_min=r_min)]
+        if args.refine:
+            grids.append(PolarGrid.disk(2 * (n_r - 1) + 1, 2 * n_theta,
+                                        r_min=r_min))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{args.config}: bad grid: {err}") from err
+    try:
         f = build_field(field_spec)
         data = build_boundary(boundary_spec, seed)
-    except (ScenarioError, KeyError, ValueError) as err:
+    except (FieldError, ScenarioError) as err:
         raise ConfigError(f"{args.config}: {err}") from err
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
-    def one_solve(tag: str, nr: int, nt: int):
-        grid = PolarGrid.disk(nr, nt,
-                              r_min=None if r_min is None else float(r_min))
+    def one_solve(tag: str, grid: PolarGrid):
         u = solve_dirichlet(f, 1.0, data, grid)
         radii = grid.radii[(grid.radii >= r_lo) & (grid.radii <= r_hi)]
         prof = almgren_frequency(u, f, radii=radii)
@@ -267,12 +273,12 @@ def cmd_solve(args) -> int:
             os.path.join(args.out, f"profile{tag}.svg"),
             render_line_plot(
                 [("N(r)", prof.radii[order], prof.N[order])],
-                title=f"frequency profile ({nr}x{nt})",
+                title=f"frequency profile ({grid.n_r}x{grid.n_theta})",
                 x_label="r", y_label="N")))
         return u, prof.radii[order], prof.N[order]
 
     try:
-        u, base_r, base_n = one_solve("", n_r, n_theta)
+        u, base_r, base_n = one_solve("", grids[0])
         report = {
             "schema": SCHEMA_VERSION,
             "residual_norm": float(u.residual_norm),
@@ -280,23 +286,21 @@ def cmd_solve(args) -> int:
             "grid": {"n_r": n_r, "n_theta": n_theta},
             "profile_window": [r_lo, r_hi],
         }
-        resolutions = [[n_r, n_theta]]
         if args.refine:
-            _, fine_r, fine_n = one_solve(
-                "_refined", 2 * (n_r - 1) + 1, 2 * n_theta)
+            _, fine_r, fine_n = one_solve("_refined", grids[1])
             deltas = np.interp(base_r, fine_r, fine_n) - base_n
             report["refinement"] = {
                 "max_abs_delta_N": float(np.max(np.abs(deltas))),
                 "deltas": _plain(deltas),
             }
-            resolutions.append([2 * (n_r - 1) + 1, 2 * n_theta])
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
 
     outputs.append(write_json(os.path.join(args.out, "solve_report.json"),
                               report))
-    RunManifest("solve", config_hash(doc), seed, resolutions,
+    RunManifest("solve", config_hash(doc), seed,
+                [[g.n_r, g.n_theta] for g in grids],
                 _relative(outputs, args.out), __version__,
                 time.monotonic() - t0).write(args.out)
     print(f"solved {n_r}x{n_theta}; N({base_r[-1]:.3g}) = {base_n[-1]:.6g}")

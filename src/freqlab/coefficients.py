@@ -34,7 +34,6 @@ __all__ = [
     "EmpiricalModulus",
     "FieldError",
     "GenerationError",
-    "HomogeneousField",
     "beta_vector",
     "empirical_modulus",
     "generate_holder",
@@ -95,8 +94,8 @@ class CoefficientField:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n not in (2, 3):
-            raise FieldError(f"dimension must be 2 or 3, got {self.n}")
+        if self.n != 2:
+            raise FieldError(f"fields are two-dimensional, got dimension {self.n}")
         if not 0.0 < self.lam <= 1.0:
             raise FieldError(f"ellipticity constant must lie in (0, 1], got {self.lam}")
         if self.holder is not None:
@@ -163,7 +162,7 @@ class CoefficientField:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float = 1.0, n: int = 2) -> "CoefficientField":
+    def constant(cls, value: float = 1.0) -> "CoefficientField":
         v = float(value)
         if v <= 0.0:
             raise FieldError(f"constant coefficient must be positive, got {v}")
@@ -172,40 +171,39 @@ class CoefficientField:
         def ev(pts: np.ndarray) -> np.ndarray:
             return np.full(pts.shape[0], v)
 
-        return cls(Arity.ISOTROPIC, n, ev, lam, kind="constant",
-                   params={"value": v, "n": n})
+        return cls(Arity.ISOTROPIC, 2, ev, lam, kind="constant",
+                   params={"value": v})
 
     @classmethod
     def identity(cls, n: int = 2) -> "CoefficientField":
+        """The identity matrix field; ``n`` must be 2."""
         eye = np.eye(n)
 
         def ev(pts: np.ndarray) -> np.ndarray:
             return np.broadcast_to(eye, (pts.shape[0], n, n)).copy()
 
-        return cls(Arity.ANISOTROPIC, n, ev, 1.0, kind="identity",
-                   params={"n": n})
+        return cls(Arity.ANISOTROPIC, n, ev, 1.0, kind="identity")
 
     @classmethod
     def diagonal(cls, entries: Any) -> "CoefficientField":
         d = np.asarray(entries, dtype=float)
-        n = d.size
-        if n not in (2, 3) or np.any(d <= 0.0):
-            raise FieldError(f"need 2 or 3 positive diagonal entries, got {entries}")
+        if d.size != 2 or np.any(d <= 0.0):
+            raise FieldError(f"need 2 positive diagonal entries, got {entries}")
         lam = float(min(d.min(), 1.0 / d.max(), 1.0))
         mat = np.diag(d)
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(mat, (pts.shape[0], n, n)).copy()
+            return np.broadcast_to(mat, (pts.shape[0], 2, 2)).copy()
 
-        return cls(Arity.ANISOTROPIC, n, ev, lam, kind="diag",
+        return cls(Arity.ANISOTROPIC, 2, ev, lam, kind="diag",
                    params={"entries": [float(v) for v in d]})
 
     @classmethod
-    def affine(cls, const: float, gradient: Any, n: int = 2) -> "CoefficientField":
+    def affine(cls, const: float, gradient: Any) -> "CoefficientField":
         """Scalar field a(x) = const + <gradient, x>."""
         g = np.asarray(gradient, dtype=float)
-        if g.size != n:
-            raise FieldError(f"gradient must have {n} entries, got {g.size}")
+        if g.size != 2:
+            raise FieldError(f"gradient must have 2 entries, got {g.size}")
         gnorm = float(np.linalg.norm(g))
         lo, hi = const - gnorm, const + gnorm
         if lo <= 0.0:
@@ -215,11 +213,11 @@ class CoefficientField:
         def ev(pts: np.ndarray) -> np.ndarray:
             return const + pts @ g
 
-        return cls(Arity.ISOTROPIC, n, ev, lam,
+        return cls(Arity.ISOTROPIC, 2, ev, lam,
                    holder=(1.0, gnorm) if gnorm > 0 else None,
                    kind="affine",
                    params={"const": float(const),
-                           "gradient": [float(v) for v in g], "n": n})
+                           "gradient": [float(v) for v in g]})
 
     @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], *,
@@ -234,7 +232,7 @@ class CoefficientField:
     @classmethod
     def cusp_isotropic(cls, modulus: Modulus, amplitude: float,
                        anchors: Any = ((0.3, 0.4),),
-                       signs: Any = None, n: int = 2) -> "CoefficientField":
+                       signs: Any = None) -> "CoefficientField":
         """a(x) = 1 + amplitude * sum_i s_i * omega(|x - p_i|).
 
         The profile omega is its own modulus of continuity up to a
@@ -243,8 +241,8 @@ class CoefficientField:
         ``declared_modulus``.
         """
         pts_anchor = np.asarray(anchors, dtype=float)
-        if pts_anchor.ndim != 2 or pts_anchor.shape[1] != n:
-            raise FieldError(f"anchors must be (k, {n}), got {pts_anchor.shape}")
+        if pts_anchor.ndim != 2 or pts_anchor.shape[1] != 2:
+            raise FieldError(f"anchors must be (k, 2), got {pts_anchor.shape}")
         k = pts_anchor.shape[0]
         sgn = np.ones(k) if signs is None else np.asarray(signs, dtype=float)
         if sgn.size != k:
@@ -264,23 +262,21 @@ class CoefficientField:
                 out += amp * sgn[i] * _cusp_profile(modulus, pts, pts_anchor[i])
             return out
 
-        return cls(Arity.ISOTROPIC, n, ev, lam, declared_modulus=modulus,
+        return cls(Arity.ISOTROPIC, 2, ev, lam, declared_modulus=modulus,
                    kind="cusp_iso",
                    params={"modulus": modulus.to_config(), "amplitude": amp,
                            "anchors": pts_anchor.tolist(),
-                           "signs": sgn.tolist(), "n": n})
+                           "signs": sgn.tolist()})
 
     @classmethod
     def cusp_anisotropic(cls, modulus: Modulus, amplitude: float,
-                         anchors: Any = ((0.3, 0.4), (-0.5, 0.1)),
-                         n: int = 2) -> "CoefficientField":
+                         anchors: Any = ((0.3, 0.4), (-0.5, 0.1))
+                         ) -> "CoefficientField":
         """I plus cusp profiles on the traceless symmetric directions.
 
-        Two anchors drive the two off-trace matrix directions in 2D;
+        Two anchors drive the two off-trace matrix directions;
         eigenvalues stay within 1 +- amplitude * sqrt(2) * omega(1).
         """
-        if n != 2:
-            raise FieldError("anisotropic cusp generator is 2-dimensional")
         pts_anchor = np.asarray(anchors, dtype=float)
         if pts_anchor.shape != (2, 2):
             raise FieldError("exactly two anchors of dimension 2 required")
@@ -302,13 +298,13 @@ class CoefficientField:
             out[:, 1, 0] = a2
             return out
 
-        return cls(Arity.ANISOTROPIC, n, ev, lam, declared_modulus=modulus,
+        return cls(Arity.ANISOTROPIC, 2, ev, lam, declared_modulus=modulus,
                    kind="cusp_aniso",
                    params={"modulus": modulus.to_config(), "amplitude": amp,
-                           "anchors": pts_anchor.tolist(), "n": n})
+                           "anchors": pts_anchor.tolist()})
 
     @classmethod
-    def annulus_bump(cls, eps: float, r_in: float, n: int = 2) -> "CoefficientField":
+    def annulus_bump(cls, eps: float, r_in: float) -> "CoefficientField":
         """a = 1 + eps * smooth radial bump supported in r_in < |x| < 1."""
         e, ri = float(eps), float(r_in)
         if not 0.0 < ri < 1.0:
@@ -327,8 +323,8 @@ class CoefficientField:
             out[inside] += e * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
             return out
 
-        return cls(Arity.ISOTROPIC, n, ev, lam, kind="annulus_bump",
-                   params={"eps": e, "r_in": ri, "n": n})
+        return cls(Arity.ISOTROPIC, 2, ev, lam, kind="annulus_bump",
+                   params={"eps": e, "r_in": ri})
 
     # -- serialization --------------------------------------------------
 
@@ -346,28 +342,26 @@ class CoefficientField:
         kind = cfg.get("kind")
         params = dict(cfg.get("params", {}))
         if kind == "constant":
-            return CoefficientField.constant(params["value"], params.get("n", 2))
+            return CoefficientField.constant(params["value"])
         if kind == "identity":
-            return CoefficientField.identity(params.get("n", 2))
+            return CoefficientField.identity()
         if kind == "diag":
             return CoefficientField.diagonal(params["entries"])
         if kind == "affine":
-            return CoefficientField.affine(params["const"], params["gradient"],
-                                           params.get("n", 2))
+            return CoefficientField.affine(params["const"], params["gradient"])
         if kind == "cusp_iso":
             return CoefficientField.cusp_isotropic(
                 Modulus.from_config(params["modulus"]), params["amplitude"],
-                params["anchors"], params.get("signs"), params.get("n", 2))
+                params["anchors"], params.get("signs"))
         if kind == "cusp_aniso":
             return CoefficientField.cusp_anisotropic(
                 Modulus.from_config(params["modulus"]), params["amplitude"],
-                params["anchors"], params.get("n", 2))
+                params["anchors"])
         if kind == "annulus_bump":
-            return CoefficientField.annulus_bump(params["eps"], params["r_in"],
-                                                 params.get("n", 2))
+            return CoefficientField.annulus_bump(params["eps"], params["r_in"])
         if kind == "holder_synthetic":
             return generate_holder(params["alpha"], params["amplitude"],
-                                   cfg.get("seed", 0), params.get("n", 2))
+                                   cfg.get("seed", 0))
         if kind == "mollified":
             return mollify(CoefficientField.from_config(params["base"]),
                            params["eps"])
@@ -378,18 +372,6 @@ class CoefficientField:
         if kind == "normalized":
             return normalize_at_origin(CoefficientField.from_config(params["base"]))
         raise FieldError(f"unknown field kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class HomogeneousField(CoefficientField):
-    """Field constant along rays: value(x) = base(anchor * x/|x|).
-
-    At the origin, where rays meet, the evaluator returns the angular
-    mean over the anchor sphere; every other point is exact.
-    """
-
-    base: Optional[CoefficientField] = None
-    anchor_radius: float = 0.0
 
 
 def _cusp_profile(modulus: Modulus, pts: np.ndarray,
@@ -487,7 +469,7 @@ def kernel_gradient_constant(n: int) -> float:
     This is the constant in the mollifier gradient bound
     sup |grad f_eps| <= C * omega(eps) / eps.
     """
-    m = 1024 if n == 2 else 160
+    m = 1024
     centers = -1.0 + (2.0 * np.arange(m) + 1.0) / m
     cell = (2.0 / m) ** n
     axes = np.meshgrid(*([centers] * n), indexing="ij")
@@ -582,12 +564,14 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
 # -- homogeneous projection ---------------------------------------------
 
 
-def homogeneous_projection(f: CoefficientField, r: float) -> HomogeneousField:
+def homogeneous_projection(f: CoefficientField, r: float) -> CoefficientField:
     """Freeze a scalar field along rays: abar(x) = a(r * x/|x|).
 
-    Only scalar fields are supported; the ray-freezing construction has
-    no canonical matrix analogue here.  Projecting twice is pointwise
-    idempotent since the output depends on direction alone.
+    At the origin, where rays meet, the value is the mean over the
+    anchor circle; every other point is exact.  Only scalar fields are
+    supported; the ray-freezing construction has no canonical matrix
+    analogue here.  Projecting twice is pointwise idempotent since the
+    output depends on direction alone.
     """
     if f.arity is not Arity.ISOTROPIC:
         raise FieldError("homogeneous projection is defined for scalar fields only")
@@ -596,19 +580,8 @@ def homogeneous_projection(f: CoefficientField, r: float) -> HomogeneousField:
         raise FieldError(
             f"anchor radius must lie in (0, {f.domain_radius}], got {anchor}")
     base_ev = f.evaluator
-    nn = f.n
-
-    if nn == 2:
-        theta = 2.0 * np.pi * (np.arange(512) + 0.5) / 512
-        ring = anchor * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        # Fibonacci sphere: near-uniform directions for the mean at 0
-        i = np.arange(512) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / 512)
-        golden = np.pi * (1.0 + math.sqrt(5.0))
-        ring = anchor * np.stack(
-            [np.cos(golden * i) * np.sin(phi),
-             np.sin(golden * i) * np.sin(phi), np.cos(phi)], axis=1)
+    theta = 2.0 * np.pi * (np.arange(512) + 0.5) / 512
+    ring = anchor * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     center_value = float(np.mean(base_ev(ring)))
 
     def ev(pts: np.ndarray) -> np.ndarray:
@@ -626,12 +599,11 @@ def homogeneous_projection(f: CoefficientField, r: float) -> HomogeneousField:
         params["base"] = f.to_config()
     else:
         kind = "custom"
-    return HomogeneousField(
-        Arity.ISOTROPIC, nn, ev, f.lam,
+    return CoefficientField(
+        Arity.ISOTROPIC, 2, ev, f.lam,
         declared_modulus=f.declared_modulus, holder=f.holder,
         kind=kind, params=params, seed=f.seed,
-        domain_radius=1.0, meta={"anchor_radius": anchor},
-        base=f, anchor_radius=anchor)
+        domain_radius=1.0, meta={"anchor_radius": anchor})
 
 
 def normalize_at_origin(f: CoefficientField) -> CoefficientField:
@@ -777,7 +749,7 @@ def empirical_modulus(f: CoefficientField, sample_count: int,
 
 # -- random Holder fields -----------------------------------------------
 
-_HOLDER_GRID = {2: 1024, 3: 128}
+_HOLDER_GRID = 1024
 
 
 # points per pass of the spline evaluator, so that its two dozen
@@ -842,16 +814,16 @@ def _bicubic_interpolant(axis: np.ndarray, values: np.ndarray
     return ev
 
 
-def generate_holder(alpha: float, amplitude: float, seed: int,
-                    n: int = 2) -> CoefficientField:
+def generate_holder(alpha: float, amplitude: float,
+                    seed: int) -> CoefficientField:
     """Random scalar field with target Holder exponent alpha.
 
     Synthesis is spectral: white noise on a periodic grid is shaped so
     the mode at frequency k carries amplitude proportional to
-    |k|^(-alpha - n/2), the scaling whose realizations oscillate like
-    d^alpha at separation d.  The centered sample is normalized to unit
-    sup on the grid, scaled by ``amplitude``, and pinned to a(0) = 1.
-    Fields leaving [1/2, 2] raise GenerationError.
+    |k|^(-alpha - 1), the scaling whose planar realizations oscillate
+    like d^alpha at separation d.  The centered sample is normalized to
+    unit sup on the grid, scaled by ``amplitude``, and pinned to
+    a(0) = 1.  Fields leaving [1/2, 2] raise GenerationError.
     """
     a = float(alpha)
     if not 0.0 < a < 1.0:
@@ -859,35 +831,30 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
     amp = float(amplitude)
     if amp < 0.0:
         raise FieldError(f"amplitude must be nonnegative, got {amp}")
-    if n not in (2, 3):
-        raise FieldError(f"dimension must be 2 or 3, got {n}")
     if amp == 0.0:
-        f = CoefficientField.constant(1.0, n)
+        f = CoefficientField.constant(1.0)
         return CoefficientField(
-            Arity.ISOTROPIC, n, f.evaluator, 1.0, holder=(a, 0.0),
+            Arity.ISOTROPIC, 2, f.evaluator, 1.0, holder=(a, 0.0),
             kind="holder_synthetic",
-            params={"alpha": a, "amplitude": 0.0, "n": n}, seed=int(seed))
+            params={"alpha": a, "amplitude": 0.0}, seed=int(seed))
 
-    m = _HOLDER_GRID[n]
+    m = _HOLDER_GRID
     rng = np.random.default_rng(int(seed))
     # the noise is real, so the half spectrum along the last axis holds
     # every mode; temporaries are dropped as soon as they are used
-    spectrum = np.fft.rfftn(rng.standard_normal((m,) * n))
-    freqs = [np.fft.fftfreq(m, d=1.0 / m)] * (n - 1) + [
-        np.fft.rfftfreq(m, d=1.0 / m)]
-    k2 = sum(fr.reshape((-1,) + (1,) * (n - 1 - i)) ** 2
-             for i, fr in enumerate(freqs))
-    k2.flat[0] = 1.0
-    spectrum *= np.sqrt(k2, out=k2) ** (-a - 0.5 * n)
+    spectrum = np.fft.rfft2(rng.standard_normal((m, m)))
+    k2 = (np.fft.fftfreq(m, d=1.0 / m)[:, None] ** 2
+          + np.fft.rfftfreq(m, d=1.0 / m) ** 2)
+    k2[0, 0] = 1.0
+    spectrum *= np.sqrt(k2, out=k2) ** (-a - 1.0)
     del k2
-    spectrum.flat[0] = 0.0
-    values = np.fft.irfftn(spectrum, s=(m,) * n, axes=tuple(range(n)))
+    spectrum[0, 0] = 0.0
+    values = np.fft.irfft2(spectrum, s=(m, m))
     del spectrum
 
     # grid covers [-1, 1) per axis; index m//2 is the origin
-    axes = [-1.0 + 2.0 * np.arange(m) / m for _ in range(n)]
-    origin = (m // 2,) * n
-    values -= values[origin]
+    axis = -1.0 + 2.0 * np.arange(m) / m
+    values -= values[m // 2, m // 2]
     peak = float(np.abs(values).max())
     values *= amp
     values /= peak
@@ -899,27 +866,16 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
             f"synthesized range [{lo:.4g}, {hi:.4g}] leaves [0.5, 2]; "
             f"reduce amplitude {amp}")
 
-    # wrap one periodic row per axis so the closed ball is covered
-    ext_axes = [np.append(ax, 1.0) for ax in axes]
-    ext = np.pad(values, [(0, 1)] * n, mode="wrap")
-
-    if n == 2:
-        ev = _bicubic_interpolant(ext_axes[0], ext)
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(tuple(ext_axes), ext, method="linear")
-
-        def ev(pts: np.ndarray) -> np.ndarray:
-            return interp(pts)
+    # wrap one periodic row per axis so the closed disk is covered
+    ev = _bicubic_interpolant(np.append(axis, 1.0),
+                              np.pad(values, [(0, 1), (0, 1)], mode="wrap"))
 
     # Holder constant certificate from axis-aligned periodic grid lags:
     # values[i] - values[i - lag], with the wrapped rows, in one buffer
     h = 2.0 / m
     c_h = 0.0
     diff = np.empty_like(values)
-    for axis in range(n):
-        v, d = np.moveaxis(values, axis, 0), np.moveaxis(diff, axis, 0)
+    for v, d in ((values, diff), (values.T, diff.T)):
         for lag in (1, 2, 4, 8, 16):
             np.subtract(v[lag:], v[:-lag], out=d[lag:])
             np.subtract(v[:lag], v[-lag:], out=d[:lag])
@@ -927,7 +883,7 @@ def generate_holder(alpha: float, amplitude: float, seed: int,
             c_h = max(c_h, float(diff.max()) / (lag * h) ** a)
 
     return CoefficientField(
-        Arity.ISOTROPIC, n, ev, 0.5, holder=(a, c_h),
+        Arity.ISOTROPIC, 2, ev, 0.5, holder=(a, c_h),
         kind="holder_synthetic",
-        params={"alpha": a, "amplitude": amp, "n": n}, seed=int(seed),
+        params={"alpha": a, "amplitude": amp}, seed=int(seed),
         meta={"grid": m, "range": (lo, hi)})

@@ -29,7 +29,6 @@ from .registry import (
     default_sweep,
     registered_scenarios,
     run_scenario,
-    run_sweep,
 )
 from .stability import run_stability_suite
 
@@ -57,7 +56,6 @@ __all__ = [
     "run_scenario",
     "run_schroedinger_reduction",
     "run_stability_suite",
-    "run_sweep",
     "run_thin_annulus",
     "run_tildeN_comparison",
 ]

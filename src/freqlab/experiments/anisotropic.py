@@ -4,8 +4,6 @@ turns the dichotomy into a global frequency bound."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..coefficients import mollify
@@ -144,19 +142,8 @@ def _approx_v_eval(cfg, grid):
 def run_freq_cascade(cfg):
     """Iterate the dichotomy step down to the floor and compare the
     measured frequency profile and doubling indices against the
-    recursion bound.  Returns the report and the base-resolution
-    growth trace."""
-    captured = {}
-
-    def evaluate(c, grid):
-        out = _cascade_eval(c, grid)
-        if isinstance(out, Evaluation):
-            trace = out.meta.pop("_trace")
-            captured.setdefault("trace", trace)
-        return out
-
-    report = paired_report(cfg, evaluate)
-    return report, captured.get("trace")
+    recursion bound."""
+    return paired_report(cfg, _cascade_eval)
 
 
 def _cascade_eval(cfg, grid):
@@ -248,6 +235,5 @@ def _cascade_eval(cfg, grid):
         "bound": trace.bound,
         "n0_effective": n0_eff,
         "doubling_top": doubling_index(u, f, r0),
-        "_trace": trace,
     })
     return ev

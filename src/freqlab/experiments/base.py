@@ -22,6 +22,7 @@ import numpy as np
 from ..coefficients import (
     Arity,
     CoefficientField,
+    FieldError,
     empirical_modulus,
     generate_holder,
 )
@@ -48,7 +49,7 @@ __all__ = [
     "field_modulus",
 ]
 
-IDENTITY2 = CoefficientField.identity(2)
+IDENTITY2 = CoefficientField.identity()
 UNIT_WEIGHT = CoefficientField.constant(1.0)
 
 # discretization noise allowance, relative to a row's magnitude; rows
@@ -171,8 +172,11 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(data)
-        if "radii" in kwargs and kwargs["radii"] is not None:
-            kwargs["radii"] = tuple(kwargs["radii"])
+        radii = kwargs.get("radii")
+        if radii is not None:
+            if not isinstance(radii, (list, tuple)):
+                raise ValueError(f"radii must be a list of radii, got {radii!r}")
+            kwargs["radii"] = tuple(radii)
         return cls(**kwargs)
 
 
@@ -286,9 +290,20 @@ def build_field(spec: dict) -> CoefficientField:
 
 
 def _make_field(spec: dict) -> CoefficientField:
+    """Raises FieldError for an unknown kind or a missing or ill-typed
+    key, as for a field that cannot be built."""
+    try:
+        return _field_from_spec(spec)
+    except FieldError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise FieldError(f"bad field spec {spec!r}: {err!r}") from err
+
+
+def _field_from_spec(spec: dict) -> CoefficientField:
     kind = spec.get("kind")
     if kind == "identity":
-        return CoefficientField.identity(2)
+        return CoefficientField.identity()
     if kind == "constant":
         return CoefficientField.constant(float(spec.get("value", 1.0)))
     if kind == "diagonal":
@@ -308,11 +323,20 @@ def _make_field(spec: dict) -> CoefficientField:
     if kind == "bump":
         return CoefficientField.annulus_bump(float(spec["eps"]),
                                              float(spec["r_in"]))
-    raise ValueError(f"unknown field kind {kind!r}")
+    raise FieldError(f"unknown field kind {kind!r}")
 
 
 def build_boundary(spec: dict, seed: int) -> Callable:
-    """Boundary-data callable on point batches, from a config dict."""
+    """Boundary-data callable on point batches, from a config dict;
+    raises ScenarioError for an unknown kind or a missing or ill-typed
+    key."""
+    try:
+        return _boundary_from_spec(spec, seed)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ScenarioError(f"bad boundary spec {spec!r}: {err!r}") from err
+
+
+def _boundary_from_spec(spec: dict, seed: int) -> Callable:
     kind = spec.get("kind")
     if kind == "constant":
         value = float(spec.get("value", 1.0))
@@ -355,7 +379,7 @@ def build_boundary(spec: dict, seed: int) -> Callable:
                                         + sn[k] * np.sin((k + 1) * th))
             return out
         return g_fourier
-    raise ValueError(f"unknown boundary kind {kind!r}")
+    raise ScenarioError(f"unknown boundary kind {kind!r}")
 
 
 def field_modulus(f: CoefficientField) -> Modulus:

@@ -1,9 +1,7 @@
 """Scenario registry: canonical ids, default configurations, and the
-sweep driver."""
+scenario dispatcher."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .anisotropic import run_approx_v, run_dichotomy_anisotropic, run_freq_cascade
 from .base import ExperimentReport, ScenarioConfig, ScenarioError
@@ -19,7 +17,7 @@ from .reduction import run_schroedinger_reduction
 from .stability import run_stability_suite
 
 __all__ = ["SCENARIOS", "default_config", "default_sweep",
-           "registered_scenarios", "run_scenario", "run_sweep"]
+           "registered_scenarios", "run_scenario"]
 
 SCENARIOS = {
     "dichot": run_dichotomy_anisotropic,
@@ -121,15 +119,4 @@ def run_scenario(cfg: ScenarioConfig) -> ExperimentReport:
         raise ScenarioError(
             f"unknown scenario {cfg.scenario!r}; registered: "
             f"{', '.join(SCENARIOS)}") from None
-    out = runner(cfg)
-    if isinstance(out, tuple):
-        return out[0]
-    return out
-
-
-def run_sweep(configs, jobs: int = 1) -> list:
-    configs = list(configs)
-    if jobs <= 1:
-        return [run_scenario(cfg) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_scenario, configs))
+    return runner(cfg)

@@ -23,7 +23,7 @@ d/dr log(r^(1-n) H) = 2N/r + e(r), and exact monotonicity for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -190,7 +190,7 @@ def doubling_index(u: DiscreteSolution, f: CoefficientField,
     and r/2; for a degree-k homogeneous solution this is 2k.  The field
     argument identifies the solve but the means are unweighted."""
     del f
-    one = CoefficientField.constant(1.0, n=u.coefficient.n)
+    one = CoefficientField.constant(1.0)
     thr = _vanishing_threshold(u)
     top = boundary_mass_scalar(u, one, r)
     bot = boundary_mass_scalar(u, one, r / 2.0)

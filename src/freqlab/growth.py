@@ -43,8 +43,6 @@ __all__ = [
     "h_transform",
     "continuous_growth_bound",
     "discrete_cascade",
-    "fit_consistent_c1",
-    "check_interpolant_slope",
     "phi_function",
     "psi_function",
 ]
@@ -359,42 +357,3 @@ def discrete_cascade(
         meta={"c1": c1, "t_floor": t_floor, "guard": guard},
     )
 
-
-def fit_consistent_c1(
-    m: Modulus, trace: GrowthTrace, g: Callable[[float], float]
-) -> float:
-    """Smallest ``c1`` making the cascade's one-step rule hold along a trace:
-
-        h(N_{k+1}) - h(N_k) <= c1 * g(t_k) * (t_k - max(t_{k+1}, t_floor)).
-    """
-    h, _ = _h_pair(m)
-    t_floor = trace.meta["t_floor"]
-    t, hn = trace.t, [h(nk) for nk in trace.n]
-    worst = 0.0
-    for k in range(len(t) - 1):
-        denom = g(t[k]) * (t[k] - max(t[k + 1], t_floor))
-        if denom > 0.0:
-            worst = max(worst, (hn[k + 1] - hn[k]) / denom)
-    return worst
-
-
-def check_interpolant_slope(
-    m: Modulus,
-    trace: GrowthTrace,
-    g: Callable[[float], float],
-    c1: float,
-) -> np.ndarray:
-    """Margins of ``h'(t) >= -c1 h psi(h) g(t)`` for the linear interpolant.
-
-    Evaluated at segment midpoints; nonnegative entries mean the inequality
-    holds there.
-    """
-    psi = psi_function(m)
-    t, n = trace.t, trace.n
-    margins = np.empty(len(t) - 1)
-    for k in range(len(t) - 1):
-        slope = (n[k + 1] - n[k]) / (t[k + 1] - t[k])
-        tm = 0.5 * (t[k] + t[k + 1])
-        hm = 0.5 * (n[k] + n[k + 1])
-        margins[k] = slope + c1 * hm * psi(hm) * g(tm)
-    return margins

@@ -12,8 +12,10 @@ with Q the rotation to the radial/tangential frame, so B inherits the
 symmetry and eigenvalue bounds of A.  On each logical cell the discrete
 energy uses the bilinear interpolant with the coefficient sampled at
 the four face midpoints (one sample per control surface), which keeps
-the assembled operator symmetric positive definite, reproduces affine
-solutions, and is second-order accurate for full tensors.  The disk of
+the assembled operator symmetric positive definite and is second-order
+accurate for full tensors.  Data affine in (log r, theta) are
+reproduced exactly (constants on disks, a + b log r on annuli); the
+Cartesian coordinates x, y are reproduced to O(h^2).  The disk of
 radius r_min around the origin is a single fan of linear triangles
 sharing one origin unknown, coupling the core to the first ring without
 regularizing the equation.
@@ -36,14 +38,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .coefficients import Arity, CoefficientField, FieldError, mu_factor
@@ -152,9 +153,6 @@ class PolarGrid:
     def node_count(self) -> int:
         extra = 1 if self.kind == "disk" else 0
         return self.n_r * self.n_theta + extra
-
-    def node_index(self, i: int, j: int) -> int:
-        return i * self.n_theta + (j % self.n_theta)
 
     def ring_points(self, i: int) -> np.ndarray:
         th = self.theta
@@ -299,9 +297,6 @@ class _Assembly:
 
     def __init__(self, grid: PolarGrid, f: CoefficientField,
                  potential: Optional[Callable[[np.ndarray], np.ndarray]]):
-        if f.n != 2:
-            raise NotImplementedError(
-                "only the two-dimensional solver is implemented")
         self.grid = grid
         n_r, n_t = grid.n_r, grid.n_theta
         h, k = grid.d_s, grid.d_theta
@@ -478,7 +473,7 @@ def _field_fingerprint(f: CoefficientField) -> Optional[str]:
 
 def _get_assembly(grid: PolarGrid, f: CoefficientField,
                   potential=None) -> _Assembly:
-    if os.environ.get("FREQLAB_CACHE", "1") == "0" or potential is not None:
+    if potential is not None:
         return _Assembly(grid, f, potential)
     fingerprint = _field_fingerprint(f)
     key = (grid.key(), fingerprint or f"custom-{id(f)}")
@@ -547,8 +542,6 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
     the assembly's operator, made for this solve; a relative residual
     above ``rtol`` raises SolverError.
     """
-    if f.n != 2:
-        raise NotImplementedError("only the two-dimensional solver is implemented")
     if abs(r - grid.r_out) > 1e-12 * max(1.0, r):
         raise SolverError(
             f"grid outer radius {grid.r_out:.12g} does not match r={r:.12g}")
@@ -762,7 +755,7 @@ def gradient_mean_square(u: DiscreteSolution, r: float,
                          weight: Optional[CoefficientField] = None,
                          values: Optional[np.ndarray] = None) -> float:
     """mean over B_r of <W grad u, grad u>; W defaults to the identity."""
-    w_field = weight if weight is not None else CoefficientField.identity(2)
+    w_field = weight if weight is not None else CoefficientField.identity()
     vals = u.values if values is None else values
     i, interp = _ring_lookup(u, r, "gradient_mean_square")
     if interp:

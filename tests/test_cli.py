@@ -238,11 +238,15 @@ def test_cli_solve_harmonic_profile(tmp_path):
 
 
 def test_cli_solve_missing_grid_block(tmp_path, capsys):
-    cfg = write_config(tmp_path / "s.json", {
-        "schema": 1, "boundary": {"kind": "harmonic", "degree": 1}})
-    assert main(["solve", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 2
-    assert "grid" in capsys.readouterr().err
+    # a missing grid block, too few rings, too few angles
+    for extra in ({}, {"grid": {"n_r": 1, "n_theta": 32}},
+                  {"grid": {"n_r": 17, "n_theta": 4}}):
+        cfg = write_config(tmp_path / "s.json", {
+            "schema": 1, "boundary": {"kind": "harmonic", "degree": 1},
+            **extra})
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "grid" in capsys.readouterr().err
 
 
 def test_cli_solve_resolution_override(tmp_path):
@@ -314,6 +318,11 @@ def test_cli_experiment_rejects_names_plus_config(tmp_path, capsys):
     assert main(["experiment", "stability", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 2
     assert "not both" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "r.json",
+                       {"schema": 1, "scenario": "stability", "radii": 0.5})
+    assert main(["experiment", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "radii" in capsys.readouterr().err
 
 
 def test_cli_experiment_sweep_manifest(tmp_path):
@@ -322,16 +331,26 @@ def test_cli_experiment_sweep_manifest(tmp_path):
         "sweep": [
             {"scenario": "stability", "n_r": 33, "n_theta": 64},
             {"scenario": "stability", "n_r": 33, "n_theta": 64, "seed": 7},
+            {"scenario": "eps_approx", **LOW, "field_spec": {"kind": "bogus"}},
         ],
     })
-    out = str(tmp_path / "out")
-    assert main(["experiment", "--config", cfg, "--jobs", "2",
-                 "--out", out]) == 0
-    names = os.listdir(out)
-    assert "stability.report.json" in names
-    assert "stability-2.report.json" in names
-    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
-    assert [e["verdict"] for e in summary["scenarios"]] == ["Consistent"] * 2
+    outs = [str(tmp_path / "jobs1"), str(tmp_path / "jobs2")]
+    for jobs, out in zip(("1", "2"), outs):
+        assert main(["experiment", "--config", cfg, "--jobs", jobs,
+                     "--out", out]) == 2
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert {"stability.report.json", "stability-2.report.json",
+            "eps_approx.error.json"} <= set(names)
+    # --jobs changes no output but the manifest's wall-clock time
+    for name in names:
+        if name != "manifest.json":
+            a = open(os.path.join(outs[0], name), "rb").read()
+            b = open(os.path.join(outs[1], name), "rb").read()
+            assert a == b, name
+    summary = json.load(open(os.path.join(outs[1], "sweep_summary.json")))
+    assert [e.get("verdict", e.get("status")) for e in summary["scenarios"]] \
+        == ["Consistent", "Consistent", "field_error"]
 
 
 def test_cli_experiment_regime_error_exit(tmp_path, capsys):
@@ -362,6 +381,26 @@ def test_cli_experiment_field_error_exit(tmp_path, capsys):
     error = json.load(open(os.path.join(out, "tildeN.error.json")))
     assert error["status"] == "field_error"
     assert "reduce amplitude" in error["message"]
+
+
+@pytest.mark.parametrize("spec,status", [
+    ({"field_spec": {"kind": "bogus"}}, "field_error"),
+    ({"field_spec": {"kind": "holder", "alpha": 0.75}}, "field_error"),
+    ({"boundary_spec": {"kind": "bogus"}}, "scenario_error"),
+])
+def test_cli_experiment_bad_spec_writes_error_file(tmp_path, capsys, spec,
+                                                   status):
+    cfg = write_config(tmp_path / "e.json",
+                       {"schema": 1, "scenario": "eps_approx", **spec})
+    out = str(tmp_path / "out")
+    assert main(["experiment", "--config", cfg, "--resolution", "17,32",
+                 "--out", out]) == 2
+    assert status in capsys.readouterr().err
+    error = json.load(open(os.path.join(out, "eps_approx.error.json")))
+    assert error["status"] == status
+    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
+    assert summary["scenarios"] == [{k: v for k, v in error.items()
+                                     if k != "schema"}]
 
 
 def test_cli_usage_errors():
