@@ -226,10 +226,14 @@ def cmd_solve(args) -> int:
     grid_spec = _require(doc, "grid", args.config)
     boundary_spec = _require(doc, "boundary", args.config)
     field_spec = doc.get("field", {"kind": "identity"})
-    seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
     profile_spec = doc.get("profile", {})
-    r_lo = float(profile_spec.get("r_lo", 0.2))
-    r_hi = float(profile_spec.get("r_hi", 0.9))
+    try:
+        seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
+        r_lo = float(profile_spec.get("r_lo", 0.2))
+        r_hi = float(profile_spec.get("r_hi", 0.9))
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ConfigError(
+            f"{args.config}: bad seed or profile window: {err}") from err
     if not 0.0 < r_lo < r_hi <= 1.0:
         raise ConfigError(
             f"{args.config}: profile window [{r_lo}, {r_hi}] is invalid")

@@ -257,10 +257,9 @@ class CoefficientField:
         lam = min(best, 1.0 / worst)
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            out = np.ones(pts.shape[0])
-            for i in range(k):
-                out += amp * sgn[i] * _cusp_profile(modulus, pts, pts_anchor[i])
-            return out
+            return _cusp_values(
+                Arity.ISOTROPIC, amp, sgn, pts.shape[0],
+                lambda i: _cusp_profile(modulus, pts, pts_anchor[i]))
 
         return cls(Arity.ISOTROPIC, 2, ev, lam, declared_modulus=modulus,
                    kind="cusp_iso",
@@ -288,15 +287,9 @@ class CoefficientField:
         lam = min(1.0 - spread, 1.0 / (1.0 + spread))
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            # I + amp * (c1 * diag(1, -1) + c2 * [[0, 1], [1, 0]])
-            a1 = amp * _cusp_profile(modulus, pts, pts_anchor[0])
-            a2 = amp * _cusp_profile(modulus, pts, pts_anchor[1])
-            out = np.empty((pts.shape[0], 2, 2))
-            np.add(1.0, a1, out=out[:, 0, 0])
-            np.subtract(1.0, a1, out=out[:, 1, 1])
-            out[:, 0, 1] = a2
-            out[:, 1, 0] = a2
-            return out
+            return _cusp_values(
+                Arity.ANISOTROPIC, amp, None, pts.shape[0],
+                lambda i: _cusp_profile(modulus, pts, pts_anchor[i]))
 
         return cls(Arity.ANISOTROPIC, 2, ev, lam, declared_modulus=modulus,
                    kind="cusp_aniso",
@@ -374,16 +367,42 @@ class CoefficientField:
         raise FieldError(f"unknown field kind {kind!r}")
 
 
-def _cusp_profile(modulus: Modulus, pts: np.ndarray,
-                  anchor: np.ndarray) -> np.ndarray:
-    """omega(min(|x - anchor|, 1)) per point; omega(0) = 0 for every kind."""
+def _cusp_values(arity: Arity, amp: float, signs: Optional[np.ndarray],
+                 m: int, profile: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Cusp field values at m points from the anchor profiles profile(i).
+
+    Isotropic: 1 + amp * sum_i s_i * P_i.  Anisotropic (two anchors):
+    I + amp * (P_0 * diag(1, -1) + P_1 * [[0, 1], [1, 0]]).
+    """
+    if arity is Arity.ISOTROPIC:
+        out = np.ones(m)
+        for i in range(signs.size):
+            out += amp * signs[i] * profile(i)
+        return out
+    a1 = amp * profile(0)
+    a2 = amp * profile(1)
+    out = np.empty((m, 2, 2))
+    np.add(1.0, a1, out=out[:, 0, 0])
+    np.subtract(1.0, a1, out=out[:, 1, 1])
+    out[:, 0, 1] = a2
+    out[:, 1, 0] = a2
+    return out
+
+
+def _anchor_distance(pts: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     diff = pts[:, 0] - anchor[0]
     d2 = diff * diff
     for j in range(1, pts.shape[1]):
         diff = pts[:, j] - anchor[j]
         d2 += diff * diff
-    np.sqrt(d2, out=d2)
-    return modulus.omega(np.minimum(d2, 1.0, out=d2))
+    return np.sqrt(d2, out=d2)
+
+
+def _cusp_profile(modulus: Modulus, pts: np.ndarray,
+                  anchor: np.ndarray) -> np.ndarray:
+    """omega(min(|x - anchor|, 1)) per point; omega(0) = 0 for every kind."""
+    d = _anchor_distance(pts, anchor)
+    return modulus.omega(np.minimum(d, 1.0, out=d))
 
 
 def _jsonify(obj: Any) -> Any:
@@ -496,11 +515,21 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
     omega(eps) and gradient bound C * omega(eps) / eps.
 
     Each value is sum_k w_k f(p - eps c_k) over every kernel node.  The
-    evaluator visits the points in blocks of about 2^14 kernel samples
-    (at least one point per block), so the block's sample coordinates
-    and base values stay in cache, and reduces each block with one
-    matrix product of the weights against its (points, nodes, entries)
-    values.
+    rule visits the points in blocks of about 2^14 kernel samples (at
+    least one point per block), so the block's sample coordinates and
+    base values stay in cache, and reduces each block with one matrix
+    product of the weights against its (points, nodes, entries) values.
+
+    Cusp fields (``cusp_iso``, ``cusp_aniso``) are linear in their
+    anchor profiles P_i(x) = omega(min(|x - p_i|, 1)), so the rule is
+    applied to each P_i alone and the field is assembled from the
+    mollified profiles as the cusp constructors assemble it.  P_i is
+    constant, omega(t_far), for |x - p_i| >= t_far, where t_far is
+    ``t_cut`` for ``log_power`` and 1 for every other modulus kind.  Every
+    node satisfies |c_k| < 1, so where |p - p_i| - eps >= t_far all the
+    nodes lie in that region and the profile is omega(t_far) exactly; the
+    rule runs only at the remaining points.  Results agree with the
+    rule applied to the whole field up to roundoff.
     """
     e = float(eps)
     if not 0.0 < e < 1.0:
@@ -513,9 +542,47 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
     radius = f.domain_radius - e
     k = weights.size
     chunk = max(1, _MOLLIFY_BLOCK_SAMPLES // k)
-    base_ev = f.evaluator
     nn = f.n
     value_shape = (nn, nn) if f.arity is Arity.ANISOTROPIC else ()
+
+    def rule(base_ev: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
+             width: int) -> np.ndarray:
+        m = pts.shape[0]
+        out = np.empty((m, width))
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            # rows p - eps * c_k, point-major; tiling keeps the subtraction
+            # contiguous where broadcasting would loop over n entries
+            block = np.tile(pts[lo:hi], k) - shifted
+            vals = base_ev(block.reshape(-1, nn))
+            out[lo:hi] = weights @ vals.reshape(hi - lo, k, -1)
+        return out
+
+    if f.kind in ("cusp_iso", "cusp_aniso"):
+        modulus = f.declared_modulus
+        anchors = np.asarray(f.params["anchors"], dtype=float)
+        signs = np.asarray(f.params.get("signs", ()), dtype=float)
+        amp = float(f.params["amplitude"])
+        t_far = modulus.t_cut if modulus.kind == "log_power" else 1.0
+        far_value = float(modulus.omega(t_far))
+
+        def values(pts: np.ndarray) -> np.ndarray:
+            def profile(i: int) -> np.ndarray:
+                out = np.full(pts.shape[0], far_value)
+                near = np.flatnonzero(
+                    _anchor_distance(pts, anchors[i]) - e < t_far)
+                out[near] = rule(
+                    lambda q: _cusp_profile(modulus, q, anchors[i]),
+                    pts[near], 1)[:, 0]
+                return out
+
+            return _cusp_values(f.arity, amp, signs, pts.shape[0], profile)
+    else:
+        base_ev = f.evaluator
+
+        def values(pts: np.ndarray) -> np.ndarray:
+            out = rule(base_ev, pts, math.prod(value_shape))
+            return out.reshape((pts.shape[0],) + value_shape)
 
     def ev(pts: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(pts * pts, axis=1))
@@ -524,16 +591,7 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
             raise FieldError(
                 f"point at radius {rmax:.6g} outside mollified domain "
                 f"of radius {radius:.6g}")
-        m = pts.shape[0]
-        out = np.empty((m, math.prod(value_shape)))
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            # rows p - eps * c_k, point-major; tiling keeps the subtraction
-            # contiguous where broadcasting would loop over n entries
-            block = np.tile(pts[lo:hi], k) - shifted
-            vals = base_ev(block.reshape(-1, nn))
-            out[lo:hi] = weights @ vals.reshape(hi - lo, k, -1)
-        return out.reshape((m,) + value_shape)
+        return values(pts)
 
     if f.declared_modulus is not None:
         sup_bound = float(f.declared_modulus.omega(min(e, 1.0)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from enum import Enum
@@ -107,6 +108,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self._check_types()
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if not self.scenario:
             raise ValueError("scenario id must be nonempty")
@@ -126,6 +128,33 @@ class ScenarioConfig:
             raise ValueError("radius schedule must be strictly decreasing")
         if not 0.0 < self.t_floor < 1.0:
             raise ValueError("t_floor must lie in (0, 1)")
+
+    def _check_types(self) -> None:
+        """Reject a field of the wrong type with ValueError, as a bad
+        value is rejected, before any comparison can raise TypeError."""
+        def number(v, kind=numbers.Real) -> bool:
+            return isinstance(v, kind) and not isinstance(v, bool)
+
+        checks = [("scenario", isinstance(self.scenario, str), "a string")]
+        checks += [(name, isinstance(getattr(self, name), dict), "an object")
+                   for name in ("field_spec", "boundary_spec")]
+        checks += [(name, getattr(self, name) is None
+                    or isinstance(getattr(self, name), dict), "an object or null")
+                   for name in ("pair_spec", "potential_spec")]
+        checks += [(name, number(getattr(self, name), numbers.Integral),
+                    "an integer") for name in ("n_r", "n_theta", "seed")]
+        checks += [(name, number(getattr(self, name)), "a number")
+                   for name in ("t_floor", "n0", "c1", "a_log", "p", "gamma",
+                                "eps", "delta")]
+        checks.append(("r_min", self.r_min is None or number(self.r_min),
+                       "a number or null"))
+        checks.append(("radii", isinstance(self.radii, (list, tuple))
+                       and all(number(r) for r in self.radii),
+                       "a list of numbers"))
+        for name, ok, want in checks:
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {want}, got {getattr(self, name)!r}")
 
     def smallness_warnings(self) -> list:
         out = []
@@ -453,9 +482,7 @@ def solve_normalized(f: CoefficientField, grid: PolarGrid, data,
     mean_sq = float(np.mean(ring ** 2))
     if mean_sq <= 0.0:
         raise ScenarioError("boundary data vanishes at the top radius")
-    u.values = u.values / math.sqrt(mean_sq)
-    u._cache.clear()
-    return u
+    return u.scaled(math.sqrt(mean_sq))
 
 
 def subsolution(u: DiscreteSolution, f2: CoefficientField, r: float,

@@ -35,11 +35,12 @@ consistency error (about dtheta^2 / 8 in N - 1 for Re z).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Callable, Optional
 
@@ -507,6 +508,13 @@ class DiscreteSolution:
     meta: dict = field(default_factory=dict)
     _assembly: Any = None
     _cache: dict = field(default_factory=dict)
+
+    def scaled(self, divisor: float) -> "DiscreteSolution":
+        """This solution with its values divided by ``divisor``.  The
+        assembly and solve record carry over; functionals cached from
+        the old values do not."""
+        return replace(self, values=self.values / divisor,
+                       meta=copy.deepcopy(self.meta), _cache={})
 
     def ring_values(self, i: int) -> np.ndarray:
         n_t = self.grid.n_theta

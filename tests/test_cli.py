@@ -325,6 +325,38 @@ def test_cli_experiment_rejects_names_plus_config(tmp_path, capsys):
     assert "radii" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [
+    {"n_r": "65"}, {"n_theta": 32.5}, {"seed": "1"}, {"eps": "0.1"},
+    {"gamma": None}, {"r_min": "x"}, {"radii": ["0.5"]}, {"n_r": True},
+    {"field_spec": "x"}, {"pair_spec": 3},
+], ids=["n_r_str", "n_theta_float", "seed_str", "eps_str", "gamma_null",
+        "r_min_str", "radii_str", "n_r_bool", "field_spec_str",
+        "pair_spec_int"])
+def test_cli_experiment_ill_typed_field_is_config_error(tmp_path, capsys,
+                                                         entry):
+    cfg = write_config(tmp_path / "e.json",
+                       {"schema": 1, "scenario": "eps_approx", **entry})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and next(iter(entry)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"profile": {"r_lo": "x"}}, {"profile": {"r_hi": None}},
+    {"profile": 3}, {"seed": "x"},
+], ids=["r_lo", "r_hi", "profile", "seed"])
+def test_cli_solve_bad_profile_window_or_seed(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "grid": {"n_r": 17, "n_theta": 32},
+        "boundary": {"kind": "harmonic", "degree": 1}, **extra})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_experiment_sweep_manifest(tmp_path):
     cfg = write_config(tmp_path / "e.json", {
         "schema": 1,

@@ -200,6 +200,34 @@ def _direct_mollify(f, eps, pts):
 
 
 _LOG_CUSP = Modulus.log_power(1.0)
+_CUSP_MODULI = [Modulus.linear(), Modulus.power(0.5), Modulus.log_power(0.5),
+                Modulus.log_power(1.0), Modulus.log_power(2.0),
+                Modulus.tabulated([0.01, 0.1, 1.0], [0.05, 0.2, 0.5])]
+_ANCHORS = np.array([(0.3, 0.4), (-0.5, 0.1)])
+
+
+def _t_far(m):
+    # omega(min(t, 1)) is constant from here on
+    return m.t_cut if m.kind == "log_power" else 1.0
+
+
+def _profile_edge_points(f, eps, radius):
+    # the anchors, and points 5e-10 either side of each circle
+    # |x - p_i| = t_far + eps where the mollified profile turns constant
+    if f.kind not in ("cusp_iso", "cusp_aniso"):
+        return np.empty((0, 2))
+    anchors = np.asarray(f.params["anchors"])
+    theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    rim = _t_far(f.declared_modulus) + eps
+    pts = np.concatenate([anchors] + [a + (rim + dr) * ring for a in anchors
+                                      for dr in (-5e-10, 5e-10)])
+    return pts[np.linalg.norm(pts, axis=1) <= radius]
+
+
+def _modulus_id(m):
+    return m.kind + ("" if m.alpha is None and m.p is None
+                     else f"{m.alpha if m.p is None else m.p:g}")
 
 
 @pytest.mark.parametrize("build", [
@@ -207,17 +235,43 @@ _LOG_CUSP = Modulus.log_power(1.0)
     lambda: CoefficientField.cusp_anisotropic(_LOG_CUSP, 0.2),
     lambda: generate_holder(0.75, 0.05, 3),
     lambda: CoefficientField.affine(1.0, [0.2, -0.1]),
-], ids=["cusp_iso", "cusp_aniso", "holder", "affine"])
+] + [lambda m=m: CoefficientField.cusp_isotropic(m, 0.2, anchors=_ANCHORS,
+                                                 signs=[1.0, -1.0])
+     for m in _CUSP_MODULI],
+    ids=["cusp_iso", "cusp_aniso", "holder", "affine"]
+    + [f"cusp_iso_signed-{_modulus_id(m)}" for m in _CUSP_MODULI])
 def test_mollify_matches_direct_rule_across_blocks(build):
     f = build()
     fm = mollify(f, 0.05)
     chunk = max(1, _MOLLIFY_BLOCK_SAMPLES // _kernel_table(2)[1].size)
-    pts = sample_disk(2500, radius=0.94, seed=11)
+    pts = np.concatenate([_profile_edge_points(f, 0.05, 0.94),
+                          sample_disk(2500, radius=0.94, seed=11)])
     ref = _direct_mollify(f, 0.05, pts)
     for count in (1, chunk - 1, chunk, chunk + 1, pts.shape[0]):
         got = fm.evaluate(pts[:count])
         assert got.shape == ref[:count].shape
         assert np.max(np.abs(got - ref[:count])) <= 1e-14, count
+
+
+@pytest.mark.parametrize("m", _CUSP_MODULI, ids=_modulus_id)
+def test_mollified_cusp_profile_is_exact_far_from_its_anchor(m):
+    eps, amp = 0.05, 0.2
+    pts = sample_disk(4000, radius=0.94, seed=12)
+    far = [np.linalg.norm(pts - a, axis=1) - eps >= _t_far(m) for a in _ANCHORS]
+    tail = float(m.omega(_t_far(m)))
+    iso = mollify(CoefficientField.cusp_isotropic(m, amp, anchors=_ANCHORS[:1]),
+                  eps)
+    assert np.any(far[0])
+    assert np.all(iso.evaluate(pts[far[0]]) == 1.0 + amp * tail)
+
+    aniso = mollify(CoefficientField.cusp_anisotropic(m, amp, anchors=_ANCHORS),
+                    eps)
+    for i in (0, 1):
+        vals = aniso.evaluate(pts[far[i] & ~far[1 - i]])
+        assert vals.shape[0] > 0
+        entry, value = ((vals[:, 0, 0], 1.0 + amp * tail) if i == 0
+                        else (vals[:, 0, 1], amp * tail))
+        assert np.all(entry == value)
 
 
 def _masked_profile(modulus, pts, anchor):
@@ -229,14 +283,9 @@ def _masked_profile(modulus, pts, anchor):
     return prof
 
 
-_CUSP_MODULI = [Modulus.linear(), Modulus.power(0.5), Modulus.log_power(0.5),
-                Modulus.log_power(1.0), Modulus.log_power(2.0),
-                Modulus.tabulated([0.01, 0.1, 1.0], [0.05, 0.2, 0.5])]
-
-
 @pytest.mark.parametrize("m", _CUSP_MODULI, ids=lambda m: m.kind)
 def test_cusp_evaluators_match_masked_formula(m):
-    anchors = np.array([(0.3, 0.4), (-0.5, 0.1)])
+    anchors = _ANCHORS
     pts = np.concatenate([anchors, [(-0.9, -0.4), (0.99, 0.0)],
                           sample_disk(20000, seed=5)])
     amp = 0.1
