@@ -153,6 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _require(doc: dict, field: str, path: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object holding {field!r}, "
+                          f"got {type(doc).__name__}")
     if field not in doc:
         raise ConfigError(f"{path}: missing required field {field!r}")
     return doc[field]
@@ -165,11 +168,13 @@ def cmd_modulus(args) -> int:
     t0 = time.monotonic()
     doc = load_config(args.config)
     spec = _require(doc, "modulus", args.config)
-    c_m = float(doc.get("c_m", 100.0))
     try:
         m = _modulus_from_spec(spec)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{args.config}: bad modulus block: {err}") from err
+        c_m = float(doc.get("c_m", 100.0))
+        seed = int(doc.get("seed", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(
+            f"{args.config}: bad modulus block, c_m or seed: {err}") from err
 
     osgood = classify_osgood(m)
     integ = check_phi_integrable(m)
@@ -206,7 +211,7 @@ def cmd_modulus(args) -> int:
                 title=f"modulus {spec.get('kind', '?')}: {osgood.value}",
                 x_label="t", y_label="value")),
     ]
-    RunManifest("modulus", config_hash(doc), int(doc.get("seed", 0)),
+    RunManifest("modulus", config_hash(doc), seed,
                 [], _relative(outputs, args.out), __version__,
                 time.monotonic() - t0).write(args.out)
     print(f"modulus verdict: {osgood.value}")

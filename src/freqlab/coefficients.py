@@ -528,8 +528,16 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
     ``t_cut`` for ``log_power`` and 1 for every other modulus kind.  Every
     node satisfies |c_k| < 1, so where |p - p_i| - eps >= t_far all the
     nodes lie in that region and the profile is omega(t_far) exactly; the
-    rule runs only at the remaining points.  Results agree with the
-    rule applied to the whole field up to roundoff.
+    rule runs only at the remaining, near points.
+
+    At the near points one fused kernel evaluates the rule on the
+    profile.  It forms v = p - p_i once per point and, for each block of
+    the same row count as above, fills one (rows, nodes) buffer in place
+    with |v - eps c_k|^2 from the precomputed node coordinates eps c_k,
+    takes the square root and the clamp to 1 in place, applies omega
+    and reduces with one product against the weights.  No sample
+    coordinates are formed.  Results agree with the rule applied to the
+    whole field up to roundoff.
     """
     e = float(eps)
     if not 0.0 < e < 1.0:
@@ -538,25 +546,9 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
         raise FieldError(
             f"scale {e} leaves no evaluation domain inside radius {f.domain_radius}")
     offsets, weights = _kernel_table(f.n)
-    shifted = (e * offsets).ravel()
     radius = f.domain_radius - e
     k = weights.size
     chunk = max(1, _MOLLIFY_BLOCK_SAMPLES // k)
-    nn = f.n
-    value_shape = (nn, nn) if f.arity is Arity.ANISOTROPIC else ()
-
-    def rule(base_ev: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
-             width: int) -> np.ndarray:
-        m = pts.shape[0]
-        out = np.empty((m, width))
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            # rows p - eps * c_k, point-major; tiling keeps the subtraction
-            # contiguous where broadcasting would loop over n entries
-            block = np.tile(pts[lo:hi], k) - shifted
-            vals = base_ev(block.reshape(-1, nn))
-            out[lo:hi] = weights @ vals.reshape(hi - lo, k, -1)
-        return out
 
     if f.kind in ("cusp_iso", "cusp_aniso"):
         modulus = f.declared_modulus
@@ -565,24 +557,55 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
         amp = float(f.params["amplitude"])
         t_far = modulus.t_cut if modulus.kind == "log_power" else 1.0
         far_value = float(modulus.omega(t_far))
+        node_x = e * offsets[:, 0]
+        node_y = e * offsets[:, 1]
+
+        def near_profile(v: np.ndarray) -> np.ndarray:
+            # sum_k w_k omega(min(|v - eps c_k|, 1)) for offsets v = p - p_i
+            m = v.shape[0]
+            out = np.empty(m)
+            d = np.empty((min(chunk, m), k))
+            dy = np.empty_like(d)
+            for lo in range(0, m, chunk):
+                hi = min(lo + chunk, m)
+                dd, ddy = d[:hi - lo], dy[:hi - lo]
+                np.subtract(v[lo:hi, 0:1], node_x, out=dd)
+                np.multiply(dd, dd, out=dd)
+                np.subtract(v[lo:hi, 1:2], node_y, out=ddy)
+                np.multiply(ddy, ddy, out=ddy)
+                dd += ddy
+                np.sqrt(dd, out=dd)
+                np.minimum(dd, 1.0, out=dd)
+                np.matmul(modulus.omega(dd), weights, out=out[lo:hi])
+            return out
 
         def values(pts: np.ndarray) -> np.ndarray:
             def profile(i: int) -> np.ndarray:
                 out = np.full(pts.shape[0], far_value)
                 near = np.flatnonzero(
                     _anchor_distance(pts, anchors[i]) - e < t_far)
-                out[near] = rule(
-                    lambda q: _cusp_profile(modulus, q, anchors[i]),
-                    pts[near], 1)[:, 0]
+                out[near] = near_profile(pts[near] - anchors[i])
                 return out
 
             return _cusp_values(f.arity, amp, signs, pts.shape[0], profile)
     else:
         base_ev = f.evaluator
+        nn = f.n
+        shifted = (e * offsets).ravel()
+        value_shape = (nn, nn) if f.arity is Arity.ANISOTROPIC else ()
 
         def values(pts: np.ndarray) -> np.ndarray:
-            out = rule(base_ev, pts, math.prod(value_shape))
-            return out.reshape((pts.shape[0],) + value_shape)
+            m = pts.shape[0]
+            out = np.empty((m, math.prod(value_shape)))
+            for lo in range(0, m, chunk):
+                hi = min(lo + chunk, m)
+                # rows p - eps * c_k, point-major; tiling keeps the
+                # subtraction contiguous where broadcasting would loop
+                # over n entries
+                block = np.tile(pts[lo:hi], k) - shifted
+                vals = base_ev(block.reshape(-1, nn))
+                out[lo:hi] = weights @ vals.reshape(hi - lo, k, -1)
+            return out.reshape((m,) + value_shape)
 
     def ev(pts: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(pts * pts, axis=1))

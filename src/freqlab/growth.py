@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .modulus import Modulus
 
@@ -211,7 +210,9 @@ def continuous_growth_bound(
     if c1 < 0.0:
         raise ValueError("c1 must be nonnegative")
     if g_integral is None:
-        g_integral, _ = integrate.quad(g, t, 1.0, limit=200)
+        from scipy.integrate import quad
+
+        g_integral, _ = quad(g, t, 1.0, limit=200)
     h, h_inv = _h_pair(m)
     target = h(f1) + c1 * g_integral
     if h(guard) < target:
@@ -240,10 +241,12 @@ class GrowthTrace:
 
 def _probe_g_integrable(g: Callable[[float], float], depth: int = 40) -> bool:
     """Condensation probe for ``int_0 g``: dyadic segments must decay."""
+    from scipy.integrate import quad
+
     segs = []
     for k in range(depth):
         a, b = 2.0 ** -(k + 1), 2.0**-k
-        val, _ = integrate.quad(g, a, b, limit=100)
+        val, _ = quad(g, a, b, limit=100)
         segs.append(val)
     seg = np.asarray(segs)
     if seg[-1] < 1e-12 * max(seg.sum(), 1.0):

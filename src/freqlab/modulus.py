@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "Modulus",
@@ -132,19 +131,29 @@ class Modulus:
     def omega(self, t) -> np.ndarray:
         """Evaluate ``omega`` on ``[0, 1]`` (vectorized)."""
         t = _as_array(t)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if t.min(initial=0.0) < 0.0 or t.max(initial=1.0) > 1.0:
             raise ValueError("omega is defined on [0, 1]")
         if self.kind == "linear":
             return t.copy()
         if self.kind == "power":
             return t**self.alpha
         if self.kind == "log_power":
-            tc = np.minimum(t, self.t_cut)
-            # t = 0 gives 0 * inf here; the where below maps it to 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = tc * (-np.log(tc)) ** self.p
-            return np.where(t > 0.0, val, 0.0)
+            return self._omega_log_power(t)
         return self._omega_tabulated(t)
+
+    def _omega_log_power(self, t: np.ndarray) -> np.ndarray:
+        # tc * (-log tc)**p in two buffers; `out=` keeps 0-d inputs arrays
+        tc = np.minimum(t, self.t_cut, out=np.empty(t.shape))
+        val = np.empty(t.shape)
+        # t = 0 gives 0 * inf here; the last line maps it to 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(tc, out=val)
+            np.negative(val, out=val)
+            if self.p != 1.0:
+                val **= self.p  # as `**` does: p = 0.5 and 2 take sqrt, square
+            np.multiply(val, tc, out=val)
+        val[t == 0.0] = 0.0
+        return val
 
     def _omega_tabulated(self, t: np.ndarray) -> np.ndarray:
         ts, ws = self.samples[:, 0], self.samples[:, 1]
@@ -237,10 +246,12 @@ def eval_psi(m: Modulus, s) -> np.ndarray:
 
 def _dyadic_increments(m: Modulus, depth: int) -> np.ndarray:
     """``I[k] = int_{2^-(k+1)}^{2^-k} dt / omega(t)`` for ``k = 0..depth-1``."""
+    from scipy.integrate import quad
+
     out = np.empty(depth)
     for k in range(depth):
         a, b = 2.0 ** -(k + 1), 2.0**-k
-        val, _ = integrate.quad(lambda t: 1.0 / float(m.omega(t)), a, b, limit=200)
+        val, _ = quad(lambda t: 1.0 / float(m.omega(t)), a, b, limit=200)
         out[k] = val
     return out
 
@@ -388,11 +399,13 @@ def check_phi_integrable(
     extrapolated onto the value) or the condensation ratios show a
     non-summable trend (infinite; value reports the partial sum).
     """
+    from scipy.integrate import quad
+
     segs = []
     total = 0.0
     for k in range(depth):
         a, b = 2.0 ** -(k + 1), 2.0**-k
-        val, _ = integrate.quad(lambda s: float(m.phi(s)), a, b, limit=200)
+        val, _ = quad(lambda s: float(m.phi(s)), a, b, limit=200)
         segs.append(val)
         total += val
         if k >= 8 and val < tol * max(total, 1.0):

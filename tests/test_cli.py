@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,6 +211,42 @@ def test_cli_rejects_malformed_json(tmp_path, capsys):
     assert main(["modulus", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert ":1:" in capsys.readouterr().err
+
+
+_HARMONIC = {"kind": "harmonic", "degree": 1}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("solve", {"grid": 3, "boundary": _HARMONIC}),
+    ("solve", {"grid": [33, 64], "boundary": _HARMONIC}),
+    ("modulus", {"modulus": 3}),
+    ("modulus", {"modulus": {"kind": "linear"}, "c_m": "x"}),
+    ("modulus", {"modulus": {"kind": "linear"}, "c_m": None}),
+    ("modulus", {"modulus": {"kind": "linear"}, "seed": "x"}),
+], ids=["solve_grid_int", "solve_grid_list", "modulus_int", "c_m_str",
+        "c_m_null", "modulus_seed_str"])
+def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, **doc})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # quad and the spline fit are imported where they are used, so a CLI
+    # run that needs neither does not load them (scipy.integrate alone
+    # pulls in scipy.special and scipy.optimize)
+    import freqlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))
+    code = ("import sys, freqlab.cli; print(' '.join(sorted(m for m in ("
+            "'scipy.integrate', 'scipy.optimize', 'scipy.interpolate') "
+            "if m in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 # -- cli: solve ------------------------------------------------------------

@@ -254,6 +254,21 @@ def test_mollify_matches_direct_rule_across_blocks(build):
 
 
 @pytest.mark.parametrize("m", _CUSP_MODULI, ids=_modulus_id)
+def test_mollified_cusp_sample_on_its_anchor_is_finite(m):
+    # anchor, eps and the kernel offsets c_k are dyadic, so at the points
+    # p = anchor + eps c_k one sample of the rule lies exactly on the anchor
+    anchor, eps = np.array([0.25, 0.375]), 0.0625
+    pts = anchor + eps * _kernel_table(2)[0][::61]
+    for f in (CoefficientField.cusp_isotropic(m, 0.2, anchors=[anchor]),
+              CoefficientField.cusp_anisotropic(m, 0.2,
+                                                anchors=[anchor, -anchor])):
+        with np.errstate(divide="raise", invalid="raise"):
+            got = mollify(f, eps).evaluate(pts)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - _direct_mollify(f, eps, pts))) <= 1e-14
+
+
+@pytest.mark.parametrize("m", _CUSP_MODULI, ids=_modulus_id)
 def test_mollified_cusp_profile_is_exact_far_from_its_anchor(m):
     eps, amp = 0.05, 0.2
     pts = sample_disk(4000, radius=0.94, seed=12)

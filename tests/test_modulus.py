@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freqlab.modulus import (
     ExponentTriple,
@@ -80,6 +82,57 @@ def test_log_power_omega_matches_masked_formula(p):
     assert np.array_equal(got, ref)
     assert scalar.shape == () and float(scalar) == 0.0
     assert float(m.omega(cut)) == float(ref[3])
+
+
+def _masked_omega(m, t):
+    # each kind's formula applied only at t > 0, zero elsewhere
+    flat = np.asarray(t, dtype=float).ravel()
+    ref = np.zeros_like(flat)
+    pos = flat > 0.0
+    x = flat[pos]
+    if m.kind == "linear":
+        ref[pos] = x
+    elif m.kind == "power":
+        ref[pos] = x**m.alpha
+    elif m.kind == "log_power":
+        tc = np.minimum(x, m.t_cut)
+        ref[pos] = tc * (-np.log(tc)) ** m.p
+    else:
+        ts, ws = m.samples[:, 0], m.samples[:, 1]
+        logw = np.interp(np.log(x), np.log(ts), np.log(ws))
+        m0 = (math.log(ws[1]) - math.log(ws[0])) / (
+            math.log(ts[1]) - math.log(ts[0]))
+        below = x < ts[0]
+        logw[below] = math.log(ws[0]) + m0 * (np.log(x[below])
+                                              - math.log(ts[0]))
+        ref[pos] = np.exp(logw)
+    return ref.reshape(np.shape(t))
+
+
+_ALL_KINDS = [Modulus.linear(), Modulus.power(0.5), Modulus.log_power(0.5),
+              Modulus.log_power(1.0), Modulus.log_power(2.0),
+              Modulus.tabulated([0.01, 0.1, 1.0], [0.05, 0.2, 0.5])]
+
+
+@given(m=st.sampled_from(_ALL_KINDS),
+       shape=st.sampled_from([(), (7,), (3, 5)]), data=st.data())
+def test_omega_matches_masked_formula_on_any_shape(m, shape, data):
+    # kinds without a t_cut take 0.5 in its place
+    special = [0.0, m.t_cut if m.kind == "log_power" else 0.5, 1.0]
+    value = st.sampled_from(special) | st.floats(0.0, 1.0)
+    if shape:
+        # every array input holds 0, t_cut and 1 somewhere
+        rest = data.draw(st.lists(value, min_size=math.prod(shape) - 3,
+                                  max_size=math.prod(shape) - 3))
+        t = np.array(data.draw(st.permutations(special + rest)))
+    else:
+        t = np.array(data.draw(value))
+    t = t.reshape(shape)
+    with np.errstate(divide="raise", invalid="raise"):
+        got = m.omega(t)
+    ref = _masked_omega(m, t)
+    assert np.shape(got) == shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_log_power_omega_finite_below_overflow():
