@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .modulus import Modulus
 
@@ -866,26 +867,40 @@ def _cubic_basis(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 def _bicubic_interpolant(axis: np.ndarray, values: np.ndarray
                          ) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator of fitpack's interpolating bicubic spline of ``values``
-    on the square grid ``axis`` x ``axis``.  Only the fit's knots and
-    coefficients are kept; evaluation sums the 4 x 4 coefficients of
-    each point by flat gathers instead of fitpack's per-point knot
-    search."""
-    from scipy.interpolate import RectBivariateSpline
+    """Evaluator of fitpack's interpolating (s = 0) bicubic spline of
+    ``values`` on the square grid ``axis`` x ``axis``.
 
-    tx, ty, c = RectBivariateSpline(axis, axis, values, kx=3, ky=3).tck
-    stride = ty.size - 4
+    Its knots are the not-a-knot vector ``[x0]*4 + axis[2:-2] + [xn]*4``
+    on both axes, so the collocation matrix A (A[p, l] = B_l(axis[p]))
+    is square and banded with two diagonals either side, and the
+    coefficients are C = A^-1 values A^-T: two banded solves in place of
+    fitpack's fit.  Evaluation sums the 4 x 4 coefficients of each
+    point by flat gathers instead of fitpack's per-point knot search."""
+    m = axis.size
+    t = np.concatenate([np.full(4, axis[0]), axis[2:-2], np.full(4, axis[-1])])
+    lead, basis = _cubic_basis(t, axis)
+    band = np.zeros((5, m))  # band[2 + p - l, l] = A[p, l]
+    for d, b in enumerate(basis):
+        col = lead + d
+        diag = 2 + np.arange(m) - col
+        # the end rows' out-of-band basis values are zero
+        inside = (diag >= 0) & (diag <= 4)
+        band[diag[inside], col[inside]] = b[inside]
+    # the result of the first solve is Fortran-ordered, so the second
+    # solve's transpose is the C-ordered C = A^-1 values A^-T
+    c = solve_banded((2, 2), band,
+                     solve_banded((2, 2), band, values).T).T.ravel()
 
     def ev(pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape[0])
         for lo in range(0, pts.shape[0], _SPLINE_BLOCK):
             block = pts[lo:lo + _SPLINE_BLOCK]
-            ix, bx = _cubic_basis(tx, block[:, 0])
-            iy, by = _cubic_basis(ty, block[:, 1])
-            first = ix * stride + iy
+            ix, bx = _cubic_basis(t, block[:, 0])
+            iy, by = _cubic_basis(t, block[:, 1])
+            first = ix * m + iy
             part = out[lo:lo + _SPLINE_BLOCK]
             for a in range(4):
-                row = first + a * stride
+                row = first + a * m
                 acc = c[row] * by[0]
                 for b in range(1, 4):
                     acc += c[row + b] * by[b]

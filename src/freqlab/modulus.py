@@ -131,7 +131,8 @@ class Modulus:
     def omega(self, t) -> np.ndarray:
         """Evaluate ``omega`` on ``[0, 1]`` (vectorized)."""
         t = _as_array(t)
-        if t.min(initial=0.0) < 0.0 or t.max(initial=1.0) > 1.0:
+        # NaN propagates through min and max and fails both comparisons
+        if not (t.min(initial=0.0) >= 0.0 and t.max(initial=1.0) <= 1.0):
             raise ValueError("omega is defined on [0, 1]")
         if self.kind == "linear":
             return t.copy()

@@ -234,9 +234,9 @@ def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # quad and the spline fit are imported where they are used, so a CLI
-    # run that needs neither does not load them (scipy.integrate alone
-    # pulls in scipy.special and scipy.optimize)
+    # quad is imported where it is used and the spline fit needs no
+    # scipy.interpolate, so a CLI run loads neither (scipy.integrate
+    # alone pulls in scipy.special and scipy.optimize)
     import freqlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -532,6 +535,22 @@ def test_bicubic_interpolant_matches_fitpack_evaluation():
     assert np.abs(got - spline.ev(pts[:, 0], pts[:, 1])).max() <= 2e-15
     # beyond the grid the argument is clamped, not extrapolated
     assert got[-3] == ev(np.array([[1.0, 0.0]]))[0]
+
+
+def test_generate_holder_leaves_scipy_interpolate_unloaded():
+    # the fit is two banded solves from scipy.linalg, which the sparse
+    # solver loads anyway; fitpack stays the test oracle only
+    import freqlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))
+    code = ("import sys, freqlab.cli\n"
+            "from freqlab.coefficients import generate_holder\n"
+            "generate_holder(0.75, 0.05, 7)\n"
+            "print('scipy.interpolate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_generate_holder_clamps_points_just_outside_the_disk():

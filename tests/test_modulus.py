@@ -158,6 +158,14 @@ def test_domain_errors():
         m.omega(-0.1)
 
 
+@pytest.mark.parametrize("m", _ALL_KINDS, ids=lambda m: m.kind)
+def test_omega_rejects_nan(m):
+    with pytest.raises(ValueError, match="defined on"):
+        m.omega([math.nan, 0.5])
+    with pytest.raises(ValueError, match="defined on"):
+        m.omega(math.nan)
+
+
 def test_monotonicity_properties_on_grids():
     rng = np.random.default_rng(0)
     for m in (Modulus.linear(), Modulus.power(0.3), Modulus.log_power(2.0)):

@@ -7,9 +7,11 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 from scipy.special import i0
 
+import freqlab.solver as solver_module
 from freqlab.coefficients import Arity, CoefficientField, FieldError, generate_holder
 from freqlab.modulus import Modulus
 from freqlab.solver import (
@@ -27,11 +29,15 @@ from freqlab.solver import (
     solve_dirichlet,
     volume_mean_square,
     weighted_gradient_energy,
+    _BASIS_ROWS,
+    _GRAD_ROWS,
+    _TRI_BASIS,
     _rotated_tensor,
 )
 
 I2 = CoefficientField.identity(2)
 D21 = CoefficientField.diagonal([2.0, 1.0])
+HOLDER = generate_holder(0.75, 0.05, seed=7)
 
 
 def homogeneous_profile():
@@ -623,7 +629,8 @@ def test_rotated_tensor_matches_matrix_product(symmetric):
     rng = np.random.default_rng(21)
     r = np.sqrt(rng.random(20000))
     th = 2.0 * math.pi * rng.random(20000)
-    got = _rotated_tensor(f, r, th)
+    c, s = np.cos(th), np.sin(th)
+    got = _rotated_tensor(f, np.stack([r * c, r * s], axis=-1), c, s)
     want = _einsum_rotation(f, r, th)
     assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
     gap = np.abs(got[..., 0, 1] - got[..., 1, 0]).max()
@@ -684,3 +691,163 @@ def test_affine_datum_is_reproduced(g, a, b):
     assert np.abs(u.node_grid().ravel() - exact).max() <= 1e-12
     if g.kind == "disk":
         assert abs(u.values[-1] - a) <= 1e-12
+
+
+# -- assembly plan: property tests and cache safety -------------------------
+
+SYMMETRIC = _matrix_field(lambda x, y: 0.4 * x * y - 0.2)
+
+
+def _potential(p):
+    return 1.0 + p[..., 0] ** 2 - 0.5 * p[..., 1]
+
+
+def _reference_operator(g, f, potential):
+    """k_ii and k_ib the direct way: B sampled at face midpoints placed
+    here, cell and triangle matrices from three-operand products, and one
+    coo_matrix scatter restricted to the unknowns and boundary nodes."""
+    n_r, n_t = g.n_r, g.n_theta
+    h, k = g.d_s, g.d_theta
+    th = g.theta
+    jp = (np.arange(n_t) + 1) % n_t
+    r_mid = g.radii[:-1] * math.exp(0.5 * h)
+
+    def at(r, t):
+        r, t = np.broadcast_arrays(r, t)
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+
+    def tensor(r, t):
+        r, t = np.broadcast_arrays(r, t)
+        c, s = np.cos(t).ravel(), np.sin(t).ravel()
+        return _rotated_tensor(f, at(r, t).reshape(-1, 2), c,
+                               s).reshape(r.shape + (2, 2))
+
+    ring_b = tensor(g.radii[:, None], th + 0.5 * k)
+    spoke_b = tensor(r_mid[:, None], th)
+    faces = [ring_b[:-1], ring_b[1:], spoke_b, spoke_b[:, jp]]
+    grads = _GRAD_ROWS / np.array([[h], [k]])
+    w = h * k / 4.0
+    kc = w * sum(np.einsum("im,btij,jn->btmn", grads[q], faces[q], grads[q])
+                 for q in range(4))
+    if potential is not None:
+        vq = np.stack([potential(at(g.radii[:-1, None], th + 0.5 * k)),
+                       potential(at(g.radii[1:, None], th + 0.5 * k)),
+                       potential(at(r_mid[:, None], th)),
+                       potential(at(r_mid[:, None], th[jp]))], axis=-1)
+        r2 = np.stack(np.broadcast_arrays(
+            g.radii[:-1, None] ** 2, g.radii[1:, None] ** 2,
+            r_mid[:, None] ** 2, r_mid[:, None] ** 2), axis=-1)
+        kc = kc + np.einsum("btq,qm,qn->btmn", w * r2 * vq,
+                            _BASIS_ROWS, _BASIS_ROWS)
+    ii = np.arange(n_r - 1)[:, None] * n_t
+    nodes = np.stack([ii + np.arange(n_t), ii + n_t + np.arange(n_t),
+                      ii + n_t + jp, ii + jp], axis=-1)
+    rows = [np.broadcast_to(nodes[..., :, None], kc.shape).ravel()]
+    cols = [np.broadcast_to(nodes[..., None, :], kc.shape).ravel()]
+    vals = [kc.ravel()]
+    if g.kind == "disk":
+        origin = n_r * n_t
+        p = g.ring_points(0)
+        q = p[jp]
+        area = 0.5 * np.abs(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+        grad = np.stack([q - p, -q, p], axis=1)[..., ::-1] * [-1.0, 1.0]
+        grad /= (2.0 * area)[:, None, None]
+        mids = np.stack([0.5 * (p + q), 0.5 * q, 0.5 * p])
+        a_mid = f.matrices(mids.reshape(-1, 2)).reshape(3, n_t, 2, 2).mean(0)
+        kt = area[:, None, None] * np.einsum("tai,tij,tbj->tab",
+                                             grad, a_mid, grad)
+        if potential is not None:
+            vt = potential(mids).T
+            kt = kt + np.einsum("tq,qm,qn->tmn", (area / 3.0)[:, None] * vt,
+                                _TRI_BASIS, _TRI_BASIS)
+        tri = np.stack([np.full(n_t, origin), np.arange(n_t), jp], axis=1)
+        rows.append(np.broadcast_to(tri[:, :, None], kt.shape).ravel())
+        cols.append(np.broadcast_to(tri[:, None, :], kt.shape).ravel())
+        vals.append(kt.ravel())
+    full = coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(g.node_count, g.node_count)).tocsr()
+    asm = solver_module._Assembly(g, f, potential)
+    rows_i = full[asm.interior]
+    return asm, rows_i[:, asm.interior], rows_i[:, asm.boundary]
+
+
+def _sparse_gap(a, b):
+    return abs(a - b).max() if a.nnz or b.nnz else 0.0
+
+
+@given(GRIDS, st.sampled_from(["symmetric", "holder"]), st.booleans())
+def test_plan_scatter_matches_coo_reference(g, name, with_potential):
+    f = SYMMETRIC if name == "symmetric" else HOLDER
+    potential = _potential if with_potential else None
+    asm, ref_ii, ref_ib = _reference_operator(g, f, potential)
+    scale = max(abs(ref_ii).max() if ref_ii.nnz else 0.0,
+                abs(ref_ib).max() if ref_ib.nnz else 0.0)
+    assert asm.k_ii.shape == ref_ii.shape and asm.k_ib.shape == ref_ib.shape
+    assert asm.k_ii.has_canonical_format and asm.k_ib.has_canonical_format
+    assert _sparse_gap(asm.k_ii, ref_ii) <= 1e-14 * scale
+    assert _sparse_gap(asm.k_ib, ref_ib) <= 1e-14 * scale
+
+
+@given(GRIDS)
+def test_operator_is_symmetric_for_a_symmetric_field(g):
+    k_ii = solver_module._Assembly(g, SYMMETRIC, _potential).k_ii
+    if k_ii.nnz:
+        assert _sparse_gap(k_ii, k_ii.T) <= 1e-14 * abs(k_ii).max()
+
+
+@given(GRIDS.filter(lambda g: g.kind == "disk"), st.integers(0, 2 ** 32 - 1))
+def test_flux_energy_equals_volume_energy_at_every_radius(g, seed):
+    # on a disk every node below the outer ring is an unknown, so the
+    # flux through each grid circle is the energy inside it; an annulus
+    # would add its inner boundary's flux
+    rng = np.random.default_rng(seed)
+    u = solve_dirichlet(SYMMETRIC, 1.0, rng.normal(size=g.n_theta), g)
+    total = dirichlet_energy(u, 1.0)
+    for r in g.radii:
+        gap = abs(dirichlet_energy_flux(u, r) - dirichlet_energy(u, r))
+        assert gap <= 1e-13 * total
+
+
+def test_plan_cache_keeps_grids_of_one_shape_apart():
+    # equal (n_r, n_theta), different radii: a plan made for the first
+    # annulus must not serve the second
+    rng = np.random.default_rng(5)
+    g_out, g_in = rng.normal(size=32), rng.normal(size=32)
+    first = PolarGrid.annulus(0.3, 1.0, 17, 32)
+    second = PolarGrid.annulus(0.45, 1.0, 17, 32)
+
+    clear_operator_cache()
+    solve_dirichlet(SYMMETRIC, 1.0, g_out, first, g_inner=g_in)
+    after = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
+    assert solver_module._PLANS
+    clear_operator_cache()
+    assert not solver_module._PLANS and not solver_module._CACHE
+    fresh = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
+    assert after._assembly.plan is not fresh._assembly.plan
+    assert np.array_equal(after.values, fresh.values)
+    assert np.array_equal(after._assembly.k_ii.data, fresh._assembly.k_ii.data)
+    assert np.array_equal(after._assembly.k_ib.data, fresh._assembly.k_ib.data)
+
+
+def test_plans_stay_bounded_and_exact_under_concurrent_solves():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    grids = [PolarGrid.disk(9, 16, r_min=r) for r in (0.05, 0.1, 0.2, 0.3)]
+    data = np.cos(np.arange(16.0))
+    clear_operator_cache()
+    ref = [solve_dirichlet(SYMMETRIC, 1.0, data, g).values for g in grids]
+    jobs = list(range(len(grids))) * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(solve_dirichlet, SYMMETRIC, 1.0, data,
+                                   grids[i]) for i in jobs]
+            results = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, u in zip(jobs, results):
+        assert np.array_equal(u.values, ref[i])
+    assert len(solver_module._PLANS) <= solver_module._PLAN_LIMIT == 2
