@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .coefficients import FieldError
+from .coefficients import FieldError, jsonable
 from .experiments import (
     RegimeError,
     ScenarioConfig,
@@ -38,12 +38,7 @@ from .experiments import (
     default_sweep,
     run_scenario,
 )
-from .experiments.base import (
-    _modulus_from_spec,
-    _plain,
-    build_boundary,
-    build_field,
-)
+from .experiments.base import build_boundary, build_field
 from .frequency import almgren_frequency
 from .io import (
     SCHEMA_VERSION,
@@ -56,10 +51,10 @@ from .io import (
     write_json,
 )
 from .modulus import (
+    Modulus,
     check_phi_integrable,
     check_submultiplicative_psi,
     classify_osgood,
-    eval_phi,
 )
 from .solver import PolarGrid, SolverError, solve_dirichlet
 from .svg import render_line_plot, render_margin_plot
@@ -169,7 +164,7 @@ def cmd_modulus(args) -> int:
     doc = load_config(args.config)
     spec = _require(doc, "modulus", args.config)
     try:
-        m = _modulus_from_spec(spec)
+        m = Modulus.from_config(spec)
         c_m = float(doc.get("c_m", 100.0))
         seed = int(doc.get("seed", 0))
     except (AttributeError, KeyError, TypeError, ValueError) as err:
@@ -191,13 +186,13 @@ def cmd_modulus(args) -> int:
             "holds": bool(sub.holds),
             "constant": float(sub.constant),
             "worst_ratio": float(sub.worst_ratio),
-            "worst_pair": _plain(list(sub.worst_pair)),
+            "worst_pair": jsonable(list(sub.worst_pair)),
         },
     }
 
     t = np.logspace(-6, 0, 121)
     omega = np.asarray(m.omega(t), dtype=float)
-    phi = np.asarray(eval_phi(m, t), dtype=float)
+    phi = np.asarray(m.phi(t), dtype=float)
     os.makedirs(args.out, exist_ok=True)
     outputs = [
         write_json(os.path.join(args.out, "modulus_report.json"), report),
@@ -300,7 +295,7 @@ def cmd_solve(args) -> int:
             deltas = np.interp(base_r, fine_r, fine_n) - base_n
             report["refinement"] = {
                 "max_abs_delta_N": float(np.max(np.abs(deltas))),
-                "deltas": _plain(deltas),
+                "deltas": jsonable(deltas),
             }
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)

@@ -39,6 +39,7 @@ __all__ = [
     "empirical_modulus",
     "generate_holder",
     "homogeneous_projection",
+    "jsonable",
     "kernel_gradient_constant",
     "mollify",
     "mu_factor",
@@ -326,7 +327,7 @@ class CoefficientField:
         if self.kind == "custom":
             raise FieldError("fields wrapping raw callables are not serializable")
         cfg: dict = {"arity": self.arity.value, "kind": self.kind,
-                     "params": _jsonify(self.params)}
+                     "params": jsonable(self.params)}
         if self.seed is not None:
             cfg["seed"] = int(self.seed)
         return cfg
@@ -406,11 +407,14 @@ def _cusp_profile(modulus: Modulus, pts: np.ndarray,
     return modulus.omega(np.minimum(d, 1.0, out=d))
 
 
-def _jsonify(obj: Any) -> Any:
+def jsonable(obj: Any) -> Any:
+    """obj with mappings, sequences, arrays and numpy scalars turned
+    into plain JSON values (dicts with string keys, lists, Python
+    numbers)."""
     if isinstance(obj, Mapping):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

@@ -2,7 +2,6 @@
 into reproducible numerical checks with margins, fitted constants, and
 refinement-stability verdicts."""
 
-from .anisotropic import run_approx_v, run_dichotomy_anisotropic, run_freq_cascade
 from .base import (
     ExperimentReport,
     FittedConstant,
@@ -14,15 +13,6 @@ from .base import (
     build_boundary,
     build_field,
 )
-from .isotropic import (
-    run_dichot3,
-    run_eps_approx_iso,
-    run_iso_cascade,
-    run_key_approx,
-    run_thin_annulus,
-    run_tildeN_comparison,
-)
-from .reduction import run_schroedinger_reduction
 from .registry import (
     SCENARIOS,
     default_config,
@@ -30,7 +20,6 @@ from .registry import (
     registered_scenarios,
     run_scenario,
 )
-from .stability import run_stability_suite
 
 __all__ = [
     "ExperimentReport",
@@ -46,16 +35,5 @@ __all__ = [
     "default_config",
     "default_sweep",
     "registered_scenarios",
-    "run_approx_v",
-    "run_dichot3",
-    "run_dichotomy_anisotropic",
-    "run_eps_approx_iso",
-    "run_freq_cascade",
-    "run_iso_cascade",
-    "run_key_approx",
     "run_scenario",
-    "run_schroedinger_reduction",
-    "run_stability_suite",
-    "run_thin_annulus",
-    "run_tildeN_comparison",
 ]

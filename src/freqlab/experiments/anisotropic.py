@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coefficients import mollify
-from ..frequency import VanishingBoundaryError, almgren_frequency, doubling_index
+from ..frequency import VanishingBoundaryError, doubling_index
 from ..growth import discrete_cascade, phi_function
 from ..modulus import OsgoodClass, check_phi_integrable, check_submultiplicative_psi, classify_osgood
 from ..solver import gradient_mean_square
@@ -17,39 +17,28 @@ from .base import (
     REL_TOL,
     ScenarioError,
     Verdict,
-    build_boundary,
     build_field,
     doubling_ratio,
     field_modulus,
     frequency_at,
-    paired_report,
+    profile_between,
+    ring_mean_sq,
     snap,
     solve_normalized,
+    solve_top,
     subsolution,
 )
 
-__all__ = ["run_approx_v", "run_dichotomy_anisotropic", "run_freq_cascade"]
+__all__ = ["approx_v_eval", "dichot_eval", "freq_cascade_eval",
+           "freq_cascade_prepare"]
 
 S_STEPS = (0.25, 0.5, 0.75, 1.0)
 
 
-def _solve_top(cfg, grid):
-    f = build_field(cfg.field_spec)
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r)
-    return f, r, u
-
-
-def run_dichotomy_anisotropic(cfg):
+def dichot_eval(cfg, f, data, grid):
     """Either the frequency is already below n0, or one controlled step
     inward raises it by at most c1 * r * psi(N / r)."""
-    return paired_report(cfg, _dichot_eval)
-
-
-def _dichot_eval(cfg, grid):
-    f, r, u = _solve_top(cfg, grid)
-    n_top = frequency_at(u, f, r)
+    r, u, n_top = solve_top(cfg, grid, f, data)
     if n_top < cfg.n0:
         return Branch(Verdict.ALTERNATIVE_ONE,
                       f"frequency {n_top:.4g} at r={r:.4g} is below "
@@ -81,15 +70,12 @@ def _dichot_eval(cfg, grid):
     return ev
 
 
-def run_approx_v(cfg):
+def approx_v_eval(cfg, f, data, grid):
     """Mollified-coefficient comparison: gradient distance bounded by
     omega(eps) times the energy, trace gap decaying linearly in the
     distance to the boundary."""
-    return paired_report(cfg, _approx_v_eval)
-
-
-def _approx_v_eval(cfg, grid):
-    f, r, u = _solve_top(cfg, grid)
+    r = snap(grid, cfg.radii[0])
+    u = solve_normalized(f, grid, data, r)
     eps_m = cfg.eps
     if not 0.0 < eps_m < 0.5 * r:
         raise ScenarioError(
@@ -111,12 +97,10 @@ def _approx_v_eval(cfg, grid):
     ev.fits["approx_c"] = gm_d / max(omega_eps * gm_u, 1e-300)
     # trace gap on the boundary shell, sampled at fixed fractions
     sub = v.grid
-    nt = sub.n_theta
     shell_scale = omega_eps * r * r * gm_u
     for frac in (0.25, 0.5, 0.75):
         t = snap(sub, r * (1.0 - frac * eps_m))
-        j = sub.nearest_ring(t)
-        lhs = float(np.mean(d[j * nt:(j + 1) * nt] ** 2))
+        lhs = ring_mean_sq(v, sub.nearest_ring(t), d)
         ev.add_row(f"trace gap at (1 - t/r)/eps={frac:g}", t, lhs,
                    cfg.c1 * (1.0 - t / r) * shell_scale)
     # slope of the shell profile against (1 - t/r), through the origin
@@ -124,7 +108,7 @@ def _approx_v_eval(cfg, grid):
     for j, t in enumerate(sub.radii):
         if r * (1.0 - 4.0 * eps_m) < t < r:
             xs.append(1.0 - t / r)
-            ys.append(float(np.mean(d[j * nt:(j + 1) * nt] ** 2)))
+            ys.append(ring_mean_sq(v, j, d))
     xs, ys = np.asarray(xs), np.asarray(ys)
     if xs.size >= 2:
         slope = float(xs @ ys / (xs @ xs))
@@ -139,14 +123,9 @@ def _approx_v_eval(cfg, grid):
     return ev
 
 
-def run_freq_cascade(cfg):
-    """Iterate the dichotomy step down to the floor and compare the
-    measured frequency profile and doubling indices against the
-    recursion bound."""
-    return paired_report(cfg, _cascade_eval)
-
-
-def _cascade_eval(cfg, grid):
+def freq_cascade_prepare(cfg):
+    """The field and its modulus, which must be Osgood with an
+    integrable phi and a submultiplicative psi."""
     f = build_field(cfg.field_spec)
     m = field_modulus(f)
     osgood = classify_osgood(m)
@@ -168,16 +147,21 @@ def _cascade_eval(cfg, grid):
             "psi transform is not submultiplicative with any moderate "
             f"constant (worst ratio {sub.worst_ratio:.3g})",
             {"worst_pair": list(sub.worst_pair)})
+    return f, m
 
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r0 = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r0)
+
+def freq_cascade_eval(cfg, setup, data, grid):
+    """Iterate the dichotomy step down to the floor and compare the
+    measured frequency profile and doubling indices against the
+    recursion bound."""
+    f, m = setup
+    r0, u, n_top = solve_top(cfg, grid, f, data)
     # the origin closure contaminates N on the innermost rings; the
     # layer ends near twice the inner radius at any resolution, and
     # r_in is preserved by refinement, so the row layout stays paired
     floor = max(cfg.t_floor, 2.0 * float(grid.radii[0]))
 
-    radii, values = [r0], [frequency_at(u, f, r0)]
+    radii, values = [r0], [n_top]
     for _ in range(60):
         r_k, n_k = radii[-1], values[-1]
         step = max(n_k, cfg.n0, 1.25)
@@ -205,8 +189,9 @@ def _cascade_eval(cfg, grid):
     # the seed frequency is only known to the measurement tolerance,
     # so the recursion starts from its upper uncertainty edge
     n0_eff = max(values[0] * (1.0 + REL_TOL), cfg.n0)
+    # freq_cascade_prepare branched unless phi is integrable
     trace = discrete_cascade(m, n0_eff, phi_function(m), c_fit,
-                             floor, g_integrable=integ.finite)
+                             floor, g_integrable=True)
     if not trace.reached_floor:
         return Branch(Verdict.INCONSISTENT,
                       "cascade recursion blew up before reaching the "
@@ -222,9 +207,7 @@ def _cascade_eval(cfg, grid):
     while r_c >= 2.0 * floor:
         half = snap(grid, 0.5 * r_c)
         lhs = doubling_ratio(u, f, snap(grid, r_c), half)
-        window = grid.radii[(grid.radii >= half * 0.999)
-                            & (grid.radii <= r_c * 1.001)]
-        prof = almgren_frequency(u, f, radii=window)
+        prof = profile_between(u, f, grid, half, r_c)
         ev.add_row(f"doubling control r={r_c:.4g}", r_c, lhs,
                    2.0 * float(np.max(prof.N)) + 1.0 + 0.1)
         r_c *= 0.5

@@ -10,10 +10,8 @@ stable under refinement.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -26,6 +24,7 @@ from ..coefficients import (
     FieldError,
     empirical_modulus,
     generate_holder,
+    jsonable,
 )
 from ..frequency import almgren_frequency
 from ..modulus import Modulus
@@ -172,27 +171,12 @@ class ScenarioConfig:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "field_spec": dict(self.field_spec),
-            "boundary_spec": dict(self.boundary_spec),
-            "pair_spec": dict(self.pair_spec) if self.pair_spec else None,
-            "potential_spec": (dict(self.potential_spec)
-                               if self.potential_spec else None),
-            "n_r": self.n_r,
-            "n_theta": self.n_theta,
-            "r_min": self.r_min,
-            "radii": list(self.radii),
-            "t_floor": self.t_floor,
-            "n0": self.n0,
-            "c1": self.c1,
-            "a_log": self.a_log,
-            "p": self.p,
-            "gamma": self.gamma,
-            "eps": self.eps,
-            "delta": self.delta,
-            "seed": self.seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        for name, value in out.items():
+            if isinstance(value, dict):
+                out[name] = dict(value)
+        out["radii"] = list(self.radii)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -264,63 +248,18 @@ class ExperimentReport:
             "margins": [m.to_dict() for m in self.margins],
             "fitted": {k: v.to_dict() for k, v in self.fitted.items()},
             "violations": list(self.violations),
-            "meta": _plain(self.meta),
+            "meta": jsonable(self.meta),
             "warnings": list(self.warnings),
         }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # -- field and boundary-data builders --------------------------------------
 
 
-def _modulus_from_spec(spec: dict) -> Modulus:
-    kind = spec.get("kind")
-    if kind == "linear":
-        return Modulus.linear()
-    if kind == "power":
-        return Modulus.power(float(spec["alpha"]))
-    if kind == "log_power":
-        return Modulus.log_power(float(spec["p"]))
-    raise ValueError(f"unknown modulus kind {kind!r}")
-
-
-# Fields are immutable, so equal specs may share one object; a
-# scenario's base and refined runs build the same field back to back,
-# so two entries cover that reuse.
-_FIELDS: dict[str, CoefficientField] = {}
-_FIELDS_LIMIT = 2
-_FIELDS_LOCK = threading.Lock()
-
-
 def build_field(spec: dict) -> CoefficientField:
-    """Coefficient field from a config dict keyed by 'kind'; equal
-    specs, whatever their key order, return the same recent object."""
-    key = json.dumps(spec, sort_keys=True)
-    with _FIELDS_LOCK:
-        f = _FIELDS.get(key)
-    if f is None:
-        f = _make_field(spec)
-        with _FIELDS_LOCK:
-            f = _FIELDS.setdefault(key, f)
-            if len(_FIELDS) > _FIELDS_LIMIT:
-                _FIELDS.pop(next(iter(_FIELDS)))
-    return f
-
-
-def _make_field(spec: dict) -> CoefficientField:
-    """Raises FieldError for an unknown kind or a missing or ill-typed
-    key, as for a field that cannot be built."""
+    """Coefficient field from a config dict keyed by 'kind'; raises
+    FieldError for an unknown kind or a missing or ill-typed key, as for
+    a field that cannot be built."""
     try:
         return _field_from_spec(spec)
     except FieldError:
@@ -344,7 +283,7 @@ def _field_from_spec(spec: dict) -> CoefficientField:
         return generate_holder(float(spec["alpha"]), float(spec["amplitude"]),
                                int(spec.get("seed", 0)))
     if kind == "cusp":
-        m = _modulus_from_spec(spec["modulus"])
+        m = Modulus.from_config(spec["modulus"])
         amp = float(spec["amplitude"])
         if spec.get("isotropic", False):
             return CoefficientField.cusp_isotropic(m, amp)
@@ -460,6 +399,26 @@ def field_gap(f0: CoefficientField, f1: CoefficientField, r_lo: float,
     return float(np.max(np.abs(f0.matrices(pts) - f1.matrices(pts))))
 
 
+# -- grid-independent setup -----------------------------------------------
+
+
+def prepare_field(cfg: ScenarioConfig) -> CoefficientField:
+    return build_field(cfg.field_spec)
+
+
+def prepare_isotropic(cfg: ScenarioConfig):
+    """The configured field, which must be isotropic, or a branch when
+    its declared Hölder exponent is not certified."""
+    f = build_field(cfg.field_spec)
+    if f.arity is not Arity.ISOTROPIC:
+        raise ScenarioError(
+            f"scenario {cfg.scenario!r} requires an isotropic field")
+    complaint = certify_holder(f)
+    if complaint is not None:
+        return Branch(Verdict.HYPOTHESIS_UNMET, complaint)
+    return f
+
+
 # -- solving helpers -------------------------------------------------------
 
 
@@ -483,6 +442,15 @@ def solve_normalized(f: CoefficientField, grid: PolarGrid, data,
     if mean_sq <= 0.0:
         raise ScenarioError("boundary data vanishes at the top radius")
     return u.scaled(math.sqrt(mean_sq))
+
+
+def solve_top(cfg: ScenarioConfig, grid: PolarGrid, f: CoefficientField,
+              data) -> tuple:
+    """Solve on grid, normalized at the configured top radius snapped to
+    a ring; returns (r, u, N(r))."""
+    r = snap(grid, cfg.radii[0])
+    u = solve_normalized(f, grid, data, r)
+    return r, u, frequency_at(u, f, r)
 
 
 def subsolution(u: DiscreteSolution, f2: CoefficientField, r: float,
@@ -512,6 +480,13 @@ def ring_mean_sq(u: DiscreteSolution, ring: int,
 def frequency_at(u: DiscreteSolution, f: CoefficientField,
                  r: float) -> float:
     return float(almgren_frequency(u, f, [float(r)]).N[0])
+
+
+def profile_between(u: DiscreteSolution, f: CoefficientField,
+                    grid: PolarGrid, lo: float, hi: float):
+    """Frequency profile on the grid rings within [lo, hi]."""
+    mask = (grid.radii >= lo * 0.999) & (grid.radii <= hi * 1.001)
+    return almgren_frequency(u, f, radii=grid.radii[mask])
 
 
 def ring_weighted_mean(u: DiscreteSolution, abar: CoefficientField,
@@ -630,16 +605,24 @@ def decide(margins: Sequence[MarginRow], fitted: dict):
     return Verdict.CONSISTENT, violations
 
 
-def paired_report(cfg: ScenarioConfig, evaluate) -> ExperimentReport:
-    """Run a scenario computation at the configured resolution and at
-    double resolution, pair margins and fits, and assemble the report."""
+def paired_report(cfg: ScenarioConfig, prepare,
+                  evaluate) -> ExperimentReport:
+    """Run a scenario's grid-independent part once: prepare(cfg) builds
+    its field and checks its hypotheses, then the boundary data are
+    built.  Evaluate it at the configured resolution and at double
+    resolution, pair margins and fits, and assemble the report."""
     warnings = cfg.smallness_warnings()
     grid = scenario_grid(cfg)
-    base = evaluate(cfg, grid)
+    setup = prepare(cfg)
+    if isinstance(setup, Branch):
+        base = setup
+    else:
+        data = build_boundary(cfg.boundary_spec, cfg.seed)
+        base = evaluate(cfg, setup, data, grid)
     if isinstance(base, Branch):
         return ExperimentReport(cfg.scenario, base.verdict, [], {},
                                 [base.reason], base.meta, warnings)
-    fine = evaluate(cfg, grid.refine())
+    fine = evaluate(cfg, setup, data, grid.refine())
     if isinstance(fine, Branch):
         return ExperimentReport(
             cfg.scenario, fine.verdict, [], {},

@@ -10,71 +10,43 @@ import math
 import numpy as np
 
 from ..coefficients import Arity, CoefficientField, empirical_modulus, homogeneous_projection
-from ..frequency import almgren_frequency, two_scale_frequency
+from ..frequency import two_scale_frequency
 from ..modulus import select_exponents
 from ..solver import gradient_mean_square, volume_mean_square
 from .base import (
     Branch,
     Evaluation,
     REL_TOL,
-    ScenarioError,
     Verdict,
-    build_boundary,
-    build_field,
-    certify_holder,
     doubling_ratio,
     fit_ratio,
     frequency_at,
     measured_eps,
-    paired_report,
+    prepare_isotropic,
+    profile_between,
     ring_mean_sq,
     ring_weighted_mean,
     snap,
-    solve_normalized,
+    solve_top,
     subsolution,
 )
 
 __all__ = [
-    "run_dichot3",
-    "run_eps_approx_iso",
-    "run_iso_cascade",
-    "run_key_approx",
-    "run_thin_annulus",
-    "run_tildeN_comparison",
+    "dichot3_eval",
+    "eps_approx_eval",
+    "iso_cascade_eval",
+    "iso_cascade_prepare",
+    "key_approx_eval",
+    "thin_annulus_eval",
+    "tilden_eval",
 ]
 
 
-def _iso_setup(cfg, grid):
-    f = build_field(cfg.field_spec)
-    if f.arity is not Arity.ISOTROPIC:
-        raise ScenarioError(
-            f"scenario {cfg.scenario!r} requires an isotropic field")
-    complaint = certify_holder(f)
-    if complaint is not None:
-        return f, Branch(Verdict.HYPOTHESIS_UNMET, complaint)
-    return f, None
-
-
-def _profile_between(u, f, grid, lo: float, hi: float):
-    mask = (grid.radii >= lo * 0.999) & (grid.radii <= hi * 1.001)
-    return almgren_frequency(u, f, radii=grid.radii[mask])
-
-
-def run_eps_approx_iso(cfg):
+def eps_approx_eval(cfg, f, data, grid):
     """Homogeneous-projection comparison on a nearly constant isotropic
     coefficient: gradient distance, projected frequency, height
     comparability and boundary trace gap, all at order eps + delta."""
-    return paired_report(cfg, _eps_approx_eval)
-
-
-def _eps_approx_eval(cfg, grid):
-    f, bad = _iso_setup(cfg, grid)
-    if bad is not None:
-        return bad
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r)
-    n_top = frequency_at(u, f, r)
+    r, u, n_top = solve_top(cfg, grid, f, data)
     abar = homogeneous_projection(f, r)
     v, d = subsolution(u, abar, r)
     e_val = cfg.eps + cfg.delta
@@ -92,7 +64,6 @@ def _eps_approx_eval(cfg, grid):
     ev.fits["freq_c"] = fit_ratio(n_proj / n_top - 1.0, e_val)
 
     h_top = ring_weighted_mean(u, abar, r)
-    nt = grid.n_theta
     height_c, trace_c = 1.0, 0.0
     for s in (0.5, 1.0):
         rs = snap(grid, r * (1.0 - s / n_top))
@@ -101,12 +72,12 @@ def _eps_approx_eval(cfg, grid):
         h_v = ring_weighted_mean(v, abar, rs)
         ev.add_row(f"height comparability s={s:g}", rs,
                    h_u / cfg.c1, h_v)
-        gap = float(np.mean(d[j * nt:(j + 1) * nt] ** 2))
+        gap = ring_mean_sq(v, j, d)
         ev.add_row(f"trace gap s={s:g}", rs, gap,
                    cfg.c1 * s * e_val * h_top)
         height_c = max(height_c, h_u / max(h_v, 1e-300))
         trace_c = max(trace_c, gap / (s * e_fit * h_top))
-    gap0 = float(np.mean(d[-nt - 1:-1] ** 2))
+    gap0 = ring_mean_sq(v, v.grid.n_r - 1, d)
     ev.add_row("trace gap s=0", r, gap0, 0.0)
     ev.fits["height_c"] = height_c
     ev.fits["trace_c"] = trace_c
@@ -115,20 +86,10 @@ def _eps_approx_eval(cfg, grid):
     return ev
 
 
-def run_tildeN_comparison(cfg):
+def tilden_eval(cfg, f, data, grid):
     """Two-scale frequency sandwiched between (gamma - c1 e) N and
     (1 + c1 e) N on gamma-good windows."""
-    return paired_report(cfg, _tilden_eval)
-
-
-def _tilden_eval(cfg, grid):
-    f, bad = _iso_setup(cfg, grid)
-    if bad is not None:
-        return bad
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r)
-    n_top = frequency_at(u, f, r)
+    r, u, n_top = solve_top(cfg, grid, f, data)
     abar = homogeneous_projection(f, r)
     e_val = cfg.eps + cfg.delta
     e_fit = max(e_val, REL_TOL)
@@ -137,7 +98,7 @@ def _tilden_eval(cfg, grid):
     ups, lows = [0.0], [0.0]
     for s in (0.5, 1.0):
         rs = snap(grid, r * (1.0 - s / n_top))
-        prof = _profile_between(u, f, grid, rs, r)
+        prof = profile_between(u, f, grid, rs, r)
         gamma_hat = float(np.min(prof.N)) / n_top
         tn = two_scale_frequency(u, abar, r, rs)
         ev.add_row(f"two-scale upper s={s:g}", rs, tn,
@@ -155,20 +116,10 @@ def _tilden_eval(cfg, grid):
     return ev
 
 
-def run_thin_annulus(cfg):
+def thin_annulus_eval(cfg, f, data, grid):
     """Energy decay across the annulus [r(1 - a_log log N / N), r] on
     gamma-good windows, plus interior control of the volume mean."""
-    return paired_report(cfg, _annulus_eval)
-
-
-def _annulus_eval(cfg, grid):
-    f, bad = _iso_setup(cfg, grid)
-    if bad is not None:
-        return bad
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r)
-    n_top = frequency_at(u, f, r)
+    r, u, n_top = solve_top(cfg, grid, f, data)
     if n_top < cfg.n0:
         return Branch(Verdict.ALTERNATIVE_ONE,
                       f"frequency {n_top:.4g} at r={r:.4g} is below "
@@ -180,7 +131,7 @@ def _annulus_eval(cfg, grid):
                       "resolvable grid",
                       {"N": n_top, "r": r, "r_a": r_a_raw})
     r_a = snap(grid, r_a_raw)
-    prof = _profile_between(u, f, grid, r_a, r)
+    prof = profile_between(u, f, grid, r_a, r)
     gamma_hat = float(np.min(prof.N)) / n_top
     if gamma_hat < cfg.gamma:
         return Branch(Verdict.ALTERNATIVE_ONE,
@@ -216,21 +167,11 @@ def _annulus_eval(cfg, grid):
     return ev
 
 
-def run_key_approx(cfg):
+def key_approx_eval(cfg, f, data, grid):
     """Iterated two-scale excess: once the annulus energy decays with
     exponent at least 2p + 1, consecutive two-scale readings may grow
     by at most c1 N^(1 - 2 kappa eta)."""
-    return paired_report(cfg, _key_approx_eval)
-
-
-def _key_approx_eval(cfg, grid):
-    f, bad = _iso_setup(cfg, grid)
-    if bad is not None:
-        return bad
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r)
-    n_top = frequency_at(u, f, r)
+    r, u, n_top = solve_top(cfg, grid, f, data)
     if n_top <= 1.05:
         return Branch(Verdict.SKIPPED,
                       f"frequency {n_top:.4g} too small for a decay "
@@ -298,21 +239,11 @@ def _key_approx_eval(cfg, grid):
     return ev
 
 
-def run_dichot3(cfg):
+def dichot3_eval(cfg, f, data, grid):
     """Small-radius dichotomy: either the frequency leaves the window
     [n0, r^(-alpha/2)], or one step inward moves it by at most
     c1 C_h r^(alpha/2) and lands below the shrunken window top."""
-    return paired_report(cfg, _dichot3_eval)
-
-
-def _dichot3_eval(cfg, grid):
-    f, bad = _iso_setup(cfg, grid)
-    if bad is not None:
-        return bad
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
-    r = snap(grid, cfg.radii[0])
-    u = solve_normalized(f, grid, data, r)
-    n_top = frequency_at(u, f, r)
+    r, u, n_top = solve_top(cfg, grid, f, data)
     alpha = float(f.holder[0]) if f.holder else 1.0
     c_h = float(f.holder[1]) if f.holder else 0.0
     window_hi = r ** (-alpha / 2.0)
@@ -340,18 +271,12 @@ def _dichot3_eval(cfg, grid):
     return ev
 
 
-def run_iso_cascade(cfg):
-    """Dyadic control of the frequency profile: inside every dyadic
-    window some radius keeps the frequency within (1 + c1 eps)^k of the
-    top value, the profile stays bounded, and the doubling indices obey
-    the quantitative frequency bound."""
-    return paired_report(cfg, _iso_cascade_eval)
-
-
-def _iso_cascade_eval(cfg, grid):
-    f, bad = _iso_setup(cfg, grid)
-    if bad is not None:
-        return bad
+def iso_cascade_prepare(cfg):
+    """The certified isotropic field and its Hölder exponent, which must
+    exceed two thirds."""
+    f = prepare_isotropic(cfg)
+    if isinstance(f, Branch):
+        return f
     if f.holder is not None:
         alpha = float(f.holder[0])
     else:
@@ -361,16 +286,21 @@ def _iso_cascade_eval(cfg, grid):
         return Branch(Verdict.HYPOTHESIS_UNMET,
                       f"Hölder exponent {alpha:.4g} is not above "
                       "two thirds", {"alpha": alpha})
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
+    return f, alpha
+
+
+def iso_cascade_eval(cfg, setup, data, grid):
+    """Dyadic control of the frequency profile: inside every dyadic
+    window some radius keeps the frequency within (1 + c1 eps)^k of the
+    top value, the profile stays bounded, and the doubling indices obey
+    the quantitative frequency bound."""
+    f, alpha = setup
     top_nominal = cfg.radii[0]
     floor_nominal = cfg.radii[-1] if len(cfg.radii) > 1 else 0.05
-    r_top = snap(grid, top_nominal)
-    u = solve_normalized(f, grid, data, r_top)
+    r_top, u, n_top = solve_top(cfg, grid, f, data)
     partial = floor_nominal < float(grid.radii[0]) * 0.999
     floor = max(floor_nominal, float(grid.radii[0]))
-    prof = _profile_between(u, f, grid, floor, r_top)
-    idx_top = int(np.argmin(np.abs(prof.radii - r_top)))
-    n_top = float(prof.N[idx_top])
+    prof = profile_between(u, f, grid, floor, r_top)
     sup_all = float(np.max(prof.N))
 
     ev = Evaluation()

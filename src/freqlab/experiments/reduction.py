@@ -21,18 +21,14 @@ from .base import (
     Evaluation,
     RegimeError,
     ScenarioError,
-    Verdict,
-    build_boundary,
-    build_field,
-    certify_holder,
     frequency_at,
-    paired_report,
+    prepare_isotropic,
     snap,
     solve_normalized,
     sup_gradient,
 )
 
-__all__ = ["run_schroedinger_reduction"]
+__all__ = ["schroedinger_eval", "schroedinger_prepare"]
 
 RHO_FRACTIONS = (0.9, 0.7, 0.5, 0.3)
 
@@ -108,22 +104,19 @@ def _largest_positive_radius(f, v_fun, n_r, nt, r0):
     return lo
 
 
-def run_schroedinger_reduction(cfg):
+def schroedinger_prepare(cfg):
+    """The certified isotropic field and the potential (v_fun, V)."""
+    f = prepare_isotropic(cfg)
+    if isinstance(f, Branch):
+        return f
+    return (f, *_potential_from_spec(cfg.potential_spec))
+
+
+def schroedinger_eval(cfg, setup, data, ref_grid):
     """Solve -div(a grad v) + V v = 0 with v = 2 on the boundary, check
     1 <= v <= c1 and the gradient bound, then re-solve for w = u / v
     with coefficient a v^2 and compare frequencies."""
-    return paired_report(cfg, _schroedinger_eval)
-
-
-def _schroedinger_eval(cfg, ref_grid):
-    f = build_field(cfg.field_spec)
-    if f.arity is not Arity.ISOTROPIC:
-        raise ScenarioError(
-            f"scenario {cfg.scenario!r} requires an isotropic field")
-    complaint = certify_holder(f)
-    if complaint is not None:
-        return Branch(Verdict.HYPOTHESIS_UNMET, complaint)
-    v_fun, v_level = _potential_from_spec(cfg.potential_spec)
+    f, v_fun, v_level = setup
     r0 = cfg.radii[0]
     n_r, nt = ref_grid.n_r, ref_grid.n_theta
     grid = PolarGrid.disk(n_r, nt, radius=r0)
@@ -142,7 +135,6 @@ def _schroedinger_eval(cfg, ref_grid):
             f"zero inside radius {r0:g}; largest admissible radius is "
             f"about {admissible:.4g}", admissible)
 
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
     top = float(grid.radii[-1])
     u = solve_normalized(f, grid, data, top, potential=v_fun)
 

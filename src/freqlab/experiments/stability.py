@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..coefficients import Arity, CoefficientField
 from ..solver import weighted_gradient_energy
 from .base import (
@@ -16,15 +14,13 @@ from .base import (
     REL_TOL,
     Evaluation,
     ScenarioError,
-    build_boundary,
     build_field,
     field_gap,
-    paired_report,
     snap,
     solve_normalized,
 )
 
-__all__ = ["run_stability_suite"]
+__all__ = ["stability_eval", "stability_prepare"]
 
 
 def _scaled_field(f, factor: float) -> CoefficientField:
@@ -52,30 +48,26 @@ def _bumped_field(f, eps: float, r_in: float) -> CoefficientField:
         lam=f.lam if eps >= 0.0 else f.lam - abs(eps))
 
 
-def _paired_field(cfg, f0):
+def stability_prepare(cfg):
+    """The configured field and its pair from cfg.pair_spec."""
+    f0 = build_field(cfg.field_spec)
     pair = cfg.pair_spec or {"mode": "bump"}
     mode = pair.get("mode", "bump")
     if mode == "same":
-        return f0
+        return f0, f0
     if mode == "scaled":
-        return _scaled_field(f0, 1.0 + float(pair.get("eps", cfg.eps)))
+        return f0, _scaled_field(f0, 1.0 + float(pair.get("eps", cfg.eps)))
     if mode == "bump":
-        return _bumped_field(f0, float(pair.get("eps", cfg.eps)),
-                             float(pair.get("r_in", 0.5)))
+        return f0, _bumped_field(f0, float(pair.get("eps", cfg.eps)),
+                                 float(pair.get("r_in", 0.5)))
     raise ScenarioError(f"unknown pair mode {mode!r}")
 
 
-def run_stability_suite(cfg):
+def stability_eval(cfg, setup, data, grid):
     """Solve the same boundary data under two coefficient fields and
     verify the exact energy identity plus the perturbation bounds on
     the gradient distance."""
-    return paired_report(cfg, _stability_eval)
-
-
-def _stability_eval(cfg, grid):
-    f0 = build_field(cfg.field_spec)
-    f1 = _paired_field(cfg, f0)
-    data = build_boundary(cfg.boundary_spec, cfg.seed)
+    f0, f1 = setup
     r_out = float(grid.r_out)
     u0 = solve_normalized(f0, grid, data, r_out)
     u1 = solve_normalized(f1, grid, data, r_out)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "SubmultiplicativityReport",
     "IntegrabilityReport",
     "ExponentTriple",
-    "eval_phi",
-    "eval_psi",
     "classify_osgood",
     "check_submultiplicative_psi",
     "check_phi_submultiplicative",
@@ -230,14 +228,6 @@ class Modulus:
         if kind == "tabulated":
             return Modulus.tabulated(cfg["t"], cfg["omega"])
         raise ValueError(f"unknown modulus kind {kind!r}")
-
-
-def eval_phi(m: Modulus, s) -> np.ndarray:
-    return m.phi(s)
-
-
-def eval_psi(m: Modulus, s) -> np.ndarray:
-    return m.psi(s)
 
 
 # ---------------------------------------------------------------------------

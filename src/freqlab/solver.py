@@ -801,44 +801,19 @@ def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
 
 
 def weighted_gradient_energy(grid: PolarGrid, values: np.ndarray,
-                             f: CoefficientField, r: float,
-                             scalar_weight: Optional[Callable] = None) -> float:
-    """int_{B_r} <A grad z, grad z> (w) for arbitrary nodal values z,
-    e.g. differences of two solutions on the same grid.  The optional
-    ``scalar_weight`` multiplies the integrand pointwise."""
+                             f: CoefficientField, r: float) -> float:
+    """int_{B_r} <A grad z, grad z> for arbitrary nodal values z, e.g.
+    differences of two solutions on the same grid."""
     asm = _get_assembly(grid, f)
     i = grid.on_ring(r)
     if i is None:
         raise ValueError(f"radius {r:.6g} is not a grid radius")
-    if scalar_weight is None:
-        cell_k = asm.cell_k[:i]
-    else:
-        cell_k = _reweighted_cells(grid, asm, scalar_weight)[:i]
     uc = values[asm.plan.cell_nodes[:i]]
-    total = float(np.einsum("btmn,btm,btn->", cell_k, uc, uc))
+    total = float(np.einsum("btmn,btm,btn->", asm.cell_k[:i], uc, uc))
     if asm.tri_k is not None:
         ut = values[asm.plan.tri_nodes]
-        if scalar_weight is None:
-            tri_k = asm.tri_k
-        else:
-            wt = scalar_weight(asm.plan.tri_mids).reshape(
-                3, grid.n_theta).mean(axis=0)
-            tri_k = asm.tri_k * wt[:, None, None]
-        total += float(np.einsum("tmn,tm,tn->", tri_k, ut, ut))
+        total += float(np.einsum("tmn,tm,tn->", asm.tri_k, ut, ut))
     return total
-
-
-def _reweighted_cells(grid: PolarGrid, asm: _Assembly,
-                      scalar_weight: Callable) -> np.ndarray:
-    # cheap approximation: one weight per cell at the cell center
-    n_band, n_t = grid.n_r - 1, grid.n_theta
-    r_mid = np.exp(np.log(grid.radii[:-1]) + 0.5 * grid.d_s)
-    th_mid = grid.theta + 0.5 * grid.d_theta
-    rr = np.repeat(r_mid, n_t)
-    tt = np.tile(th_mid, n_band)
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1)
-    w = scalar_weight(pts).reshape(n_band, n_t)
-    return asm.cell_k * w[:, :, None, None]
 
 
 def volume_mean_square(u: DiscreteSolution, r: float,
@@ -878,16 +853,15 @@ def volume_mean_square(u: DiscreteSolution, r: float,
 
 
 def gradient_mean_square(u: DiscreteSolution, r: float,
-                         weight: Optional[CoefficientField] = None,
                          values: Optional[np.ndarray] = None) -> float:
-    """mean over B_r of <W grad u, grad u>; W defaults to the identity."""
-    w_field = weight if weight is not None else CoefficientField.identity()
+    """mean over B_r of |grad u|^2."""
     vals = u.values if values is None else values
     i, interp = _ring_lookup(u, r, "gradient_mean_square")
     if interp:
         u.meta.setdefault("interpolated_radii", []).append(float(r))
     radius = float(u.grid.radii[i])
-    total = weighted_gradient_energy(u.grid, vals, w_field, radius)
+    total = weighted_gradient_energy(u.grid, vals,
+                                     CoefficientField.identity(), radius)
     plan = u._assembly.plan
     area = float(plan.cell_volw[:i].sum()) if i > 0 else 0.0
     if plan.tri_area is not None:

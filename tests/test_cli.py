@@ -198,6 +198,29 @@ def test_cli_modulus_non_osgood(tmp_path):
     assert report["phi_integrable"]["finite"] is True
 
 
+def test_cli_modulus_tabulated(tmp_path):
+    # the block Modulus.to_config writes for a tabulated modulus
+    t = [1e-3, 1e-2, 0.1, 1.0]
+    spec = {"kind": "tabulated", "t": t, "omega": [s ** 0.5 for s in t]}
+    cfg = write_config(tmp_path / "m.json", {"schema": 1, "modulus": spec})
+    out = str(tmp_path / "out")
+    assert main(["modulus", "--config", cfg, "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "modulus_report.json")))
+    assert report["modulus"] == spec
+    assert report["verdict"] == "NonOsgood"
+
+
+def test_cli_modulus_unknown_kind(tmp_path, capsys):
+    cfg = write_config(tmp_path / "m.json",
+                       {"schema": 1, "modulus": {"kind": "cubic"}})
+    out = tmp_path / "out"
+    assert main(["modulus", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown modulus kind 'cubic'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_modulus_missing_block(tmp_path, capsys):
     cfg = write_config(tmp_path / "m.json", {"schema": 1})
     assert main(["modulus", "--config", cfg,
@@ -366,10 +389,10 @@ def test_cli_experiment_rejects_names_plus_config(tmp_path, capsys):
 @pytest.mark.parametrize("entry", [
     {"n_r": "65"}, {"n_theta": 32.5}, {"seed": "1"}, {"eps": "0.1"},
     {"gamma": None}, {"r_min": "x"}, {"radii": ["0.5"]}, {"n_r": True},
-    {"field_spec": "x"}, {"pair_spec": 3},
+    {"field_spec": "x"}, {"pair_spec": 3}, {"scenario": ["eps_approx"]},
 ], ids=["n_r_str", "n_theta_float", "seed_str", "eps_str", "gamma_null",
         "r_min_str", "radii_str", "n_r_bool", "field_spec_str",
-        "pair_spec_int"])
+        "pair_spec_int", "scenario_list"])
 def test_cli_experiment_ill_typed_field_is_config_error(tmp_path, capsys,
                                                          entry):
     cfg = write_config(tmp_path / "e.json",

@@ -7,13 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freqlab.experiments import (
     RegimeError,
     ScenarioConfig,
     ScenarioError,
     Verdict,
-    build_field,
     default_config,
     default_sweep,
     registered_scenarios,
@@ -72,6 +73,41 @@ def test_config_roundtrip_and_unknown_keys():
         ScenarioConfig.from_dict(bad)
 
 
+_FLOAT = st.floats(0.01, 0.99)
+_SPEC = st.dictionaries(st.sampled_from(["kind", "mode", "eps", "value"]),
+                        st.integers(-3, 3) | st.text(max_size=4), max_size=3)
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "field_spec": _SPEC,
+    "pair_spec": st.none() | _SPEC,
+    "potential_spec": st.none() | _SPEC,
+    "n_r": st.integers(9, 300),
+    "n_theta": st.integers(16, 600),
+    "r_min": st.none() | _FLOAT,
+    "radii": st.lists(_FLOAT, min_size=1, max_size=4, unique=True).map(
+        lambda rs: sorted(rs, reverse=True)),
+    "t_floor": _FLOAT,
+    "n0": st.floats(0.1, 50.0),
+    "c1": st.floats(0.1, 50.0),
+    "a_log": st.floats(0.1, 10.0),
+    "p": st.floats(4.0, 12.0),
+    "gamma": _FLOAT,
+    "eps": st.floats(0.0, 1.0),
+    "delta": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 2 ** 32),
+})
+
+
+@given(name=st.sampled_from(sorted(ALL_SCENARIOS)), overrides=_OVERRIDES)
+def test_config_dict_roundtrip_property(name, overrides):
+    cfg = default_config(name, **overrides)
+    data = cfg.to_dict()
+    assert set(data) == {f.name for f in dataclasses.fields(cfg)}
+    assert json.loads(json.dumps(data)) == data
+    assert ScenarioConfig.from_dict(data) == cfg
+    data["field_spec"]["extra"] = 1
+    assert "extra" not in cfg.field_spec
+
+
 def test_config_smallness_warnings():
     cfg = default_config("tildeN", eps=0.2)
     assert any("eps" in w for w in cfg.smallness_warnings())
@@ -92,8 +128,12 @@ def test_registered_scenarios_complete():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(ScenarioError, match="unknown scenario"):
+    with pytest.raises(ScenarioError, match="unknown scenario") as by_name:
         default_config("vanishing")
+    cfg = dataclasses.replace(default_config("dichot"), scenario="vanishing")
+    with pytest.raises(ScenarioError) as by_run:
+        run_scenario(cfg)
+    assert str(by_run.value) == str(by_name.value)
 
 
 def test_default_sweep_covers_registry():
@@ -101,39 +141,43 @@ def test_default_sweep_covers_registry():
     assert [c.scenario for c in sweep] == list(registered_scenarios())
 
 
-def test_build_field_shares_equal_specs():
-    spec = {"kind": "holder", "alpha": 0.75, "amplitude": 0.05, "seed": 7}
-    f = build_field(spec)
-    assert build_field(dict(reversed(list(spec.items())))) is f
-    other_seed = build_field(dict(spec, seed=8))
-    other_amp = build_field(dict(spec, amplitude=0.04))
-    assert other_seed is not f and other_amp is not f
-    pts = np.array([[0.3, -0.2], [-0.5, 0.1]])
-    assert not np.array_equal(other_seed.evaluate(pts), f.evaluate(pts))
-    assert not np.array_equal(other_amp.evaluate(pts), f.evaluate(pts))
-    assert build_field(dict(spec, seed=8)) is other_seed
+# name -> (prepare's hypothesis checks it must run once, config overrides)
+_ONCE = {
+    "approx_v": ((), {"field_spec": SMOOTH}),
+    "freq_cascade": (("classify_osgood", "check_phi_integrable",
+                      "check_submultiplicative_psi"), {}),
+    "dichot3": (("certify_holder",), {}),
+    "iso_cascade": (("certify_holder",), {}),
+    "schroedinger": (("certify_holder",), {}),
+    "stability": ((), {}),
+}
 
 
-def test_build_field_memo_bounded_under_threads():
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
+@pytest.mark.parametrize("name", sorted(_ONCE))
+def test_grid_independent_setup_runs_once(monkeypatch, name):
+    from freqlab.experiments import anisotropic, base
 
-    from freqlab.experiments import base
+    checks, overrides = _ONCE[name]
+    calls = {}
 
-    values = [1.0 + 0.1 * i for i in range(8)] * 6
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(build_field,
-                                   {"kind": "constant", "value": v})
-                       for v in values]
-            fields = [fut.result(timeout=60) for fut in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for v, f in zip(values, fields):
-        assert float(f.evaluate((0.1, 0.2))) == v
-    assert len(base._FIELDS) <= base._FIELDS_LIMIT == 2
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+
+    for attr in ("_field_from_spec", "build_boundary", "certify_holder"):
+        count(base, attr)
+    for attr in ("classify_osgood", "check_phi_integrable",
+                 "check_submultiplicative_psi"):
+        count(anisotropic, attr)
+    rep = run_scenario(default_config(name, **overrides, **LOW))
+    # the refined run happened, on the same prepared setup
+    assert rep.margins and "refined" in rep.meta
+    assert calls == {"_field_from_spec": 1, "build_boundary": 1,
+                     **{attr: 1 for attr in checks}}
 
 
 # -- anisotropic scenarios -----------------------------------------------

@@ -16,8 +16,6 @@ from freqlab.modulus import (
     check_phi_submultiplicative,
     check_submultiplicative_psi,
     classify_osgood,
-    eval_phi,
-    eval_psi,
     select_exponents,
 )
 
@@ -29,25 +27,25 @@ from freqlab.modulus import (
 
 def test_phi_linear_is_one():
     m = Modulus.linear()
-    assert eval_phi(m, 0.5) == 1.0
-    assert np.allclose(eval_phi(m, np.array([0.1, 0.9, 1.0])), 1.0)
+    assert m.phi(0.5) == 1.0
+    assert np.allclose(m.phi(np.array([0.1, 0.9, 1.0])), 1.0)
 
 
 def test_phi_power_closed_form():
     m = Modulus.power(0.5)
-    assert eval_phi(m, 0.25) == pytest.approx(2.0, rel=1e-14)
+    assert m.phi(0.25) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_phi_log_power_closed_form():
     # below t_cut = 1/e the raw formula applies: phi(s) = log(1/s)
     m = Modulus.log_power(1.0)
-    assert eval_phi(m, math.exp(-2.0)) == pytest.approx(2.0, rel=1e-14)
+    assert m.phi(math.exp(-2.0)) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_psi_values():
-    assert eval_psi(Modulus.linear(), 10.0) == pytest.approx(1.0)
-    assert eval_psi(Modulus.power(0.5), 4.0) == pytest.approx(2.0, rel=1e-14)
-    assert eval_psi(Modulus.log_power(1.0), math.exp(2.0)) == pytest.approx(
+    assert Modulus.linear().psi(10.0) == pytest.approx(1.0)
+    assert Modulus.power(0.5).psi(4.0) == pytest.approx(2.0, rel=1e-14)
+    assert Modulus.log_power(1.0).psi(math.exp(2.0)) == pytest.approx(
         2.0, rel=1e-14
     )
 
@@ -149,11 +147,11 @@ def test_log_power_omega_finite_below_overflow():
 def test_domain_errors():
     m = Modulus.linear()
     with pytest.raises(ValueError):
-        eval_phi(m, 0.0)
+        m.phi(0.0)
     with pytest.raises(ValueError):
-        eval_phi(m, 1.5)
+        m.phi(1.5)
     with pytest.raises(ValueError):
-        eval_psi(m, 0.5)
+        m.psi(0.5)
     with pytest.raises(ValueError):
         m.omega(-0.1)
 

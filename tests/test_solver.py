@@ -479,8 +479,8 @@ class TestVolumeFunctionals:
         g = PolarGrid.disk(49, 96)
         u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
         assert gradient_mean_square(u, 1.0) == pytest.approx(1.0, rel=2e-3)
-        assert gradient_mean_square(u, 1.0, weight=D21) == pytest.approx(
-            2.0, rel=2e-3)
+        e = weighted_gradient_energy(g, u.values, D21, 1.0)
+        assert e / math.pi == pytest.approx(2.0, rel=2e-3)
 
     def test_weighted_energy_of_solution_difference(self):
         g = PolarGrid.disk(33, 64)
@@ -490,12 +490,7 @@ class TestVolumeFunctionals:
         assert weighted_gradient_energy(g, z, I2, 1.0) <= 1e-20
         u3 = solve_dirichlet(D21, 1.0, harmonic_deg(1), g)
         z = u1.values - u3.values
-        e = weighted_gradient_energy(g, z, I2, 1.0)
-        assert e > 0.0
-        # scalar weight 2 doubles the integral
-        e2 = weighted_gradient_energy(g, z, I2, 1.0,
-                                      scalar_weight=lambda p: np.full(len(p), 2.0))
-        assert e2 == pytest.approx(2.0 * e, rel=1e-12)
+        assert weighted_gradient_energy(g, z, I2, 1.0) > 0.0
 
 
 class TestSolutionUtilities:
