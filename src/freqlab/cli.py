@@ -286,7 +286,7 @@ def cmd_solve(args) -> int:
         report = {
             "schema": SCHEMA_VERSION,
             "residual_norm": float(u.residual_norm),
-            "factor_fill": int(u.factor_fill),
+            "iterations": int(u.iterations),
             "grid": {"n_r": n_r, "n_theta": n_theta},
             "profile_window": [r_lo, r_hi],
         }

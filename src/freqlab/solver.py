@@ -20,9 +20,15 @@ radius r_min around the origin is a single fan of linear triangles
 sharing one origin unknown, coupling the core to the first ring without
 regularizing the equation.
 
-The interior unknowns are numbered in a nested-dissection order of the
-(ring, angle) lattice (``_dissection_order``), so the sparse LU factor
-keeps that order instead of computing a column ordering of its own.
+The unknowns, numbered ring by ring with a disk's origin last, are
+solved for by conjugate gradients preconditioned with the ring-mean
+operator: every cell and core-triangle matrix (potential mass included)
+replaced by its band mean.  That is the mean of the operator over the
+grid's n_theta rotations, so it is SPD whenever the operator is, and
+equal to it for radial fields.  A real DFT in theta splits it into one
+Hermitian tridiagonal system per mode, factored once per assembly.  An
+iteration costs a product with the operator, two FFTs per ring and two
+sweeps over the rings: O(n log n_theta) for n unknowns.
 
 Whatever an assembly needs of its grid alone is built once per grid, in
 a plan (``_Plan``; the two most recently used grids are kept, keyed by
@@ -34,8 +40,8 @@ comes from the stencil: an entry is coded by its row and the place of
 its column in the row's 3 x 3 (ring, angle) neighbourhood, and one
 coo-to-compressed conversion per block orders the codes as the
 operator's data.  An assembly is then the field at the face samples, one
-(cells, 16) @ (16, 16) product for the 4 x 4 cell matrices, one
-``np.bincount`` into the operator's data, and the factorization.
+(cells, 16) @ (16, 16) product for the 4 x 4 cell matrices and one
+``np.bincount`` into the operator's data.
 
 The energy functional is evaluated in the same quadrature as the
 assembly, so the divergence-theorem identity
@@ -54,12 +60,11 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from .coefficients import Arity, CoefficientField, FieldError, mu_factor
 
@@ -253,7 +258,8 @@ def _rotated_tensor(f: CoefficientField, pts: np.ndarray, c: np.ndarray,
     return out
 
 
-def _check_elliptic(b: np.ndarray, where: str) -> None:
+def _check_elliptic(b: np.ndarray, where: str) -> float:
+    """Raise unless b is SPD; return its eigenvalue ratio."""
     sym_gap = float(np.max(np.abs(b[..., 0, 1] - b[..., 1, 0])))
     if sym_gap > 1e-10:
         raise FieldError(f"coefficient matrix asymmetric by {sym_gap:.3g} {where}")
@@ -261,66 +267,27 @@ def _check_elliptic(b: np.ndarray, where: str) -> None:
     disc = np.sqrt(0.25 * (b[..., 0, 0] - b[..., 1, 1]) ** 2
                    + b[..., 0, 1] ** 2)
     lo = float(np.min(half_tr - disc))
-    if lo <= 0.0:
+    if not lo > 0.0:  # NaN too
         raise FieldError(f"ellipticity violated: eigenvalue {lo:.3g} {where}")
+    return float(np.max(half_tr + disc)) / lo
 
 
-# boxes of at most this many rings and angles are not dissected further
-_DISSECTION_LEAF = 4
-
-
-@lru_cache(maxsize=16)
-def _dissection_order(n_rings: int, n_theta: int, disk: bool) -> np.ndarray:
-    """Nested-dissection order of the interior unknowns: positions into
-    the natural interior numbering (ring-major over ``n_rings`` interior
-    rings, then the origin of a disk).
-
-    Spoke 0 cuts the cylinder into a (ring, angle) box; each box is
-    split at the middle line of its longer side, down to leaves of at
-    most 4 x 4 nodes.  A separator line follows its two halves and the
-    origin, coupled to the whole innermost ring, comes last.  The
-    bilinear cells couple only nodes one line apart, so every line
-    separates the nodes on either side of it (George 1973)."""
-    parts: list[np.ndarray] = []
-
-    def box(r0: int, r1: int, c0: int, c1: int) -> None:
-        rows, cols = r1 - r0, c1 - c0
-        if rows <= 0 or cols <= 0:
-            return
-        if rows <= _DISSECTION_LEAF and cols <= _DISSECTION_LEAF:
-            parts.append((np.arange(r0, r1)[:, None] * n_theta
-                          + np.arange(c0, c1)[None, :]).ravel())
-        elif rows > cols:
-            mid = (r0 + r1) // 2
-            box(r0, mid, c0, c1)
-            box(mid + 1, r1, c0, c1)
-            parts.append(mid * n_theta + np.arange(c0, c1))
-        else:
-            mid = (c0 + c1) // 2
-            box(r0, r1, c0, mid)
-            box(r0, r1, mid + 1, c1)
-            parts.append(np.arange(r0, r1) * n_theta + mid)
-
-    box(0, n_rings, 1, n_theta)
-    parts.append(np.arange(n_rings) * n_theta)
-    if disk:
-        parts.append(np.array([n_rings * n_theta]))
-    order = np.concatenate(parts)
-    order.flags.writeable = False
-    return order
+# CG stops once the recurred residual of unit-size data is NaN or this
+# small, or 16 times it after one step (reached only by an exact inverse)
+_CG_TOL = 4.0 * float(np.finfo(float).eps)
 
 
 class _Plan:
     """What every assembly on one grid shares: the face samples, the
     cell and core-triangle geometry, the unknown order, and the slot map
     that sends each cell and triangle matrix entry to its place in the
-    data of ``k_ii`` (CSC, unknowns in nested-dissection order) or
-    ``k_ib`` (CSR), or to the spare slot ``n_slots`` when its row is a
-    boundary node.  Index arrays are int32."""
+    data of ``k_ii`` (CSC, unknowns ring by ring, a disk's origin last)
+    or ``k_ib`` (CSR), or to the spare slot ``n_slots`` when its row is
+    a boundary node.  Index arrays are int32."""
 
     def __init__(self, grid: PolarGrid):
-        n_r, n_t = grid.n_r, grid.n_theta
-        n_band = n_r - 1
+        self.n_r, self.n_t = n_r, n_t = grid.n_r, grid.n_theta
+        self.n_band = n_band = n_r - 1
         h, k = grid.d_s, grid.d_theta
         th = grid.theta
         disk = grid.kind == "disk"
@@ -381,9 +348,7 @@ class _Plan:
                          if not disk else outer)
         mask = np.ones(grid.node_count, dtype=bool)
         mask[self.boundary] = False
-        n_rings = n_r - 1 if disk else n_r - 2
-        self.interior = np.flatnonzero(mask)[
-            _dissection_order(n_rings, n_t, disk)]
+        self.interior = np.flatnonzero(mask)
 
         # Each matrix entry (row, col) has a code: 10 row + the place of
         # col in row's 3 x 3 (ring, angle) neighbourhood (3 d_ring +
@@ -460,12 +425,49 @@ class _Plan:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
+    def cell_faces(self, at_faces: np.ndarray) -> list[np.ndarray]:
+        """Face-sample values (B, say) at each cell's inner and outer ring
+        face and first and second spoke face, each (n_r - 1, n_theta, ...)."""
+        n_r, n_t, tail = self.n_r, self.n_t, at_faces.shape[1:]
+        rf = at_faces[:n_r * n_t].reshape((n_r, n_t) + tail)
+        sf = at_faces[n_r * n_t:].reshape((n_r - 1, n_t) + tail)
+        return [rf[:-1], rf[1:], sf, np.roll(sf, -1, axis=1)]
+
+    @cached_property
+    def identity(self) -> tuple:
+        """The identity field's cell and core-triangle matrices."""
+        return _element_matrices(self, CoefficientField.identity())[1:3]
+
+
+def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
+    """f's cell and core-triangle matrices in one array in the order of
+    ``plan.slots``, views of the cells' (n_r - 1, n_theta, 4, 4) and the
+    triangles' (n_theta, 3, 3), B at the faces, the core's frozen tensors
+    (None on annuli), and their largest eigenvalue over their smallest."""
+    face_b = _rotated_tensor(f, plan.face_pts, plan.face_cos, plan.face_sin)
+    contrast = _check_elliptic(face_b, "at a cell face")
+    # per cell the (q, i, j) entries of B at its four faces
+    quad_b = np.stack([b.reshape(plan.n_band, plan.n_t, 4)
+                       for b in plan.cell_faces(face_b)], axis=2)
+    vals = np.empty(plan.slots.size)
+    cell_k = vals[:quad_b.size].reshape(quad_b.shape)
+    np.matmul(quad_b.reshape(-1, 16), plan.stiffness,
+              out=cell_k.reshape(-1, 16))
+    if plan.tri_nodes is None:
+        return vals, cell_k, None, face_b, None, contrast
+    tri_a = f.matrices(plan.tri_mids).reshape(3, plan.n_t, 2, 2).mean(axis=0)
+    contrast = max(contrast, _check_elliptic(tri_a, "inside the core disk"))
+    tri_k = vals[cell_k.size:].reshape(plan.n_t, 3, 3)
+    tri_k[:] = plan.tri_area[:, None, None] * np.einsum(
+        "tai,tij,tbj->tab", plan.tri_g, tri_a, plan.tri_g)
+    return vals, cell_k, tri_k, face_b, tri_a, contrast
+
 
 class _Assembly:
     """Cell matrices and the assembled operator for one (grid, field,
     potential) triple: the field at the plan's face samples, one product
-    for the 4 x 4 cell matrices and one ``np.bincount`` into the
-    operator's sparse data."""
+    for the 4 x 4 cell matrices, one ``np.bincount`` into the operator's
+    sparse data, and the factored ring-mean operator."""
 
     def __init__(self, grid: PolarGrid, f: CoefficientField,
                  potential: Optional[Callable[[np.ndarray], np.ndarray]]):
@@ -473,47 +475,26 @@ class _Assembly:
         self.plan = plan = _get_plan(grid)
         self.interior, self.boundary = plan.interior, plan.boundary
         n_r, n_t = grid.n_r, grid.n_theta
-        n_band = n_r - 1
-        n_ring = n_r * n_t
-
-        self.face_b = _rotated_tensor(f, plan.face_pts, plan.face_cos,
-                                      plan.face_sin)
-        _check_elliptic(self.face_b, "at a cell face")
-        # per cell the (q, i, j) entries of B at its four faces
-        quad_b = np.stack([b.reshape(n_band, n_t, 4)
-                           for b in self.cell_faces()], axis=2)
-
-        # every entry in the plan's order: cells, then core triangles
-        vals = np.empty(plan.slots.size)
-        n_cell = quad_b.size
-        cell_k = vals[:n_cell].reshape(n_band, n_t, 4, 4)
-        np.matmul(quad_b.reshape(-1, 16), plan.stiffness,
-                  out=cell_k.reshape(-1, 16))
-        self.cell_k = cell_k
+        (vals, cell_k, tri_k, self.face_b, self.tri_a,
+         contrast) = _element_matrices(plan, f)
+        self.cell_k, self.tri_k = cell_k, tri_k
+        # row sums of the mass matrices; the stiffness's are zero
+        cell_rows, tri_rows = np.zeros((n_r - 1, n_t, 4)), np.zeros((n_t, 3))
         if potential is not None:
-            self.cell_k = cell_k.copy()
-            vf = potential(plan.face_pts)
-            vr = vf[:n_ring].reshape(n_r, n_t)
-            vs = vf[n_ring:].reshape(n_band, n_t)
-            vq = np.stack([vr[:-1], vr[1:], vs, np.roll(vs, -1, axis=1)],
-                          axis=-1)
-            cell_k += ((plan.cell_volw * vq).reshape(-1, 4)
-                       @ _CELL_MASS).reshape(cell_k.shape)
-
-        if plan.tri_nodes is not None:
-            a_mid = f.matrices(plan.tri_mids).reshape(3, n_t, 2, 2).mean(axis=0)
-            _check_elliptic(a_mid, "inside the core disk")
-            kt = plan.tri_area[:, None, None] * np.einsum(
-                "tai,tij,tbj->tab", plan.tri_g, a_mid, plan.tri_g)
-            self.tri_k, self.tri_a = kt, a_mid
-            if potential is not None:
+            self.cell_k = cell_k.copy()  # for the energy, without the mass
+            vq = np.stack(plan.cell_faces(potential(plan.face_pts)), axis=-1)
+            mass = ((plan.cell_volw * vq).reshape(-1, 4)
+                    @ _CELL_MASS).reshape(cell_k.shape)
+            cell_k += mass
+            cell_rows = mass.sum(axis=-1)
+            if tri_k is not None:
+                self.tri_k = tri_k.copy()
                 vt = potential(plan.tri_mids).reshape(3, n_t).T
-                kt = kt + np.einsum("tq,qm,qn->tmn",
-                                    (plan.tri_area / 3.0)[:, None] * vt,
-                                    _TRI_BASIS, _TRI_BASIS)
-            vals[n_cell:] = kt.ravel()
-        else:
-            self.tri_k = self.tri_a = None
+                mass = np.einsum("tq,qm,qn->tmn",
+                                 (plan.tri_area / 3.0)[:, None] * vt,
+                                 _TRI_BASIS, _TRI_BASIS)
+                tri_k += mass
+                tri_rows = mass.sum(axis=-1)
 
         data = np.bincount(plan.slots, weights=vals,
                            minlength=plan.n_slots + 1)
@@ -525,24 +506,78 @@ class _Assembly:
             (data[plan.n_ii:plan.n_slots], plan.ib_indices, plan.ib_indptr),
             shape=(n_int, plan.boundary.size))
 
-    @property
-    def lu(self):
-        """A new sparse LU factor of ``k_ii``.  The unknowns are numbered
-        in nested-dissection order (fill within 4% of a minimum-degree
-        ordering, about half that of the default COLAMD), so SuperLU
-        keeps that order.  Relaxed supernodes and panels of 4 columns
-        factor the 129 x 256 and 193 x 256 operators 8-20% faster than
-        SuperLU's defaults, with the same L and U.  The factor is not kept: no scenario solves
-        twice on one assembly, and the factor is most of its memory."""
-        return splu(self.k_ii, permc_spec="NATURAL", relax=4, panel_size=4)
+        # The ring-mean operator in mode k, w = exp(2 pi i k / n_theta): a
+        # band's mean cell matrix M becomes P^H M P on the (inner, outer)
+        # ring coefficients, P's rows (1, 0), (0, 1), (0, w), (w, 0).  M is
+        # summed as the Laplacian of its upper off-diagonal entries plus
+        # its (mass) row sums, so low modes cancel no tangential coupling.
+        # Mode 0 leads with a row for n_theta times the origin value.
+        k = np.arange(n_t // 2 + 1)
+        w = np.exp(2j * np.pi * k / n_t)
+        gap = 4.0 * np.sin(np.pi * k / n_t) ** 2  # |1 - w|^2
+        m = cell_k.mean(axis=1)[..., None]
+        rows = cell_rows.mean(axis=1)[..., None]
+        edges = m[:, 0, 1] + m[:, 0, 2] + m[:, 1, 3] + m[:, 2, 3]
+        diag = np.zeros((n_r, w.size))
+        diag[:-1] += rows[:, 0] + rows[:, 3] - edges - gap * m[:, 0, 3]
+        diag[1:] += rows[:, 1] + rows[:, 2] - edges - gap * m[:, 1, 2]
+        off = m[:, 0, 1] + m[:, 2, 3] + w * m[:, 0, 2] + w.conj() * m[:, 1, 3]
+        if tri_k is not None:
+            t, rows = tri_k.mean(axis=0), tri_rows.mean(axis=0)
+            edges = t[0, 1] + t[0, 2]
+            diag[0] += rows[1] + rows[2] - edges - gap * t[1, 2]
+            diag = np.vstack([np.ones(w.size), diag[:-1]])
+            off = np.vstack([np.zeros(w.size), off[:-1]])
+            diag[0, 0], off[0, 0] = rows[0] - edges, edges
+        else:
+            diag, off = diag[1:-1], off[1:-1]
+        # factored as L D L^H per mode, over all modes at once
+        self.pivots, self.mult = diag, np.empty_like(off)
+        for i in range(off.shape[0]):
+            self.mult[i] = off[i].conj() / self.pivots[i]
+            self.pivots[i + 1] -= (off[i] * self.mult[i]).real
+        if not np.all(self.pivots > 0.0):
+            raise SolverError("operator is not positive definite: "
+                              "its ring mean has a non-positive pivot")
+        # each tensor is within a factor contrast of its ring mean, so CG
+        # needs about contrast ln(2 / tol) / 2 steps; the cap allows twice
+        self.cap = 1 + math.ceil(contrast * math.log(2.0 / _CG_TOL))
 
-    def cell_faces(self) -> list[np.ndarray]:
-        """B at each cell's inner ring, outer ring, first and second
-        spoke face, each (n_r - 1, n_theta, 2, 2)."""
-        n_r, n_t = self.grid.n_r, self.grid.n_theta
-        rf = self.face_b[:n_r * n_t].reshape(n_r, n_t, 2, 2)
-        sf = self.face_b[n_r * n_t:].reshape(n_r - 1, n_t, 2, 2)
-        return [rf[:-1], rf[1:], sf, np.roll(sf, -1, axis=1)]
+    def ring_mean_solve(self, r: np.ndarray) -> np.ndarray:
+        n_t, lead = self.grid.n_theta, int(self.tri_k is not None)
+        n_ring = r.size - lead
+        y = np.zeros(self.pivots.shape, dtype=complex)
+        y[lead:] = np.fft.rfft(r[:n_ring].reshape(-1, n_t), axis=1)
+        y[:lead, 0] = r[n_ring:]  # the origin row; its unknown: n_theta u_0
+        for i in range(self.mult.shape[0]):
+            y[i + 1] -= self.mult[i] * y[i]
+        y /= self.pivots
+        for i in range(self.mult.shape[0] - 1, -1, -1):
+            y[i] -= self.mult[i].conj() * y[i + 1]
+        x = np.fft.irfft(y[lead:], n=n_t, axis=1).ravel()
+        return np.append(x, y[:lead, 0].real / n_t)
+
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
+        """``k_ii^-1 b`` for b of unit size, not 0, and the CG iterations."""
+        x, r = np.zeros_like(b), b.copy()
+        p = z = self.ring_mean_solve(r)
+        rz = r @ z
+        stop = _CG_TOL * np.linalg.norm(b)
+        for it in range(1, self.cap + 1):
+            q = self.k_ii @ p
+            pq = p @ q
+            if pq <= 0.0:
+                raise SolverError("operator is not positive definite: "
+                                  f"p^T K p = {pq:.3g} at iteration {it}")
+            alpha = rz / pq
+            x += alpha * p
+            r -= alpha * q
+            if not np.linalg.norm(r) > stop * (16.0 if it == 1 else 1.0):
+                break
+            z = self.ring_mean_solve(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        return x, it
 
 
 # Plans are keyed by the grid's exact radii, and the two most recently
@@ -615,16 +650,15 @@ def _get_assembly(grid: PolarGrid, f: CoefficientField,
 
 @dataclass
 class DiscreteSolution:
-    """Nodal solution values plus the assembly that produced them.
-    ``factor_fill`` is the L + U entry count SuperLU stores (``lu.L``
-    would build a sparse copy that SciPy keeps with the factor)."""
+    """Nodal solution values plus the assembly that produced them, the
+    solve's relative residual and its number of CG steps (0 for zero data)."""
 
     grid: PolarGrid
     values: np.ndarray
     coefficient: CoefficientField
     boundary_data: np.ndarray
     residual_norm: float
-    factor_fill: int
+    iterations: int
     meta: dict = field(default_factory=dict)
     _assembly: Any = None
     _cache: dict = field(default_factory=dict)
@@ -666,9 +700,8 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
     """Solve -div(A grad u) = 0 (plus an optional reaction term
     potential * u) with Dirichlet data g on the circle of radius r.
 
-    The interior system is solved directly with a sparse LU factor of
-    the assembly's operator, made for this solve; a relative residual
-    above ``rtol`` raises SolverError.
+    An operator found not positive definite, a relative residual above
+    ``rtol`` or a non-finite solution raise SolverError.
     """
     if abs(r - grid.r_out) > 1e-12 * max(1.0, r):
         raise SolverError(
@@ -689,21 +722,23 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
     else:
         g_all = g_out
 
+    # unit-size data keep the CG scalars and norms in range: |b| >= 1 or 0
     rhs = -asm.k_ib @ g_all
-    rhs_norm = float(np.linalg.norm(rhs))
-    lu = asm.lu
-    x = lu.solve(rhs)
-    residual = (float(np.linalg.norm(asm.k_ii @ x - rhs)) / rhs_norm
-                if rhs_norm > 0.0 else 0.0)
-    if not residual <= rtol:
+    scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
+    b = rhs / scale
+    y, iterations = asm.solve(b) if b.any() else (b, 0)
+    residual = float(np.linalg.norm(asm.k_ii @ y - b)
+                     / max(np.linalg.norm(b), 1.0))
+    x = y * scale
+    if not (residual <= rtol and np.all(np.isfinite(x))):
         raise SolverError(
-            f"direct solve left relative residual {residual:.3e}, "
-            f"requested {rtol:.1e}")
+            f"solve left relative residual {residual:.3e} after "
+            f"{iterations} iterations, requested {rtol:.1e}")
 
     values = np.empty(grid.node_count)
     values[asm.boundary] = g_all
     values[asm.interior] = x
-    return DiscreteSolution(grid, values, f, g_out, residual, lu.nnz,
+    return DiscreteSolution(grid, values, f, g_out, residual, iterations,
                             meta={}, _assembly=asm)
 
 
@@ -722,7 +757,7 @@ def _cumulative_energy(u: DiscreteSolution, asm: _Assembly,
     plan = asm.plan
     uc = values[plan.cell_nodes]
     band = np.zeros(u.grid.n_r - 1)
-    for g, b in zip(plan.quad_g, asm.cell_faces()):
+    for g, b in zip(plan.quad_g, plan.cell_faces(asm.face_b)):
         gv = np.einsum("im,btm->bti", g, uc)
         band += plan.quad_w * np.einsum("bti,btij,btj->b", gv, b, gv)
     core = 0.0
@@ -804,15 +839,20 @@ def weighted_gradient_energy(grid: PolarGrid, values: np.ndarray,
                              f: CoefficientField, r: float) -> float:
     """int_{B_r} <A grad z, grad z> for arbitrary nodal values z, e.g.
     differences of two solutions on the same grid."""
-    asm = _get_assembly(grid, f)
     i = grid.on_ring(r)
     if i is None:
         raise ValueError(f"radius {r:.6g} is not a grid radius")
-    uc = values[asm.plan.cell_nodes[:i]]
-    total = float(np.einsum("btmn,btm,btn->", asm.cell_k[:i], uc, uc))
-    if asm.tri_k is not None:
-        ut = values[asm.plan.tri_nodes]
-        total += float(np.einsum("tmn,tm,tn->", asm.tri_k, ut, ut))
+    if f.kind == "identity":  # its matrices depend on the grid alone
+        plan = _get_plan(grid)
+        cell_k, tri_k = plan.identity
+    else:
+        asm = _get_assembly(grid, f)
+        plan, cell_k, tri_k = asm.plan, asm.cell_k, asm.tri_k
+    uc = values[plan.cell_nodes[:i]]
+    total = float(np.einsum("btmn,btm,btn->", cell_k[:i], uc, uc))
+    if tri_k is not None:
+        ut = values[plan.tri_nodes]
+        total += float(np.einsum("tmn,tm,tn->", tri_k, ut, ut))
     return total
 
 

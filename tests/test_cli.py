@@ -290,10 +290,9 @@ def test_cli_solve_harmonic_profile(tmp_path):
     np.testing.assert_allclose(freqs, 1.0, atol=0.01)
     report = json.load(open(os.path.join(out, "solve_report.json")))
     assert report["residual_norm"] < 1e-10
-    assert "iterations" not in report
-    assert isinstance(report["factor_fill"], int)
-    # the factors hold at least the diagonal of the 32 * 64 + 1 unknowns
-    assert report["factor_fill"] > 32 * 64
+    assert "factor_fill" not in report
+    assert isinstance(report["iterations"], int)
+    assert report["iterations"] >= 1
     grid, values = read_grid(os.path.join(out, "solution.grid"))
     assert values.size == grid.node_count
 

@@ -1,6 +1,7 @@
 """Tests for the polar-grid Dirichlet solver and its energy functionals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,8 +288,7 @@ class TestSolveDirichlet:
                 n=3, lam=1.0)
 
     def test_direct_solve_matches_default_ordering(self):
-        # the nested-dissection unknown order changes the fill, not the
-        # solution
+        # the conjugate-gradient solution is a direct solve's
         field = generate_holder(0.75, 0.05, seed=7)
         g = PolarGrid.disk(65, 128)
         rng = np.random.default_rng(3)
@@ -298,8 +298,69 @@ class TestSolveDirichlet:
         ref = ref_lu.solve(-asm.k_ib @ u.boundary_data)
         assert u.residual_norm <= 1e-12
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
-        assert u.factor_fill == asm.lu.nnz
-        assert u.factor_fill < ref_lu.nnz
+
+    @pytest.mark.parametrize("grid", [
+        PolarGrid.disk(17, 32), PolarGrid.disk(65, 128),
+        PolarGrid.annulus(0.3, 1.0, 17, 32),
+        PolarGrid.annulus(0.3, 1.0, 40, 64),
+    ], ids=["disk17", "disk65", "annulus17", "annulus40"])
+    @pytest.mark.parametrize("field", [
+        I2, CoefficientField.constant(2.5),
+        CoefficientField.annulus_bump(0.3, 0.4),
+    ], ids=["identity", "constant", "annulus_bump"])
+    def test_radial_field_converges_in_one_iteration(self, grid, field):
+        # the ring-mean operator of a radial field is the operator itself,
+        # so its Fourier symbol and origin coupling must solve exactly
+        rng = np.random.default_rng(5)
+        n_t = grid.n_theta
+        u = solve_dirichlet(field, 1.0, rng.normal(size=n_t), grid,
+                            g_inner=rng.normal(size=n_t))
+        asm = u._assembly
+        g_all = u.values[asm.boundary]
+        ref = splu(asm.k_ii).solve(-asm.k_ib @ g_all)
+        assert u.iterations == 1
+        assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
+
+    def test_strong_anisotropy_converges_under_the_cap(self):
+        g = PolarGrid.disk(65, 128)
+        u = solve_dirichlet(CoefficientField.diagonal([1.0, 100.0]), 1.0,
+                            np.cos(g.theta) + np.sin(3.0 * g.theta), g)
+        asm = u._assembly
+        ref = splu(asm.k_ii).solve(-asm.k_ib @ u.boundary_data)
+        assert 1 < u.iterations < asm.cap
+        assert np.abs(u.values[asm.interior] - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("potential, found", [
+        # -lap u - 40 u is indefinite on the unit disk (40 > j_{0,1}^2),
+        # and so is its ring mean, which is itself
+        (lambda p: np.full(p.shape[0], -40.0), "ring mean"),
+        # a well of depth 60 on x > 1/2: the ring mean stays definite,
+        # the operator is not
+        (lambda p: np.where(p[:, 0] > 0.5, -60.0, 0.0), r"iteration [1-5]\b"),
+    ], ids=["constant", "well"])
+    def test_indefinite_operator_raises(self, potential, found):
+        g = PolarGrid.disk(33, 64)
+        with pytest.raises(SolverError, match="not positive definite") as err:
+            solve_dirichlet(CoefficientField.constant(1.0), 1.0,
+                            np.full(64, 2.0), g, potential=potential)
+        assert re.search(found, str(err.value))
+
+    def test_nan_field_is_a_field_error(self):
+        f = CoefficientField.from_callable(
+            lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0),
+            arity=Arity.ISOTROPIC, n=2, lam=0.5)
+        with pytest.raises(FieldError, match="eigenvalue nan"):
+            solve_dirichlet(f, 1.0, np.ones(32), PolarGrid.disk(17, 32))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_solution_scales_with_extreme_data(self, scale):
+        g = PolarGrid.disk(33, 64)
+        unit = solve_dirichlet(HOLDER, 1.0, np.cos(g.theta), g)
+        u = solve_dirichlet(HOLDER, 1.0, scale * np.cos(g.theta), g)
+        np.testing.assert_allclose(u.values / scale, unit.values,
+                                   rtol=1e-12, atol=1e-12)
+        assert u.iterations == unit.iterations
+        assert 0.0 < u.residual_norm <= 4.0 * unit.residual_norm
 
     def test_solves_are_deterministic(self):
         g = PolarGrid.disk(25, 48)
@@ -492,6 +553,21 @@ class TestVolumeFunctionals:
         z = u1.values - u3.values
         assert weighted_gradient_energy(g, z, I2, 1.0) > 0.0
 
+    def test_gradient_mean_square_builds_no_assembly(self, monkeypatch):
+        # the identity field's cell matrices come from the grid's plan
+        g = PolarGrid.disk(33, 64)
+        u = solve_dirichlet(HOLDER, 1.0, harmonic_deg(2), g)
+        plan = u._assembly.plan
+        area = float(plan.cell_volw.sum()) + float(plan.tri_area.sum())
+        want = weighted_gradient_energy(g, u.values, I2, 1.0) / area
+        clear_operator_cache()
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("gradient_mean_square built an assembly")
+        monkeypatch.setattr(solver_module, "_Assembly", no_assembly)
+        assert gradient_mean_square(u, 1.0) == want
+        assert gradient_mean_square(u, 0.5) > 0.0
+
 
 class TestSolutionUtilities:
     def test_ring_trace_matches_values(self):
@@ -638,7 +714,13 @@ def test_rotated_tensor_matches_matrix_product(symmetric):
             solve_dirichlet(f, 1.0, np.ones(16), g)
 
 
-# -- unknown order: property tests ----------------------------------------
+# -- unknown order and solve: property tests --------------------------------
+
+SYMMETRIC = _matrix_field(lambda x, y: 0.4 * x * y - 0.2)
+
+
+def _potential(p):
+    return 1.0 + p[..., 0] ** 2 - 0.5 * p[..., 1]
 
 
 def _polar_grid(kind, n_r, n_t):
@@ -660,12 +742,15 @@ def test_interior_is_a_permutation_of_the_free_nodes(g):
     assert np.array_equal(np.sort(asm.interior), free)
 
 
-@given(GRIDS, st.integers(0, 2 ** 32 - 1))
-def test_dissection_solve_matches_default_ordering(g, seed):
+@given(GRIDS, st.sampled_from(["d21", "symmetric", "holder"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cg_solve_matches_splu(g, name, seed):
     rng = np.random.default_rng(seed)
     n_t = g.n_theta
     g_in, g_out = rng.normal(size=n_t), rng.normal(size=n_t)
-    u = solve_dirichlet(D21, 1.0, g_out, g, g_inner=g_in)
+    f = {"d21": D21, "symmetric": SYMMETRIC, "holder": HOLDER}[name]
+    potential = _potential if name == "symmetric" else None
+    u = solve_dirichlet(f, 1.0, g_out, g, g_inner=g_in, potential=potential)
     asm = u._assembly
     rhs = -asm.k_ib @ (np.concatenate([g_in, g_out])
                        if g.kind == "annulus" else g_out)
@@ -689,12 +774,6 @@ def test_affine_datum_is_reproduced(g, a, b):
 
 
 # -- assembly plan: property tests and cache safety -------------------------
-
-SYMMETRIC = _matrix_field(lambda x, y: 0.4 * x * y - 0.2)
-
-
-def _potential(p):
-    return 1.0 + p[..., 0] ** 2 - 0.5 * p[..., 1]
 
 
 def _reference_operator(g, f, potential):
