@@ -49,7 +49,6 @@ __all__ = [
     "field_modulus",
 ]
 
-IDENTITY2 = CoefficientField.identity()
 UNIT_WEIGHT = CoefficientField.constant(1.0)
 
 # discretization noise allowance, relative to a row's magnitude; rows

@@ -162,7 +162,7 @@ def schroedinger_eval(cfg, setup, data, ref_grid):
     ratios = []
     for frac in RHO_FRACTIONS:
         rho = snap(grid, frac * r0)
-        d_u = weighted_gradient_energy(grid, u.values, f, rho)
+        d_u = weighted_gradient_energy(u, u.values, rho)
         h_u = boundary_mass(u, f, rho)
         n_u = rho * d_u / h_u
         n_w = frequency_at(w, av2, rho)

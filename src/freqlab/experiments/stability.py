@@ -8,9 +8,8 @@ from __future__ import annotations
 import math
 
 from ..coefficients import Arity, CoefficientField
-from ..solver import weighted_gradient_energy
+from ..solver import gradient_energy, weighted_gradient_energy
 from .base import (
-    IDENTITY2,
     REL_TOL,
     Evaluation,
     ScenarioError,
@@ -74,11 +73,11 @@ def stability_eval(cfg, setup, data, grid):
     d = u0.values - u1.values
     lam0 = min(f0.lam, f1.lam)
 
-    e00 = weighted_gradient_energy(grid, u0.values, f0, r_out)
-    e01 = weighted_gradient_energy(grid, u1.values, f0, r_out)
-    e11 = weighted_gradient_energy(grid, u1.values, f1, r_out)
-    ed_a0 = weighted_gradient_energy(grid, d, f0, r_out)
-    d_raw = weighted_gradient_energy(grid, d, IDENTITY2, r_out)
+    e00 = weighted_gradient_energy(u0, u0.values, r_out)
+    e01 = weighted_gradient_energy(u0, u1.values, r_out)
+    e11 = weighted_gradient_energy(u1, u1.values, r_out)
+    ed_a0 = weighted_gradient_energy(u0, d, r_out)
+    d_raw = gradient_energy(grid, d, r_out)
 
     ev = Evaluation()
     scale = max(e00, e01)
@@ -92,10 +91,10 @@ def stability_eval(cfg, setup, data, grid):
 
     r_cut = snap(grid, cfg.radii[0])
     eps_hat = field_gap(f0, f1, r_cut)
-    d0_cut = weighted_gradient_energy(grid, u0.values, IDENTITY2, r_cut)
-    d1_cut = weighted_gradient_energy(grid, u1.values, IDENTITY2, r_cut)
-    d0_raw = weighted_gradient_energy(grid, u0.values, IDENTITY2, r_out)
-    d1_raw = weighted_gradient_energy(grid, u1.values, IDENTITY2, r_out)
+    d0_cut = gradient_energy(grid, u0.values, r_cut)
+    d1_cut = gradient_energy(grid, u1.values, r_cut)
+    d0_raw = gradient_energy(grid, u0.values, r_out)
+    d1_raw = gradient_energy(grid, u1.values, r_out)
     delta0 = d0_cut / max(d0_raw, 1e-300)
     delta1 = d1_cut / max(d1_raw, 1e-300)
     delta_hat = max(delta0, delta1)

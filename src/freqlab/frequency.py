@@ -36,7 +36,6 @@ from .solver import (
     boundary_mass_scalar,
     dirichlet_energy,
     dirichlet_energy_flux,
-    volume_mean_square,
 )
 
 __all__ = [
@@ -45,15 +44,11 @@ __all__ = [
     "FrequencyProfile",
     "HIdentityReport",
     "HomogeneousMonotonicityReport",
-    "IndeterminateOrderError",
     "VanishingBoundaryError",
-    "VanishingOrderFit",
     "WeightKind",
     "almgren_frequency",
-    "average_frequency",
     "doubling_index",
     "two_scale_frequency",
-    "vanishing_order",
     "verify_H_identity",
     "verify_almost_monotonicity",
     "verify_homogeneous_monotonicity",
@@ -66,10 +61,6 @@ class FrequencyError(RuntimeError):
 
 class VanishingBoundaryError(FrequencyError):
     """Boundary mass vanished at some radius; u looks trivial there."""
-
-
-class IndeterminateOrderError(FrequencyError):
-    """Vanishing-order fit is degenerate (values at noise level)."""
 
 
 class WeightKind(Enum):
@@ -199,65 +190,6 @@ def doubling_index(u: DiscreteSolution, f: CoefficientField,
         raise VanishingBoundaryError(
             f"boundary mean vanishes at r={bad:.6g}")
     return math.log2(top / bot)
-
-
-@dataclass(frozen=True)
-class VanishingOrderFit:
-    """Least-squares vanishing order from volume means."""
-
-    order: float
-    residual: float
-    radii: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"order": self.order, "residual": self.residual,
-                "radii": [float(r) for r in self.radii]}
-
-
-def vanishing_order(u: DiscreteSolution,
-                    radii: Sequence[float]) -> VanishingOrderFit:
-    """Fitted vanishing order: half the least-squares slope of
-    log(mean_{B_r} u^2) against log r.
-
-    Needs at least 5 radii spanning at least 2 octaves.  A fit on
-    values at the noise floor raises IndeterminateOrderError."""
-    rr = np.sort(np.asarray(radii, dtype=float))
-    if rr.size < 5:
-        raise ValueError(f"need at least 5 radii, got {rr.size}")
-    if rr[-1] < 4.0 * rr[0] * (1.0 - 1e-12):
-        raise ValueError(
-            f"radii span {rr[-1] / rr[0]:.3g}x; need at least 2 octaves (4x)")
-    means = np.array([volume_mean_square(u, float(r)) for r in rr])
-    floor = 1e-28 * max(1.0, float(np.max(np.abs(u.values)) ** 2))
-    if np.all(means <= floor):
-        raise IndeterminateOrderError(
-            "volume means are at the noise floor; order is indeterminate")
-    if np.any(means <= 0.0):
-        raise IndeterminateOrderError(
-            "volume means vanish at some radii; order is indeterminate")
-    x = np.log(rr)
-    y = np.log(means)
-    coef, stats = np.polynomial.polynomial.polyfit(x, y, 1, full=True)
-    slope = coef[1]
-    ssr = float(stats[0][0]) if len(stats[0]) else 0.0
-    return VanishingOrderFit(float(slope / 2.0),
-                             math.sqrt(ssr / rr.size), rr)
-
-
-def average_frequency(profile: FrequencyProfile, r: float,
-                      rho: float) -> float:
-    """dt/t-weighted trapezoid average of N over profile samples inside
-    [rho, r]; the h-derivative identity makes this the continuum value
-    of the two-scale frequency."""
-    if not 0.0 < rho < r:
-        raise ValueError(f"need 0 < rho < r, got rho={rho}, r={r}")
-    rr, nn = profile.ascending()
-    keep = (rr >= rho * (1.0 - 1e-12)) & (rr <= r * (1.0 + 1e-12))
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("need at least two profile samples inside [rho, r]")
-    x = np.log(rr[keep])
-    y = nn[keep]
-    return float(np.trapezoid(y, x) / (x[-1] - x[0]))
 
 
 # -- verification reports ------------------------------------------------

@@ -41,7 +41,9 @@ its column in the row's 3 x 3 (ring, angle) neighbourhood, and one
 coo-to-compressed conversion per block orders the codes as the
 operator's data.  An assembly is then the field at the face samples, one
 (cells, 16) @ (16, 16) product for the 4 x 4 cell matrices and one
-``np.bincount`` into the operator's data.
+``np.bincount`` into the operator's data.  Only plans are cached: an
+assembly belongs to the solutions solved with it, and energies in a
+solution's coefficient are read from that solution.
 
 The energy functional is evaluated in the same quadrature as the
 assembly, so the divergence-theorem identity
@@ -55,8 +57,6 @@ consistency error (about dtheta^2 / 8 in N - 1 for Re z).
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -77,9 +77,8 @@ __all__ = [
     "clear_operator_cache",
     "dirichlet_energy",
     "dirichlet_energy_flux",
+    "gradient_energy",
     "gradient_mean_square",
-    "ring_summary",
-    "ring_trace",
     "solve_dirichlet",
     "volume_mean_square",
     "weighted_gradient_energy",
@@ -582,67 +581,32 @@ class _Assembly:
 
 # Plans are keyed by the grid's exact radii, and the two most recently
 # used are kept: a scenario works on its base grid, then on the
-# refinement, so few plans are built twice.
+# refinement, so few plans are built twice.  Assemblies are not cached:
+# each belongs to the solutions solved with it.
 _PLANS: dict[tuple, _Plan] = {}
 _PLAN_LIMIT = 2
-
-# Entries are (field, assembly).  Serializable fields share an entry by
-# config hash; a raw-callable field matches only itself, and the entry
-# holding it keeps its id from passing to a new field.  The only reuse
-# is weighted_gradient_energy after solves on the same (grid, field)
-# pairs, so two entries suffice.
-_CACHE: dict[tuple, tuple[CoefficientField, _Assembly]] = {}
-_CACHE_LIMIT = 2
-_CACHE_LOCK = threading.Lock()
+_PLAN_LOCK = threading.Lock()
 
 
 def clear_operator_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    """Empty the plan cache."""
+    with _PLAN_LOCK:
         _PLANS.clear()
 
 
 def _get_plan(grid: PolarGrid) -> _Plan:
     key = (grid.kind, grid.n_theta, grid.radii.tobytes())
-    with _CACHE_LOCK:
+    with _PLAN_LOCK:
         plan = _PLANS.pop(key, None)
         if plan is not None:
             _PLANS[key] = plan  # most recently used last
             return plan
     plan = _Plan(grid)
-    with _CACHE_LOCK:
+    with _PLAN_LOCK:
         if key not in _PLANS and len(_PLANS) >= _PLAN_LIMIT:
             _PLANS.pop(next(iter(_PLANS)))
         _PLANS[key] = plan
     return plan
-
-
-def _field_fingerprint(f: CoefficientField) -> Optional[str]:
-    """Hash of the field's config; None for fields wrapping raw callables."""
-    try:
-        cfg = f.to_config()
-    except FieldError:
-        return None
-    return hashlib.sha1(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
-def _get_assembly(grid: PolarGrid, f: CoefficientField,
-                  potential=None) -> _Assembly:
-    if potential is not None:
-        return _Assembly(grid, f, potential)
-    fingerprint = _field_fingerprint(f)
-    key = (grid.key(), fingerprint or f"custom-{id(f)}")
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-    if entry is not None and (fingerprint is not None or entry[0] is f):
-        return entry[1]
-    asm = _Assembly(grid, f, None)
-    with _CACHE_LOCK:
-        if len(_CACHE) >= _CACHE_LIMIT:
-            _CACHE.pop(next(iter(_CACHE)))
-        _CACHE[key] = (f, asm)
-    return asm
 
 
 # -- solutions -----------------------------------------------------------
@@ -713,7 +677,7 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
             f"field domain radius {f.domain_radius:.6g} does not cover "
             f"the grid radius {grid.r_out:.6g}")
 
-    asm = _get_assembly(grid, f, potential)
+    asm = _Assembly(grid, f, potential)
     n_t = grid.n_theta
     g_out = _boundary_values(g, grid.ring_points(grid.n_r - 1), n_t)
     if grid.kind == "annulus":
@@ -835,25 +799,34 @@ def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
     return float(np.sum(forces[:, 1:3] * uc[:, 1:3]))
 
 
-def weighted_gradient_energy(grid: PolarGrid, values: np.ndarray,
-                             f: CoefficientField, r: float) -> float:
-    """int_{B_r} <A grad z, grad z> for arbitrary nodal values z, e.g.
-    differences of two solutions on the same grid."""
+def _element_energy(grid: PolarGrid, plan: _Plan, cell_k: np.ndarray,
+                    tri_k: Optional[np.ndarray], values: np.ndarray,
+                    r: float) -> float:
+    """sum of the element energies values^T K values inside radius r."""
     i = grid.on_ring(r)
     if i is None:
         raise ValueError(f"radius {r:.6g} is not a grid radius")
-    if f.kind == "identity":  # its matrices depend on the grid alone
-        plan = _get_plan(grid)
-        cell_k, tri_k = plan.identity
-    else:
-        asm = _get_assembly(grid, f)
-        plan, cell_k, tri_k = asm.plan, asm.cell_k, asm.tri_k
     uc = values[plan.cell_nodes[:i]]
     total = float(np.einsum("btmn,btm,btn->", cell_k[:i], uc, uc))
     if tri_k is not None:
         ut = values[plan.tri_nodes]
         total += float(np.einsum("tmn,tm,tn->", tri_k, ut, ut))
     return total
+
+
+def weighted_gradient_energy(u: DiscreteSolution, values: np.ndarray,
+                             r: float) -> float:
+    """int_{B_r} <A grad z, grad z> for arbitrary nodal values z on u's
+    grid, e.g. differences of two solutions, with A the field u was
+    solved with (any potential's mass left out)."""
+    asm = u._assembly
+    return _element_energy(u.grid, asm.plan, asm.cell_k, asm.tri_k, values, r)
+
+
+def gradient_energy(grid: PolarGrid, values: np.ndarray, r: float) -> float:
+    """int_{B_r} |grad z|^2 for arbitrary nodal values z on the grid."""
+    plan = _get_plan(grid)
+    return _element_energy(grid, plan, *plan.identity, values, r)
 
 
 def volume_mean_square(u: DiscreteSolution, r: float,
@@ -894,14 +867,9 @@ def volume_mean_square(u: DiscreteSolution, r: float,
 
 def gradient_mean_square(u: DiscreteSolution, r: float,
                          values: Optional[np.ndarray] = None) -> float:
-    """mean over B_r of |grad u|^2."""
-    vals = u.values if values is None else values
-    i, interp = _ring_lookup(u, r, "gradient_mean_square")
-    if interp:
-        u.meta.setdefault("interpolated_radii", []).append(float(r))
-    radius = float(u.grid.radii[i])
-    total = weighted_gradient_energy(u.grid, vals,
-                                     CoefficientField.identity(), radius)
+    """mean over B_r of |grad u|^2; r must be a grid radius."""
+    total = gradient_energy(u.grid, u.values if values is None else values, r)
+    i = u.grid.on_ring(r)
     plan = u._assembly.plan
     area = float(plan.cell_volw[:i].sum()) if i > 0 else 0.0
     if plan.tri_area is not None:
@@ -965,26 +933,3 @@ def boundary_mass_scalar(u: DiscreteSolution, abar: CoefficientField,
     vals = np.array([boundary_mass_scalar(u, abar, u.grid.radii[lo]),
                      boundary_mass_scalar(u, abar, u.grid.radii[hi])])
     return _log_interp(u.grid.radii[[lo, hi]], vals, r)
-
-
-def ring_trace(u: DiscreteSolution, r: float) -> np.ndarray:
-    """Solution values on the grid ring nearest to r (exact match
-    required), e.g. to reuse as boundary data for a comparison solve."""
-    i = u.grid.on_ring(r)
-    if i is None:
-        raise ValueError(f"radius {r:.6g} is not a grid radius")
-    return u.ring_values(i).copy()
-
-
-def ring_summary(u: DiscreteSolution,
-                 f: Optional[CoefficientField] = None) -> dict[str, np.ndarray]:
-    """Per-ring table (r, mean u, mean u^2, D, H) for CSV export."""
-    f = f if f is not None else u.coefficient
-    grid = u.grid
-    radii = grid.radii
-    mean_u = np.array([u.ring_values(i).mean() for i in range(grid.n_r)])
-    mean_u2 = np.array([(u.ring_values(i) ** 2).mean() for i in range(grid.n_r)])
-    d_vals = np.array([dirichlet_energy(u, rr) for rr in radii])
-    h_vals = np.array([boundary_mass(u, f, rr) for rr in radii])
-    return {"r": radii.copy(), "mean_u": mean_u, "mean_u2": mean_u2,
-            "D": d_vals, "H": h_vals}

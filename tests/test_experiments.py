@@ -391,6 +391,31 @@ def test_stability_bump_pair():
     assert rep.meta["eps_hat"] > 0.0
 
 
+@pytest.mark.parametrize("name", ["schroedinger", "stability"])
+def test_one_assembly_per_solve(monkeypatch, name):
+    # every energy is read from a solution that owns its assembly
+    import freqlab.solver as solver
+    from freqlab.experiments import base, reduction
+
+    counts = {"solves": 0, "assemblies": 0}
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solver.solve_dirichlet(*args, **kwargs)
+
+    class CountedAssembly(solver._Assembly):
+        def __init__(self, *args, **kwargs):
+            counts["assemblies"] += 1
+            super().__init__(*args, **kwargs)
+
+    for module in (base, reduction):
+        monkeypatch.setattr(module, "solve_dirichlet", counted_solve)
+    monkeypatch.setattr(solver, "_Assembly", CountedAssembly)
+    run_scenario(default_config(name, **LOW))
+    assert counts["solves"] >= 4
+    assert counts["assemblies"] == counts["solves"]
+
+
 # -- report invariants -----------------------------------------------------
 
 

@@ -11,14 +11,11 @@ from freqlab.coefficients import Arity, CoefficientField, FieldError
 from freqlab.frequency import (
     FrequencyError,
     FrequencyProfile,
-    IndeterminateOrderError,
     VanishingBoundaryError,
     WeightKind,
     almgren_frequency,
-    average_frequency,
     doubling_index,
     two_scale_frequency,
-    vanishing_order,
     verify_H_identity,
     verify_almost_monotonicity,
     verify_homogeneous_monotonicity,
@@ -199,52 +196,6 @@ class TestDoublingIndex:
         assert doubling_index(u, I2, 1.0) == pytest.approx(6.0, abs=2.5e-2)
 
 
-class TestVanishingOrder:
-    def test_linear_solution(self):
-        g = PolarGrid.disk(97, 192)
-        u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
-        fit = vanishing_order(u, g.radii[g.radii >= 0.05])
-        assert abs(fit.order - 1.0) <= 0.02
-        assert fit.residual <= 1e-3
-
-    def test_constant_solution(self):
-        g = PolarGrid.disk(49, 96)
-        u = solve_dirichlet(I2, 1.0, np.full(96, 3.0), g)
-        fit = vanishing_order(u, g.radii[g.radii >= 0.05])
-        assert abs(fit.order) <= 1e-6
-        assert fit.residual <= 1e-9
-
-    def test_dominant_term_wins(self):
-        def mix(p):
-            z = p[..., 0] + 1j * p[..., 1]
-            return np.real(z ** 2) + 1e-6 * np.real(z ** 5)
-
-        g = PolarGrid.disk(97, 192)
-        u = solve_dirichlet(I2, 1.0, mix, g)
-        fit = vanishing_order(u, g.radii[g.radii >= 0.1])
-        assert abs(fit.order - 2.0) <= 0.02
-
-    def test_input_validation(self):
-        g = PolarGrid.disk(49, 96)
-        u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
-        with pytest.raises(ValueError, match="at least 5"):
-            vanishing_order(u, [0.2, 0.4, 0.6, 0.9])
-        with pytest.raises(ValueError, match="octaves"):
-            vanishing_order(u, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-
-    def test_zero_solution_is_indeterminate(self):
-        g = PolarGrid.disk(49, 96)
-        u = solve_dirichlet(I2, 1.0, np.zeros(96), g)
-        with pytest.raises(IndeterminateOrderError):
-            vanishing_order(u, g.radii[g.radii >= 0.05])
-
-    def test_fit_serializes(self):
-        g = PolarGrid.disk(49, 96)
-        u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
-        fit = vanishing_order(u, g.radii[g.radii >= 0.05])
-        json.dumps(fit.to_dict())
-
-
 class TestAlmostMonotonicity:
     def test_harmonic_mixture_under_identity_needs_no_constant(self):
         def mixture(p):
@@ -410,22 +361,18 @@ class TestHomogeneousMonotonicity:
 
 class TestAverageFrequency:
     def test_matches_two_scale_frequency(self):
+        # the h-derivative identity makes the two-scale frequency the
+        # dt/t average of N over [rho, r]
         abar = sin_profile(0.4)
         g = PolarGrid.disk(129, 256)
         u = solve_dirichlet(abar, 1.0, fourier_data(g.theta, 42), g)
         prof = almgren_frequency(u, abar, radii=g.radii[g.radii >= 0.1])
+        rs, ns = prof.ascending()
         for r, rho in ((1.0, 0.25), (0.81, 0.20)):
             rr = g.radii[g.nearest_ring(r)]
             pp = g.radii[g.nearest_ring(rho)]
             ts = two_scale_frequency(u, abar, rr, pp)
-            av = average_frequency(prof, rr, pp)
+            keep = (rs >= pp * (1.0 - 1e-12)) & (rs <= rr * (1.0 + 1e-12))
+            x = np.log(rs[keep])
+            av = np.trapezoid(ns[keep], x) / (x[-1] - x[0])
             assert abs(ts - av) <= 2e-3
-
-    def test_argument_validation(self):
-        rr = np.exp(np.linspace(0.0, -2.0, 11))
-        prof = FrequencyProfile(rr, 1.0 / rr, np.ones(11), np.ones(11),
-                                WeightKind.MU_WEIGHTED)
-        with pytest.raises(ValueError):
-            average_frequency(prof, 0.5, 0.5)
-        with pytest.raises(ValueError, match="samples"):
-            average_frequency(prof, 0.14, 0.136)

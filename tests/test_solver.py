@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import freqlab.solver as solver_module
 from freqlab.coefficients import Arity, CoefficientField, FieldError, generate_holder
 from freqlab.modulus import Modulus
 from freqlab.solver import (
-    DiscreteSolution,
     PolarGrid,
     SolverError,
     boundary_mass,
@@ -24,9 +24,8 @@ from freqlab.solver import (
     clear_operator_cache,
     dirichlet_energy,
     dirichlet_energy_flux,
+    gradient_energy,
     gradient_mean_square,
-    ring_summary,
-    ring_trace,
     solve_dirichlet,
     volume_mean_square,
     weighted_gradient_energy,
@@ -540,18 +539,40 @@ class TestVolumeFunctionals:
         g = PolarGrid.disk(49, 96)
         u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
         assert gradient_mean_square(u, 1.0) == pytest.approx(1.0, rel=2e-3)
-        e = weighted_gradient_energy(g, u.values, D21, 1.0)
+        w = solve_dirichlet(D21, 1.0, lambda p: p[:, 0], g)
+        e = weighted_gradient_energy(w, u.values, 1.0)
         assert e / math.pi == pytest.approx(2.0, rel=2e-3)
+
+    def test_gradient_mean_square_rejects_off_ring_radius(self):
+        g = PolarGrid.disk(33, 64)
+        u = solve_dirichlet(I2, 1.0, harmonic_deg(2), g)
+        assert g.on_ring(0.5) is None
+        with pytest.raises(ValueError, match="not a grid radius"):
+            gradient_mean_square(u, 0.5)
 
     def test_weighted_energy_of_solution_difference(self):
         g = PolarGrid.disk(33, 64)
         u1 = solve_dirichlet(I2, 1.0, harmonic_deg(1), g)
         u2 = solve_dirichlet(I2, 1.0, harmonic_deg(1), g)
         z = u1.values - u2.values
-        assert weighted_gradient_energy(g, z, I2, 1.0) <= 1e-20
+        assert weighted_gradient_energy(u1, z, 1.0) <= 1e-20
         u3 = solve_dirichlet(D21, 1.0, harmonic_deg(1), g)
         z = u1.values - u3.values
-        assert weighted_gradient_energy(g, z, I2, 1.0) > 0.0
+        assert weighted_gradient_energy(u1, z, 1.0) > 0.0
+        assert gradient_energy(g, z, 1.0) == weighted_gradient_energy(
+            u1, z, 1.0)
+
+    def test_energy_after_potential_solve_leaves_mass_out(self):
+        # the solution's cell matrices hold no potential mass: bit for
+        # bit those of a fresh assembly without the potential
+        g = PolarGrid.disk(33, 64)
+        u = solve_dirichlet(D21, 1.0, harmonic_deg(2), g, potential=_potential)
+        fresh = replace(u, _assembly=solver_module._Assembly(g, D21, None))
+        assert not np.array_equal(u._assembly.k_ii.data,
+                                  fresh._assembly.k_ii.data)
+        for r in (g.radii[20], 1.0):
+            assert weighted_gradient_energy(u, u.values, r) == \
+                weighted_gradient_energy(fresh, u.values, r)
 
     def test_gradient_mean_square_builds_no_assembly(self, monkeypatch):
         # the identity field's cell matrices come from the grid's plan
@@ -559,34 +580,17 @@ class TestVolumeFunctionals:
         u = solve_dirichlet(HOLDER, 1.0, harmonic_deg(2), g)
         plan = u._assembly.plan
         area = float(plan.cell_volw.sum()) + float(plan.tri_area.sum())
-        want = weighted_gradient_energy(g, u.values, I2, 1.0) / area
+        want = gradient_energy(g, u.values, 1.0) / area
         clear_operator_cache()
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("gradient_mean_square built an assembly")
         monkeypatch.setattr(solver_module, "_Assembly", no_assembly)
         assert gradient_mean_square(u, 1.0) == want
-        assert gradient_mean_square(u, 0.5) > 0.0
+        assert gradient_mean_square(u, g.radii[25]) > 0.0
 
 
 class TestSolutionUtilities:
-    def test_ring_trace_matches_values(self):
-        g = PolarGrid.disk(33, 64, r_min=0.25)
-        u = solve_dirichlet(I2, 1.0, harmonic_deg(2), g)
-        tr = ring_trace(u, 0.5)
-        assert np.array_equal(tr, u.ring_values(16))
-        with pytest.raises(ValueError):
-            ring_trace(u, 0.47)
-
-    def test_ring_summary_layout(self):
-        g = PolarGrid.disk(17, 32)
-        u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
-        table = ring_summary(u)
-        assert set(table) == {"r", "mean_u", "mean_u2", "D", "H"}
-        for col in table.values():
-            assert col.shape == (g.n_r,)
-        assert table["H"][-1] == pytest.approx(boundary_mass(u, I2, 1.0))
-
     def test_node_grid_shape(self):
         g = PolarGrid.disk(17, 32)
         u = solve_dirichlet(I2, 1.0, np.ones(32), g)
@@ -594,20 +598,6 @@ class TestSolutionUtilities:
 
 
 class TestOperatorCache:
-    def test_serializable_fields_share_assembly(self):
-        clear_operator_cache()
-        g = PolarGrid.disk(17, 32)
-        u1 = solve_dirichlet(D21, 1.0, np.ones(32), g)
-        u2 = solve_dirichlet(D21, 1.0, np.zeros(32), g)
-        assert u1._assembly is u2._assembly
-
-    def test_clear_cache_forces_reassembly(self):
-        g = PolarGrid.disk(17, 32)
-        u1 = solve_dirichlet(D21, 1.0, np.ones(32), g)
-        clear_operator_cache()
-        u2 = solve_dirichlet(D21, 1.0, np.ones(32), g)
-        assert u1._assembly is not u2._assembly
-
     def test_distinct_custom_fields_not_conflated(self):
         g = PolarGrid.disk(17, 32)
         f1 = CoefficientField.from_callable(
@@ -641,8 +631,6 @@ class TestOperatorCache:
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        from freqlab import solver
-
         clear_operator_cache()
         g = PolarGrid.disk(5, 8)
         ref = solve_dirichlet(CoefficientField.constant(1.0), 1.0,
@@ -661,7 +649,6 @@ class TestOperatorCache:
         for c, u in zip(values, results):
             np.testing.assert_allclose(u._assembly.cell_k, c * ref,
                                        rtol=1e-14, atol=0.0)
-        assert len(solver._CACHE) <= solver._CACHE_LIMIT == 2
 
 
 # -- frame rotation --------------------------------------------------------
@@ -896,7 +883,7 @@ def test_plan_cache_keeps_grids_of_one_shape_apart():
     after = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
     assert solver_module._PLANS
     clear_operator_cache()
-    assert not solver_module._PLANS and not solver_module._CACHE
+    assert not solver_module._PLANS
     fresh = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
     assert after._assembly.plan is not fresh._assembly.plan
     assert np.array_equal(after.values, fresh.values)
