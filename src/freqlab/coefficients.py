@@ -3,10 +3,9 @@
 A field is either a scalar ``a`` (isotropic) or a symmetric matrix ``A``
 (anisotropic), immutable after construction, evaluated in bulk on arrays
 of points.  Alongside representation this module computes the two
-radial quantities that frequency bookkeeping needs,
+radial quantity that frequency bookkeeping needs,
 
-    mu(x)   = <A(x) x/|x|, x/|x|>,
-    beta(x) = A(x) x / mu(x),
+    mu(x) = <A(x) x/|x|, x/|x|>,
 
 and provides the two field surgeries used throughout: smoothing by a
 fixed compactly supported bump (``mollify``), and freezing a scalar
@@ -35,7 +34,6 @@ __all__ = [
     "EmpiricalModulus",
     "FieldError",
     "GenerationError",
-    "beta_vector",
     "empirical_modulus",
     "generate_holder",
     "homogeneous_projection",
@@ -430,7 +428,7 @@ def _ball_sample(count: int, n: int, radius: float, seed: int) -> np.ndarray:
     return v * r[:, None]
 
 
-# -- mu and beta --------------------------------------------------------
+# -- mu -----------------------------------------------------------------
 
 
 def mu_factor(f: CoefficientField, x: Any) -> np.ndarray:
@@ -446,23 +444,6 @@ def mu_factor(f: CoefficientField, x: Any) -> np.ndarray:
         mats = f.evaluate(pts)
         out = np.einsum("mi,mij,mj->m", nu, mats, nu)
     return float(out[0]) if single else out
-
-
-def beta_vector(f: CoefficientField, x: Any) -> np.ndarray:
-    """A(x) x / mu(x); its radial component equals |x| identically."""
-    pts, single = _as_points(x, f.n)
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    if np.any(r == 0.0):
-        raise FieldError("beta is undefined at the origin")
-    if f.arity is Arity.ISOTROPIC:
-        out = pts.copy()
-    else:
-        mats = f.evaluate(pts)
-        ax = np.einsum("mij,mj->mi", mats, pts)
-        nu = pts / r[:, None]
-        mu = np.einsum("mi,mij,mj->m", nu, mats, nu)
-        out = ax / mu[:, None]
-    return out[0] if single else out
 
 
 # -- mollification ------------------------------------------------------

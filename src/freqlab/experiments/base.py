@@ -506,8 +506,7 @@ def doubling_ratio(u: DiscreteSolution, f: CoefficientField,
 def sup_gradient(u: DiscreteSolution) -> float:
     """Max nodal gradient magnitude via finite differences on the
     logical (log r, theta) grid."""
-    vals = u.values[:u.grid.n_r * u.grid.n_theta].reshape(
-        u.grid.n_r, u.grid.n_theta)
+    vals = u.node_grid()
     rr = u.grid.radii[:, None]
     dus = np.gradient(vals, u.grid.d_s, axis=0)
     dut = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) \

@@ -4,8 +4,6 @@ of the quotient matches the gradient-part frequency of the original."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..coefficients import Arity, CoefficientField
@@ -46,42 +44,6 @@ def _potential_from_spec(spec):
     def v_fun(pts):
         return np.full(np.asarray(pts).shape[0], value)
     return v_fun, value
-
-
-def _interpolator(sol):
-    """Bilinear interpolation of nodal values in (log r, theta), with a
-    linear blend to the origin value inside the innermost ring."""
-    grid = sol.grid
-    n_r, nt = grid.n_r, grid.n_theta
-    vals = sol.values[:n_r * nt].reshape(n_r, nt)
-    origin = float(sol.values[-1])
-    s0 = math.log(float(grid.radii[0]))
-    ds, dth = grid.d_s, grid.d_theta
-
-    def evaluate(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rr = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        rcl = np.clip(rr, float(grid.radii[0]), float(grid.radii[-1]))
-        si = np.clip((np.log(rcl) - s0) / ds, 0.0, n_r - 1 - 1e-9)
-        i0 = si.astype(int)
-        fs = si - i0
-        tj = th / dth
-        j0 = tj.astype(int) % nt
-        ft = tj - np.floor(tj)
-        j1 = (j0 + 1) % nt
-        out = (vals[i0, j0] * (1.0 - fs) * (1.0 - ft)
-               + vals[i0 + 1, j0] * fs * (1.0 - ft)
-               + vals[i0, j1] * (1.0 - fs) * ft
-               + vals[i0 + 1, j1] * fs * ft)
-        inner = rr < float(grid.radii[0])
-        if inner.any():
-            w = rr[inner] / float(grid.radii[0])
-            ring0 = vals[0, j0[inner]] * (1.0 - ft[inner]) \
-                + vals[0, j1[inner]] * ft[inner]
-            out[inner] = origin * (1.0 - w) + ring0 * w
-        return out
-    return evaluate
 
 
 def _largest_positive_radius(f, v_fun, n_r, nt, r0):
@@ -145,11 +107,10 @@ def schroedinger_eval(cfg, setup, data, ref_grid):
     ev.add_row("comparison gradient bound", r0, grad_v,
                cfg.c1 * max(1.0, abs(v_level)))
 
-    v_interp = _interpolator(v)
     a_eval = f.evaluate
 
     def a_v2(pts):
-        return a_eval(pts) * v_interp(pts) ** 2
+        return a_eval(pts) * v.evaluate(pts) ** 2
     lam_w = 0.9 * min(1.0, f.lam * max(min_v, 1e-3) ** 2,
                       f.lam / max_v ** 2)
     av2 = CoefficientField.from_callable(

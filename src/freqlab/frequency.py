@@ -11,11 +11,11 @@ boundary-flux form of the discrete energy (superconvergent at grid
 radii) with the volume form as a silent cross-check.  The modified
 two-scale frequency replaces H by the scalar-weighted normalized mass
 h(r) and compares two radii directly, which is the quantity the growth
-estimates propagate.
+estimates propagate; it and the doubling index read h at any radius in
+the grid's range, from the discrete solution's own trace between rings.
 
 Verification helpers check, by centered finite differences on the
-geometric radial grid, the almost-monotonicity bound
-d/dr log N >= -C (M + delta/r), the derivative identity
+geometric radial grid, the derivative identity
 d/dr log(r^(1-n) H) = 2N/r + e(r), and exact monotonicity for
 0-homogeneous isotropic weights.
 """
@@ -39,7 +39,6 @@ from .solver import (
 )
 
 __all__ = [
-    "AlmostMonotonicityReport",
     "FrequencyError",
     "FrequencyProfile",
     "HIdentityReport",
@@ -50,7 +49,6 @@ __all__ = [
     "doubling_index",
     "two_scale_frequency",
     "verify_H_identity",
-    "verify_almost_monotonicity",
     "verify_homogeneous_monotonicity",
 ]
 
@@ -128,7 +126,8 @@ def almgren_frequency(u: DiscreteSolution, f: CoefficientField,
                       radii: Optional[Sequence[float]] = None
                       ) -> FrequencyProfile:
     """Frequency profile N(r) = r D(r) / H(r) on the given radii
-    (default: every grid radius), sorted decreasing.
+    (default: every grid radius), sorted decreasing.  The radii must be
+    grid radii: D is read from the rings and raises ValueError elsewhere.
 
     Raises VanishingBoundaryError, naming the radius, where H falls
     below 1e-14 times the grid mean of u^2."""
@@ -193,56 +192,6 @@ def doubling_index(u: DiscreteSolution, f: CoefficientField,
 
 
 # -- verification reports ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlmostMonotonicityReport:
-    """Fit of d/dr log N >= -C (M + delta/r) on a profile."""
-
-    fitted_c: float
-    violations: np.ndarray
-    radii: np.ndarray
-    slopes: np.ndarray
-    margins: np.ndarray
-    m_bound: float
-    delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "fitted_c": self.fitted_c,
-            "m_bound": self.m_bound,
-            "delta": self.delta,
-            "violations": [float(r) for r in self.violations],
-            "per_radius": [
-                {"r": float(r), "slope": float(s), "margin": float(c)}
-                for r, s, c in zip(self.radii, self.slopes, self.margins)],
-        }
-
-
-def verify_almost_monotonicity(profile: FrequencyProfile, m_bound: float,
-                               delta: float) -> AlmostMonotonicityReport:
-    """Check the almost-monotonicity bound by centered differences of
-    log N in log r.  fitted_c is the smallest constant making every
-    sample pass; samples needing more than ten times the median
-    constant (beyond a 1e-6 slack) are listed as violations."""
-    rr, nn = profile.ascending()
-    if rr.size < 3:
-        raise ValueError("need at least 3 profile samples")
-    if np.any(nn <= 0.0):
-        raise FrequencyError("log N undefined: profile has N <= 0")
-    x = np.log(rr)
-    y = np.log(nn)
-    mid = slice(1, rr.size - 1)
-    slopes = (y[2:] - y[:-2]) / (x[2:] - x[:-2]) / rr[mid]
-    norms = m_bound + delta / rr[mid]
-    norms = np.where(norms > 0.0, norms, 1.0)
-    margins = np.maximum(0.0, -slopes) / norms
-    fitted_c = float(margins.max()) if margins.size else 0.0
-    median_c = float(np.median(margins)) if margins.size else 0.0
-    bad = margins > 10.0 * median_c + 1e-6
-    return AlmostMonotonicityReport(
-        fitted_c, rr[mid][bad].copy(), rr[mid].copy(), slopes, margins,
-        m_bound, delta)
 
 
 @dataclass(frozen=True)

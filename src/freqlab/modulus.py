@@ -32,7 +32,6 @@ __all__ = [
     "ExponentTriple",
     "classify_osgood",
     "check_submultiplicative_psi",
-    "check_phi_submultiplicative",
     "check_phi_integrable",
     "select_exponents",
 ]
@@ -332,29 +331,6 @@ def check_submultiplicative_psi(
     return SubmultiplicativityReport(
         holds=bool(worst <= c_m * (1.0 + 1e-12)),
         constant=float(c_m),
-        worst_ratio=worst,
-        worst_pair=(float(grid[idx[0]]), float(grid[idx[1]])),
-        sample_count=sample_count,
-    )
-
-
-def check_phi_submultiplicative(
-    m: Modulus, c: float, sample_count: int = 64
-) -> SubmultiplicativityReport:
-    """Check ``phi(s*t) <= c * phi(s) * phi(t)`` for ``0 < s, t <= 1/c``."""
-    if sample_count < 16:
-        raise ValueError("sample_count must be >= 16")
-    if c < 1.0:
-        raise ValueError("c must be >= 1")
-    grid = np.logspace(-6.0, math.log10(1.0 / c), sample_count)
-    pv = m.phi(grid)
-    st = np.outer(grid, grid)
-    ratios = m.phi(st.ravel()).reshape(st.shape) / np.outer(pv, pv)
-    idx = np.unravel_index(np.argmax(ratios), ratios.shape)
-    worst = float(ratios[idx])
-    return SubmultiplicativityReport(
-        holds=bool(worst <= c * (1.0 + 1e-12)),
-        constant=float(c),
         worst_ratio=worst,
         worst_pair=(float(grid[idx[0]]), float(grid[idx[1]])),
         sample_count=sample_count,

@@ -52,11 +52,20 @@ every grid radius.  The boundary mass H is Simpson's rule on the
 piecewise-linear ring trace, a different rule, so the discrete
 first-variation identity H' = (n-1) H / r + 2 D carries an O(dtheta^2)
 consistency error (about dtheta^2 / 8 in N - 1 for Re z).
+
+The discrete solution is a function everywhere in the grid's range:
+``DiscreteSolution.evaluate`` is its bilinear interpolant in (log r,
+theta), which takes the nodal values on the rings.  Every functional is
+read from that function, never interpolated from functional values.
+D (both forms), the volume mean and the gradient energies sum whole
+cells, so they accept only grid radii and raise ValueError elsewhere.
+H and h accept any radius in the range: between two rings the
+interpolant's trace on the circle is still piecewise linear in theta,
+so the same Simpson rule integrates the solution's own trace there.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -196,10 +205,6 @@ class PolarGrid:
         n_r = factor * (self.n_r - 1) + 1
         s = np.linspace(math.log(self.r_in), math.log(self.r_out), n_r)
         return PolarGrid(np.exp(s), factor * self.n_theta, self.kind)
-
-    def key(self) -> tuple:
-        return (self.kind, self.n_r, self.n_theta,
-                self.radii[0].hex(), self.radii[-1].hex())
 
 
 # -- assembly ------------------------------------------------------------
@@ -623,7 +628,6 @@ class DiscreteSolution:
     boundary_data: np.ndarray
     residual_norm: float
     iterations: int
-    meta: dict = field(default_factory=dict)
     _assembly: Any = None
     _cache: dict = field(default_factory=dict)
 
@@ -631,8 +635,7 @@ class DiscreteSolution:
         """This solution with its values divided by ``divisor``.  The
         assembly and solve record carry over; functionals cached from
         the old values do not."""
-        return replace(self, values=self.values / divisor,
-                       meta=copy.deepcopy(self.meta), _cache={})
+        return replace(self, values=self.values / divisor, _cache={})
 
     def ring_values(self, i: int) -> np.ndarray:
         n_t = self.grid.n_theta
@@ -642,6 +645,46 @@ class DiscreteSolution:
         """Values reshaped to (n_r, n_theta); the origin node is dropped."""
         n_r, n_t = self.grid.n_r, self.grid.n_theta
         return self.values[:n_r * n_t].reshape(n_r, n_t)
+
+    def evaluate(self, pts: np.ndarray) -> np.ndarray:
+        """The discrete solution at points ``pts``: bilinear in (log r,
+        theta) between the rings, with a linear blend to the origin value
+        inside a disk's innermost ring.  Points inside an annulus's inner
+        ring raise ValueError."""
+        grid = self.grid
+        n_r, nt = grid.n_r, grid.n_theta
+        vals = self.node_grid()
+        origin = float(self.values[-1])
+        s0 = math.log(float(grid.radii[0]))
+        ds, dth = grid.d_s, grid.d_theta
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        rr = np.hypot(pts[:, 0], pts[:, 1])
+        th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+        rcl = np.clip(rr, float(grid.radii[0]), float(grid.radii[-1]))
+        si = np.clip((np.log(rcl) - s0) / ds, 0.0, n_r - 1 - 1e-9)
+        i0 = si.astype(int)
+        fs = si - i0
+        tj = th / dth
+        j0 = tj.astype(int) % nt
+        ft = tj - np.floor(tj)
+        j1 = (j0 + 1) % nt
+        out = (vals[i0, j0] * (1.0 - fs) * (1.0 - ft)
+               + vals[i0 + 1, j0] * fs * (1.0 - ft)
+               + vals[i0, j1] * (1.0 - fs) * ft
+               + vals[i0 + 1, j1] * fs * ft)
+        inner = rr < float(grid.radii[0])
+        if grid.kind == "annulus":
+            # values[-1] is a ring value here, not an origin value
+            if np.any(rr < grid.r_in * (1.0 - 1e-9)):
+                raise ValueError(
+                    f"point at radius {rr.min():.6g} inside the annulus's "
+                    f"inner ring {grid.r_in:.6g}")
+        elif inner.any():
+            w = rr[inner] / float(grid.radii[0])
+            ring0 = vals[0, j0[inner]] * (1.0 - ft[inner]) \
+                + vals[0, j1[inner]] * ft[inner]
+            out[inner] = origin * (1.0 - w) + ring0 * w
+        return out
 
 
 def _boundary_values(g: Any, pts: np.ndarray, n_t: int) -> np.ndarray:
@@ -703,7 +746,7 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
     values[asm.boundary] = g_all
     values[asm.interior] = x
     return DiscreteSolution(grid, values, f, g_out, residual, iterations,
-                            meta={}, _assembly=asm)
+                            _assembly=asm)
 
 
 # -- functionals ---------------------------------------------------------
@@ -740,52 +783,27 @@ def _cumulative_energy(u: DiscreteSolution, asm: _Assembly,
     return cum
 
 
-def _ring_lookup(u: DiscreteSolution, r: float, what: str) -> tuple[int, bool]:
-    grid = u.grid
-    if not grid.radii[0] * (1 - 1e-9) <= r <= grid.radii[-1] * (1 + 1e-9):
-        raise ValueError(
-            f"radius {r:.6g} outside the grid range "
-            f"[{grid.radii[0]:.6g}, {grid.radii[-1]:.6g}] for {what}")
+def _ring_index(grid: PolarGrid, r: float) -> int:
+    """The ring at radius r; ValueError when r is not a grid radius."""
     i = grid.on_ring(r)
-    if i is not None:
-        return i, False
-    return grid.nearest_ring(r), True
-
-
-def _log_interp(radii: np.ndarray, table: np.ndarray, r: float) -> float:
-    s = np.log(radii)
-    x = math.log(r)
-    j = int(np.searchsorted(s, x)) - 1
-    j = min(max(j, 0), s.size - 2)
-    t = (x - s[j]) / (s[j + 1] - s[j])
-    lo, hi = table[j], table[j + 1]
-    if lo > 0 and hi > 0:
-        return float(math.exp((1 - t) * math.log(lo) + t * math.log(hi)))
-    return float((1 - t) * lo + t * hi)
+    if i is None:
+        raise ValueError(f"radius {r:.6g} is not a grid radius")
+    return i
 
 
 def dirichlet_energy(u: DiscreteSolution, r: float) -> float:
-    """D(r): energy <A grad u, grad u> inside radius r, from the cell
-    quadratic forms.  Off-ring radii interpolate in log-log and are
-    flagged in the solution metadata."""
-    asm = u._assembly
-    i, interp = _ring_lookup(u, r, "dirichlet_energy")
-    cum = _cumulative_energy(u, asm, u.values, "cumE")
-    if not interp:
-        return float(cum[i])
-    u.meta.setdefault("interpolated_radii", []).append(float(r))
-    return _log_interp(u.grid.radii, cum, r)
+    """D(r): energy <A grad u, grad u> inside grid radius r, from the
+    cell quadratic forms."""
+    i = _ring_index(u.grid, r)
+    return float(_cumulative_energy(u, u._assembly, u.values, "cumE")[i])
 
 
 def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
     """D(r) in boundary-flux form: sum over ring nodes of u times the
-    discrete flux from the cells inside.  Identical to
-    ``dirichlet_energy`` at grid radii by the divergence structure."""
+    discrete flux from the cells inside, at grid radius r.  Identical to
+    ``dirichlet_energy`` by the divergence structure."""
     asm = u._assembly
-    i, interp = _ring_lookup(u, r, "dirichlet_energy_flux")
-    if interp:
-        # off the rings the two forms share the interpolated table
-        return dirichlet_energy(u, r)
+    i = _ring_index(u.grid, r)
     if i == 0:
         if asm.tri_k is None:
             return 0.0
@@ -802,10 +820,9 @@ def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
 def _element_energy(grid: PolarGrid, plan: _Plan, cell_k: np.ndarray,
                     tri_k: Optional[np.ndarray], values: np.ndarray,
                     r: float) -> float:
-    """sum of the element energies values^T K values inside radius r."""
-    i = grid.on_ring(r)
-    if i is None:
-        raise ValueError(f"radius {r:.6g} is not a grid radius")
+    """sum of the element energies values^T K values inside grid
+    radius r."""
+    i = _ring_index(grid, r)
     uc = values[plan.cell_nodes[:i]]
     total = float(np.einsum("btmn,btm,btn->", cell_k[:i], uc, uc))
     if tri_k is not None:
@@ -831,10 +848,11 @@ def gradient_energy(grid: PolarGrid, values: np.ndarray, r: float) -> float:
 
 def volume_mean_square(u: DiscreteSolution, r: float,
                        values: Optional[np.ndarray] = None) -> float:
-    """mean over B_r of u^2, in the assembly's own volume quadrature."""
+    """mean over B_r of u^2, in the assembly's own volume quadrature; r
+    must be a grid radius."""
     asm = u._assembly
     vals = u.values if values is None else values
-    i, interp = _ring_lookup(u, r, "volume_mean_square")
+    i = _ring_index(u.grid, r)
     tag = "cumM" if values is None else None
     cached = u._cache.get(tag) if tag else None
     if cached is None:
@@ -859,17 +877,14 @@ def volume_mean_square(u: DiscreteSolution, r: float,
         if tag:
             u._cache[tag] = cached
     cum, area = cached
-    if not interp:
-        return float(cum[i] / area[i])
-    u.meta.setdefault("interpolated_radii", []).append(float(r))
-    return _log_interp(u.grid.radii, cum / area, r)
+    return float(cum[i] / area[i])
 
 
 def gradient_mean_square(u: DiscreteSolution, r: float,
                          values: Optional[np.ndarray] = None) -> float:
     """mean over B_r of |grad u|^2; r must be a grid radius."""
     total = gradient_energy(u.grid, u.values if values is None else values, r)
-    i = u.grid.on_ring(r)
+    i = _ring_index(u.grid, r)
     plan = u._assembly.plan
     area = float(plan.cell_volw[:i].sum()) if i > 0 else 0.0
     if plan.tri_area is not None:
@@ -877,21 +892,26 @@ def gradient_mean_square(u: DiscreteSolution, r: float,
     return total / area
 
 
-def _ring_integral(u: DiscreteSolution, i: int,
-                   weight_at: Callable[[np.ndarray], np.ndarray]) -> float:
-    """int over the ring of (trace of u)^2 * weight, Simpson in angle.
+def _circle_integral(u: DiscreteSolution, r: float,
+                     weight_at: Callable[[np.ndarray], np.ndarray]
+                     ) -> tuple[float, float]:
+    """(rho, int over the circle of radius rho of (trace of u)^2 * weight
+    dtheta), Simpson in angle, with rho the grid radius r names, or r
+    itself between the rings.
 
-    The bilinear trace is piecewise linear in theta, so the midpoint
-    value is the mean of the endpoints and Simpson integrates the
-    square exactly against a smooth weight's samples."""
+    The trace is the bilinear interpolant's: on a ring its nodal values,
+    between rings ``u.evaluate`` at the grid angles.  Either way it is
+    piecewise linear in theta, so the midpoint value is the mean of the
+    endpoints and Simpson integrates the square exactly against a smooth
+    weight's samples."""
     grid = u.grid
-    n_t = grid.n_theta
-    rho = grid.radii[i]
-    uv = u.ring_values(i)
-    u_next = np.roll(uv, -1)
-    u_mid = 0.5 * (uv + u_next)
+    i = grid.on_ring(r)
+    rho = r if i is None else grid.radii[i]
     th = grid.theta
     pts_node = rho * np.stack([np.cos(th), np.sin(th)], axis=1)
+    uv = u.evaluate(pts_node) if i is None else u.ring_values(i)
+    u_next = np.roll(uv, -1)
+    u_mid = 0.5 * (uv + u_next)
     th_mid = th + 0.5 * grid.d_theta
     pts_mid = rho * np.stack([np.cos(th_mid), np.sin(th_mid)], axis=1)
     w_node = weight_at(pts_node)
@@ -899,37 +919,23 @@ def _ring_integral(u: DiscreteSolution, i: int,
     w_next = np.roll(w_node, -1)
     seg = (grid.d_theta / 6.0) * (uv ** 2 * w_node + 4.0 * u_mid ** 2 * w_mid
                                   + u_next ** 2 * w_next)
-    return float(seg.sum())
+    return rho, float(seg.sum())
 
 
 def boundary_mass(u: DiscreteSolution, f: CoefficientField, r: float) -> float:
     """H(r): int over the circle of u^2 mu dsigma with
-    mu = <A x/|x|, x/|x|>.  Off-ring radii interpolate between the two
-    neighboring rings in log-log, flagged in metadata."""
-    i, interp = _ring_lookup(u, r, "boundary_mass")
-    if not interp:
-        rho = u.grid.radii[i]
-        return rho * _ring_integral(u, i, lambda p: np.atleast_1d(mu_factor(f, p)))
-    u.meta.setdefault("interpolated_radii", []).append(float(r))
-    lo = max(i - 1, 0)
-    hi = min(lo + 1, u.grid.n_r - 1)
-    vals = np.array([boundary_mass(u, f, u.grid.radii[lo]),
-                     boundary_mass(u, f, u.grid.radii[hi])])
-    return _log_interp(u.grid.radii[[lo, hi]], vals, r)
+    mu = <A x/|x|, x/|x|>, at any radius within the grid's range; between
+    the rings it integrates the discrete solution's own trace."""
+    rho, mass = _circle_integral(
+        u, r, lambda p: np.atleast_1d(mu_factor(f, p)))
+    return rho * mass
 
 
 def boundary_mass_scalar(u: DiscreteSolution, abar: CoefficientField,
                          r: float) -> float:
     """h(r) = r^(1-n) int over the circle of abar u^2 dsigma; in two
-    dimensions the normalization cancels the circumference growth."""
-    i, interp = _ring_lookup(u, r, "boundary_mass_scalar")
+    dimensions the normalization cancels the circumference growth.  Like
+    ``boundary_mass`` it accepts any radius within the grid's range."""
     if abar.arity is not Arity.ISOTROPIC:
         raise FieldError("scalar boundary mass needs a scalar weight field")
-    if not interp:
-        return _ring_integral(u, i, abar.evaluate)
-    u.meta.setdefault("interpolated_radii", []).append(float(r))
-    lo = max(i - 1, 0)
-    hi = min(lo + 1, u.grid.n_r - 1)
-    vals = np.array([boundary_mass_scalar(u, abar, u.grid.radii[lo]),
-                     boundary_mass_scalar(u, abar, u.grid.radii[hi])])
-    return _log_interp(u.grid.radii[[lo, hi]], vals, r)
+    return _circle_integral(u, r, abar.evaluate)[1]

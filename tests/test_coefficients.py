@@ -13,7 +13,6 @@ from freqlab.coefficients import (
     CoefficientField,
     FieldError,
     GenerationError,
-    beta_vector,
     empirical_modulus,
     generate_holder,
     homogeneous_projection,
@@ -35,7 +34,7 @@ def sample_disk(count, radius=1.0, seed=0, n=2):
     return v * (radius * rng.random(count) ** (1.0 / n))[:, None]
 
 
-# -- mu and beta ---------------------------------------------------------
+# -- mu ------------------------------------------------------------------
 
 
 def test_mu_identity_and_diagonal():
@@ -58,48 +57,6 @@ def test_mu_beta_origin_rejected():
     d = CoefficientField.diagonal([2.0, 1.0])
     with pytest.raises(FieldError):
         mu_factor(d, (0.0, 0.0))
-    with pytest.raises(FieldError):
-        beta_vector(d, np.zeros(2))
-
-
-def test_beta_examples():
-    eye = CoefficientField.identity(2)
-    x = np.array([0.4, -0.3])
-    assert np.allclose(beta_vector(eye, x), x, atol=1e-15)
-    d = CoefficientField.diagonal([2.0, 1.0])
-    assert np.allclose(beta_vector(d, (0.3, 0.0)), (0.3, 0.0), atol=1e-15)
-    b = beta_vector(d, (0.1, 0.1))
-    assert np.allclose(b, [0.2 / 1.5, 0.1 / 1.5], rtol=1e-14)
-
-
-def test_beta_radial_component_is_radius():
-    # <beta, x/|x|> = |x| holds for every field, not just diagonal ones
-    m = Modulus.log_power(1.0)
-    fields = [
-        CoefficientField.identity(2),
-        CoefficientField.diagonal([2.0, 0.8]),
-        CoefficientField.cusp_anisotropic(m, 0.25),
-    ]
-    for f in fields:
-        pts = sample_disk(200, seed=11, n=f.n)
-        r = np.linalg.norm(pts, axis=1)
-        keep = r > 1e-6
-        pts, r = pts[keep], r[keep]
-        beta = beta_vector(f, pts)
-        radial = np.sum(beta * pts / r[:, None], axis=1)
-        assert np.max(np.abs(radial - r)) < 1e-12
-
-
-def test_beta_near_identity_bound():
-    # |A - I| <= delta forces |beta - x| <= 3 delta |x|
-    for delta in (0.01, 0.1, 0.3):
-        d = CoefficientField.diagonal([1.0 + delta, 1.0 - delta])
-        pts = sample_disk(300, seed=5)
-        r = np.linalg.norm(pts, axis=1)
-        keep = r > 1e-6
-        pts, r = pts[keep], r[keep]
-        dev = np.linalg.norm(beta_vector(d, pts) - pts, axis=1)
-        assert np.all(dev <= 3.0 * delta * r + 1e-15)
 
 
 def test_mu_range_within_ellipticity():

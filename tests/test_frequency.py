@@ -17,7 +17,6 @@ from freqlab.frequency import (
     doubling_index,
     two_scale_frequency,
     verify_H_identity,
-    verify_almost_monotonicity,
     verify_homogeneous_monotonicity,
 )
 from freqlab.solver import PolarGrid, boundary_mass, solve_dirichlet
@@ -195,57 +194,17 @@ class TestDoublingIndex:
         u = solve_dirichlet(I2, 1.0, harmonic(3), g)
         assert doubling_index(u, I2, 1.0) == pytest.approx(6.0, abs=2.5e-2)
 
-
-class TestAlmostMonotonicity:
-    def test_harmonic_mixture_under_identity_needs_no_constant(self):
-        def mixture(p):
-            z = p[..., 0] + 1j * p[..., 1]
-            return np.real(z) + 0.5 * np.real(z ** 3)
-
-        g = PolarGrid.disk(97, 192)
-        u = solve_dirichlet(I2, 1.0, mixture, g)
-        prof = almgren_frequency(u, I2, radii=g.radii[g.radii >= 0.1])
-        rep = verify_almost_monotonicity(prof, 0.0, 0.0)
-        assert rep.fitted_c <= 1e-4
-        assert rep.violations.size == 0
-
-    def test_linear_solution_has_zero_violations(self):
-        g = PolarGrid.disk(97, 192, r_min=0.25)
-        u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
-        prof = almgren_frequency(u, I2, radii=g.radii[g.radii >= 0.3])
-        rep = verify_almost_monotonicity(prof, 0.0, 0.0)
-        assert rep.violations.size == 0
-
-    def test_lipschitz_field_constant_stable_under_refinement(self):
-        lip = CoefficientField.from_callable(
-            lambda p: 1.0 + 0.1 * np.sin(2.0 * p[..., 0]),
-            arity=Arity.ISOTROPIC, n=2, lam=0.9)
-        cs = []
-        for nr, nt in ((65, 128), (129, 256)):
-            g = PolarGrid.disk(nr, nt)
-            u = solve_dirichlet(lip, 1.0, fourier_data(g.theta, 5), g)
-            prof = almgren_frequency(u, lip, radii=g.radii[g.radii >= 0.15])
-            cs.append(verify_almost_monotonicity(prof, 0.2, 0.1).fitted_c)
-        assert max(cs) <= 0.05
-        assert abs(cs[0] - cs[1]) <= max(0.1 * max(cs), 1e-6)
-
-    def test_synthetic_dip_is_flagged(self):
-        rr = np.exp(np.linspace(0.0, -2.0, 21))  # decreasing radii
-        nn = np.full(21, 2.0)
-        nn[10] = 1.7  # one sharp dip
-        prof = FrequencyProfile(rr, nn / rr, np.ones(21), nn,
-                                WeightKind.MU_WEIGHTED)
-        rep = verify_almost_monotonicity(prof, 0.5, 0.0)
-        assert rep.fitted_c > 0.0
-        assert rep.violations.size > 0
-        json.dumps(rep.to_dict())
-
-    def test_rejects_degenerate_profiles(self):
-        rr = np.array([1.0, 0.5])
-        prof = FrequencyProfile(rr, np.ones(2) / rr, np.ones(2),
-                                np.ones(2), WeightKind.MU_WEIGHTED)
-        with pytest.raises(ValueError):
-            verify_almost_monotonicity(prof, 0.0, 0.0)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_off_ring_index_converges_at_second_order(self, k):
+        # neither 0.4 nor 0.2 is a ring: H is read from u's own trace
+        errs = []
+        for n_r, n_t in ((65, 128), (129, 256)):
+            g = PolarGrid.disk(n_r, n_t, r_min=0.02)
+            assert g.on_ring(0.4) is None and g.on_ring(0.2) is None
+            u = solve_dirichlet(I2, 1.0, harmonic(k), g)
+            errs.append(abs(doubling_index(u, I2, 0.4) - 2.0 * k))
+        assert errs[1] <= 1e-3
+        assert errs[0] >= 3.5 * errs[1]
 
 
 class TestHIdentity:

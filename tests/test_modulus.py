@@ -13,7 +13,6 @@ from freqlab.modulus import (
     Modulus,
     OsgoodClass,
     check_phi_integrable,
-    check_phi_submultiplicative,
     check_submultiplicative_psi,
     classify_osgood,
     select_exponents,
@@ -269,22 +268,6 @@ def test_psi_submultiplicative_log_power():
         m.psi(grid), m.psi(grid)
     ).ravel()
     assert ratios.max() <= 2.0 + 1e-12
-
-
-def test_phi_submultiplicative():
-    rep = check_phi_submultiplicative(Modulus.linear(), 1.01)
-    assert rep.holds and rep.worst_ratio == pytest.approx(1.0, abs=1e-9)
-    # the extended log family needs c = e; c = 2 fails at the (1/2, 1/2) corner
-    m = Modulus.log_power(1.0)
-    rep = check_phi_submultiplicative(m, 2.0)
-    assert not rep.holds
-    corner = math.log(4.0) / (2.0 / math.e) ** 2
-    assert rep.worst_ratio == pytest.approx(corner, rel=1e-6)
-    rep = check_phi_submultiplicative(m, math.e)
-    assert rep.holds
-    assert rep.worst_ratio == pytest.approx(2.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        check_phi_submultiplicative(m, 0.5)
 
 
 def test_phi_integrable_values():

@@ -14,7 +14,8 @@ from scipy.sparse.linalg import splu
 from scipy.special import i0
 
 import freqlab.solver as solver_module
-from freqlab.coefficients import Arity, CoefficientField, FieldError, generate_holder
+from freqlab.coefficients import (
+    Arity, CoefficientField, FieldError, generate_holder, mu_factor)
 from freqlab.modulus import Modulus
 from freqlab.solver import (
     PolarGrid,
@@ -83,10 +84,6 @@ class TestPolarGrid:
         assert g.nearest_ring(0.47) in (14, 15, 16)
         with pytest.raises(ValueError):
             g.nearest_ring(1.5)
-
-    def test_keys_distinguish_grids(self):
-        assert PolarGrid.disk(17, 32).key() != PolarGrid.disk(17, 64).key()
-        assert PolarGrid.disk(17, 32).key() == PolarGrid.disk(17, 32).key()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -470,7 +467,7 @@ class TestBoundaryMass:
         assert boundary_mass(u, D21, 1.0) == pytest.approx(
             3.0 * math.pi, rel=1e-12)
 
-    def test_off_ring_radius_interpolates_and_flags(self):
+    def test_off_ring_radius_lies_between_neighbours(self):
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
         r = 0.45
@@ -480,13 +477,34 @@ class TestBoundaryMass:
         lo = boundary_mass(u, I2, g.radii[i - 1])
         hi = boundary_mass(u, I2, g.radii[i + 1])
         assert min(lo, hi) <= val <= max(lo, hi)
-        assert r in u.meta["interpolated_radii"]
 
-    def test_on_ring_radius_does_not_flag(self):
-        g = PolarGrid.disk(17, 32)
-        u = solve_dirichlet(I2, 1.0, np.ones(32), g)
-        boundary_mass(u, I2, g.radii[8])
-        assert "interpolated_radii" not in u.meta
+    @pytest.mark.parametrize("kind", ["disk", "annulus"])
+    def test_off_ring_mass_integrates_the_solution_trace(self, kind):
+        # between rings H is r times Simpson's rule on u.evaluate's trace,
+        # whose midpoint values are read from u, not averaged
+        g = _polar_grid(kind, 33, 64)
+        data = lambda p: harmonic_deg(2)(p) + 0.3 * p[:, 1]
+        u = solve_dirichlet(D21, 1.0, data, g, g_inner=data)
+        one = CoefficientField.constant(1.0)
+        r = 0.45
+        assert g.on_ring(r) is None
+        th = g.theta
+
+        def circle(t):
+            return r * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+        def simpson(weight):
+            node, mid = circle(th), circle(th + 0.5 * g.d_theta)
+            un, um = u.evaluate(node), u.evaluate(mid)
+            wn, wm = weight(node), weight(mid)
+            seg = (un ** 2 * wn + 4.0 * um ** 2 * wm
+                   + np.roll(un ** 2 * wn, -1))
+            return g.d_theta / 6.0 * seg.sum()
+
+        assert boundary_mass(u, D21, r) == pytest.approx(
+            r * simpson(lambda p: mu_factor(D21, p)), rel=1e-12)
+        assert boundary_mass_scalar(u, one, r) == pytest.approx(
+            simpson(one.evaluate), rel=1e-12)
 
 
 class TestBoundaryMassScalar:
@@ -543,6 +561,15 @@ class TestVolumeFunctionals:
         e = weighted_gradient_energy(w, u.values, 1.0)
         assert e / math.pi == pytest.approx(2.0, rel=2e-3)
 
+    @pytest.mark.parametrize("functional", [
+        dirichlet_energy, dirichlet_energy_flux, volume_mean_square])
+    def test_ring_functionals_reject_off_ring_radius(self, functional):
+        g = PolarGrid.disk(33, 64)
+        u = solve_dirichlet(I2, 1.0, harmonic_deg(2), g)
+        assert g.on_ring(0.45) is None
+        with pytest.raises(ValueError, match="not a grid radius"):
+            functional(u, 0.45)
+
     def test_gradient_mean_square_rejects_off_ring_radius(self):
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(I2, 1.0, harmonic_deg(2), g)
@@ -595,6 +622,42 @@ class TestSolutionUtilities:
         g = PolarGrid.disk(17, 32)
         u = solve_dirichlet(I2, 1.0, np.ones(32), g)
         assert u.node_grid().shape == (17, 32)
+
+    @pytest.mark.parametrize("kind", ["disk", "annulus"])
+    def test_evaluate_reads_nodal_values_on_the_rings(self, kind):
+        g = _polar_grid(kind, 33, 64)
+        data = lambda p: harmonic_deg(3)(p) + p[:, 0]
+        u = solve_dirichlet(D21, 1.0, data, g, g_inner=data)
+        got = u.evaluate(np.concatenate(
+            [g.ring_points(i) for i in range(g.n_r)])).reshape(g.n_r, -1)
+        want = u.node_grid()
+        scale = np.abs(want).max()
+        # log r and the angle are rounded, so a node is read as a blend
+        # with its neighbours' values in the last bits; the outer ring
+        # through the clip of the radial index at n_r - 1 - 1e-9
+        assert np.abs(got[:-1] - want[:-1]).max() <= 1e-13 * scale
+        assert np.abs(got[-1] - want[-1]).max() <= 1e-9 * scale
+
+    def test_evaluate_is_bilinear_in_log_radius(self):
+        # a + b log r is reproduced on annuli, and is linear in log r
+        g = PolarGrid.annulus(0.2, 1.0, 17, 32)
+        u = solve_dirichlet(I2, 1.0, np.full(32, 1.0), g,
+                            g_inner=np.full(32, 3.0))
+        rng = np.random.default_rng(4)
+        r = np.exp(rng.uniform(math.log(0.2), 0.0, 200))
+        th = rng.uniform(0.0, 2.0 * math.pi, 200)
+        pts = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+        want = 1.0 - 2.0 * np.log(r) / math.log(5.0)
+        assert np.abs(u.evaluate(pts) - want).max() <= 1e-12
+
+    def test_evaluate_rejects_points_inside_an_annulus(self):
+        g = PolarGrid.annulus(0.2, 1.0, 17, 32)
+        u = solve_dirichlet(I2, 1.0, np.ones(32), g, g_inner=np.ones(32))
+        assert u.evaluate(g.ring_points(0)) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="inner ring"):
+            u.evaluate([[0.1, 0.05]])
+        d = solve_dirichlet(I2, 1.0, np.ones(32), PolarGrid.disk(17, 32))
+        assert d.evaluate([[1e-3, 0.0]]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOperatorCache:
