@@ -661,8 +661,9 @@ class DiscreteSolution:
         rr = np.hypot(pts[:, 0], pts[:, 1])
         th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
         rcl = np.clip(rr, float(grid.radii[0]), float(grid.radii[-1]))
-        si = np.clip((np.log(rcl) - s0) / ds, 0.0, n_r - 1 - 1e-9)
-        i0 = si.astype(int)
+        # the outer ring is the end of the last band, fraction 1
+        si = np.clip((np.log(rcl) - s0) / ds, 0.0, n_r - 1)
+        i0 = np.minimum(si.astype(int), n_r - 2)
         fs = si - i0
         tj = th / dth
         j0 = tj.astype(int) % nt
