@@ -33,17 +33,25 @@ sweeps over the rings: O(n log n_theta) for n unknowns.
 Whatever an assembly needs of its grid alone is built once per grid, in
 a plan (``_Plan``; the two most recently used grids are kept, keyed by
 their exact radii): the face samples with the cosines and sines of their
-angles, the cell nodes and core triangles, the unknown order, and an
-int32 slot map that sends every cell and triangle matrix entry to its
-place in the CSC data of ``k_ii`` or the CSR data of ``k_ib``.  The map
-comes from the stencil: an entry is coded by its row and the place of
-its column in the row's 3 x 3 (ring, angle) neighbourhood, and one
-coo-to-compressed conversion per block orders the codes as the
-operator's data.  An assembly is then the field at the face samples, one
-(cells, 16) @ (16, 16) product for the 4 x 4 cell matrices and one
-``np.bincount`` into the operator's data.  Only plans are cached: an
-assembly belongs to the solutions solved with it, and energies in a
-solution's coefficient are read from that solution.
+angles, the cell nodes and core triangles, the unknown order, the
+operators' padded-row layout and an int32 slot map that sends every cell
+and triangle matrix entry to its place in that layout.  ``k_ii`` and
+``k_ib`` are stored as rows padded to one width (ELLPACK; Saad,
+*Iterative Methods for Sparse Linear Systems*, 3.4): a (width, rows)
+array of columns, each row's ascending and then pads that point at a
+zero, with the entries in the same order; a disk origin's row, n_theta
++ 1 entries long, is kept on its own.  The map comes from the stencil:
+an entry is coded by its row and the place of its column in the row's
+3 x 3 (ring, angle) neighbourhood, and one sort within the rows puts
+the codes in the layout's order.  An assembly is then the field at the
+face samples, one (cells, 16) @ (16, 16) product for the 4 x 4 cell
+matrices and one ``np.bincount`` into the operators' entries.  A product
+with an operator sums each row from 0.0 in ascending column order, the
+order of scipy's CSR and CSC products, so solutions are those of a
+scipy-backed solver bit for bit; numpy is the program's only
+dependency.  Only plans are cached: an assembly belongs to the
+solutions solved with it, and energies in a solution's coefficient are
+read from that solution.
 
 The energy functional is evaluated in the same quadrature as the
 assembly, so the divergence-theorem identity
@@ -73,7 +81,6 @@ from functools import cached_property
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 
 from .coefficients import Arity, CoefficientField, FieldError, mu_factor
 
@@ -281,13 +288,86 @@ def _check_elliptic(b: np.ndarray, where: str) -> float:
 _CG_TOL = 4.0 * float(np.finfo(float).eps)
 
 
+class _RowPattern:
+    """Where the entries of a sparse matrix stored as rows padded to one
+    width (ELLPACK) sit.
+
+    ``cols`` (width, rows) holds each row's columns in ascending order,
+    then pads naming column ``n_cols``, a zero appended to every vector
+    the matrix multiplies.  ``last`` are the columns of one more row,
+    kept on its own: a disk origin's, n_theta + 1 entries long (empty in
+    ``k_ib``), or None.  The rows of a stencil mostly share each place's
+    column offset from the row's own index: ``offsets`` holds the most
+    common offset per place, and ``irregular`` the rows whose columns
+    differ from it anywhere but at a pad."""
+
+    def __init__(self, cols: np.ndarray, last: Optional[np.ndarray],
+                 n_cols: int):
+        self.cols, self.last, self.n_cols = cols, last, n_cols
+        self.shape = (cols.shape[1] + (last is not None), n_cols)
+        delta = cols - np.arange(cols.shape[1])
+        real = cols < n_cols
+        self.offsets = []
+        for d, has in zip(delta, real):
+            d = d[has]
+            low = d.min(initial=0)
+            self.offsets.append(int(np.bincount(d - low).argmax() + low)
+                                if d.size else 0)
+        self.reach = max(map(abs, self.offsets), default=0)
+        self.irregular = np.flatnonzero(np.any(
+            real & (delta != np.array(self.offsets, dtype=int)[:, None]),
+            axis=0))
+        self.irregular_cols = cols[:, self.irregular]
+
+    def product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product with x of the matrix with entries ``data``.  Each
+        row is summed from 0.0 in ascending column order, the order of
+        scipy's CSR and CSC products, so the result is theirs bit for
+        bit.  All rows first read x through one shifted slice per place;
+        a pad there adds 0 times a finite value, so for finite x a
+        regular row's sum is exact, and the irregular rows are then
+        summed again through their columns."""
+        width, n = self.cols.shape
+        entries = data[:width * n].reshape(width, n)
+        reach = self.reach
+        x_ext = np.zeros(max(n, x.size) + 2 * reach + 1)
+        x_ext[reach:reach + x.size] = x
+        out = np.zeros(self.shape[0])
+        head = out[:n]
+        for offset, vals in zip(self.offsets, entries):
+            head += vals * x_ext[reach + offset:reach + offset + n]
+        x_pad = x_ext[reach:]  # x, then zeros: the pads' column
+        fix = np.zeros(self.irregular.size)
+        for cols, vals in zip(self.irregular_cols,
+                              entries[:, self.irregular]):
+            fix += vals * x_pad[cols]
+        head[self.irregular] = fix
+        if self.last is not None:
+            tail = data[width * n:] * x[self.last]
+            out[n] = np.cumsum(np.append(0.0, tail))[-1]  # in order
+        return out
+
+
+class _PaddedRows:
+    """A sparse matrix: its ``_RowPattern`` and its entries ``data`` in
+    the pattern's order (zero at the pads), then those of ``last``."""
+
+    def __init__(self, pattern: _RowPattern, data: np.ndarray):
+        self.pattern, self.data, self.shape = pattern, data, pattern.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.pattern.product(self.data, x)
+
+
 class _Plan:
     """What every assembly on one grid shares: the face samples, the
-    cell and core-triangle geometry, the unknown order, and the slot map
-    that sends each cell and triangle matrix entry to its place in the
-    data of ``k_ii`` (CSC, unknowns ring by ring, a disk's origin last)
-    or ``k_ib`` (CSR), or to the spare slot ``n_slots`` when its row is
-    a boundary node.  Index arrays are int32."""
+    cell and core-triangle geometry, the unknown order (ring by ring, a
+    disk's origin last), the row patterns ``ii`` and ``ib`` of ``k_ii``
+    and ``k_ib``, and the slot map that sends each cell and triangle
+    matrix entry to its place in their entries: the first ``n_ii`` slots
+    are ``k_ii``'s, then ``k_ib``'s up to ``n_slots``, and the spare slot
+    ``n_slots`` takes the entries of boundary rows.  The padded columns
+    are intp, for a fast gather; the other index arrays are int32."""
 
     def __init__(self, grid: PolarGrid):
         self.n_r, self.n_t = n_r, n_t = grid.n_r, grid.n_theta
@@ -357,7 +437,8 @@ class _Plan:
         # Each matrix entry (row, col) has a code: 10 row + the place of
         # col in row's 3 x 3 (ring, angle) neighbourhood (3 d_ring +
         # d_angle + 4), or 10 row + 9 for the origin.  The origin's own
-        # row follows the grid's: its ring-0 columns, then itself.
+        # row follows the grid's: 10 n_grid + j for its ring-0 column j,
+        # then 10 n_grid + n_theta for itself.
         n_grid = n_r * n_t
         pos = np.full(grid.node_count, -1, dtype=np.int32)
         pos[self.interior] = np.arange(self.interior.size, dtype=np.int32)
@@ -378,35 +459,49 @@ class _Plan:
                 out[0, :, 9] = index[origin]
             return out.reshape(n_grid, 10)
 
-        # the rows of the unknowns in their order (the origin's last), so
-        # that converting to CSC finds every column's rows sorted; the
-        # patterns carry the codes as data, so the conversions put the
-        # codes in the order of the operator's data
+        # the ring rows: every unknown but a disk's origin, in order
         rows = (self.interior[:-1] if disk else self.interior).astype(np.int32)
-        ci = at_places(pos)[rows].ravel()
-        cb = at_places(bpos)[rows].ravel()
-        code = (10 * rows[:, None] + np.arange(10, dtype=np.int32)).ravel()
-        r = np.repeat(np.arange(rows.size, dtype=np.int32), 10)
-        n_code = 10 * n_grid
+        n_rows = rows.size
+
+        def padded(cols: np.ndarray, n_cols: int) -> tuple:
+            """The ring rows' columns ``cols`` (n_rows, 10; -1: none)
+            as (width, n_rows) padded columns, each row's ascending and
+            then the pad ``n_cols``; the codes of the entries and their
+            flat places in that array."""
+            # sort (column, place) keys: a plain sort beats an argsort
+            keys = cols.astype(np.intp)
+            keys[keys < 0] = n_cols
+            keys <<= 4
+            keys |= np.arange(10)
+            keys.sort(axis=1)
+            width = int(np.count_nonzero(keys < 16 * n_cols, axis=1)
+                        .max(initial=0))
+            keys = np.ascontiguousarray(keys[:, :width].T)
+            # intp: a gather with these is twice as fast as with int32
+            cols = keys >> 4
+            has = cols < n_cols
+            return (cols, (10 * rows + (keys & 15))[has],
+                    np.flatnonzero(has))
+
+        n_int, n_code = self.interior.size, 10 * n_grid
+        ii_cols, ii_codes, ii_at = padded(at_places(pos)[rows], n_int)
+        ib_cols, ib_codes, ib_at = padded(at_places(bpos)[rows],
+                                          self.boundary.size)
+        origin_ii = origin_ib = None
+        self.n_ii = ii_cols.size
         if disk:
-            ci = np.concatenate([ci, pos[:n_t], pos[[origin]]])
-            cb = np.concatenate([cb, np.full(n_t + 1, -1, dtype=np.int32)])
-            code = np.concatenate(
-                [code, np.arange(n_code, n_code + n_t + 1, dtype=np.int32)])
-            r = np.concatenate(
-                [r, np.full(n_t + 1, rows.size, dtype=np.int32)])
+            # the origin's row, ascending: ring 0 leads the unknowns
+            origin_ii = np.append(pos[:n_t], pos[origin])
+            origin_ib = np.zeros(0, dtype=np.int32)
+            self.n_ii += n_t + 1
             n_code += n_t + 1
-        in_ii, in_ib = ci >= 0, cb >= 0
-        n_int = self.interior.size
-        k_ii = coo_matrix((code[in_ii], (r[in_ii], ci[in_ii])),
-                          shape=(n_int, n_int)).tocsc()
-        k_ib = coo_matrix((code[in_ib], (r[in_ib], cb[in_ib])),
-                          shape=(n_int, self.boundary.size)).tocsr()
-        self.n_ii = k_ii.nnz
-        self.n_slots = k_ii.nnz + k_ib.nnz
+        self.ii = _RowPattern(ii_cols, origin_ii, n_int)
+        self.ib = _RowPattern(ib_cols, origin_ib, self.boundary.size)
+        self.n_slots = self.n_ii + ib_cols.size
         slot = np.full(n_code, self.n_slots, dtype=np.int32)
-        slot[k_ii.data] = np.arange(self.n_ii, dtype=np.int32)
-        slot[k_ib.data] = np.arange(self.n_ii, self.n_slots, dtype=np.int32)
+        slot[ii_codes] = ii_at
+        slot[10 * n_grid:] = np.arange(ii_cols.size, self.n_ii)  # origin
+        slot[ib_codes] = self.n_ii + ib_at
 
         # slots of the cell entries, (i, j, a, b), then of the triangles'
         n_cell = n_band * n_t * 16
@@ -423,9 +518,8 @@ class _Plan:
                 [o + n_t, o + jj, o + jp,
                  10 * jj + 9, 10 * jj + 4, 10 * jj + 5,
                  10 * jp + 9, 10 * jp + 3, 10 * jp + 4], axis=1)].ravel()
-        self.ii_indices, self.ii_indptr = k_ii.indices, k_ii.indptr
-        self.ib_indices, self.ib_indptr = k_ib.indices, k_ib.indptr
-        for a in vars(self).values():
+        for a in [*vars(self).values(), *vars(self.ii).values(),
+                  *vars(self.ib).values()]:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
@@ -470,8 +564,9 @@ def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
 class _Assembly:
     """Cell matrices and the assembled operator for one (grid, field,
     potential) triple: the field at the plan's face samples, one product
-    for the 4 x 4 cell matrices, one ``np.bincount`` into the operator's
-    sparse data, and the factored ring-mean operator."""
+    for the 4 x 4 cell matrices, one ``np.bincount`` into the entries of
+    the padded-row operators ``k_ii`` and ``k_ib``, and the factored
+    ring-mean operator."""
 
     def __init__(self, grid: PolarGrid, f: CoefficientField,
                  potential: Optional[Callable[[np.ndarray], np.ndarray]]):
@@ -502,13 +597,8 @@ class _Assembly:
 
         data = np.bincount(plan.slots, weights=vals,
                            minlength=plan.n_slots + 1)
-        n_int = plan.interior.size
-        self.k_ii = csc_matrix(
-            (data[:plan.n_ii], plan.ii_indices, plan.ii_indptr),
-            shape=(n_int, n_int))
-        self.k_ib = csr_matrix(
-            (data[plan.n_ii:plan.n_slots], plan.ib_indices, plan.ib_indptr),
-            shape=(n_int, plan.boundary.size))
+        self.k_ii = _PaddedRows(plan.ii, data[:plan.n_ii])
+        self.k_ib = _PaddedRows(plan.ib, data[plan.n_ii:plan.n_slots])
 
         # The ring-mean operator in mode k, w = exp(2 pi i k / n_theta): a
         # band's mean cell matrix M becomes P^H M P on the (inner, outer)
@@ -731,7 +821,9 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
         g_all = g_out
 
     # unit-size data keep the CG scalars and norms in range: |b| >= 1 or 0
-    rhs = -asm.k_ib @ g_all
+    # 0 - k_ib g rather than -(k_ib g): a row without boundary terms
+    # stays +0.0, as in a product with the negated matrix
+    rhs = 0.0 - asm.k_ib @ g_all
     scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
     b = rhs / scale
     y, iterations = asm.solve(b) if b.any() else (b, 0)

@@ -256,20 +256,35 @@ def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    # quad is imported where it is used and the spline fit needs no
-    # scipy.interpolate, so a CLI run loads neither (scipy.integrate
-    # alone pulls in scipy.special and scipy.optimize)
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # the program needs numpy alone: the CLI import, the numeric Osgood
+    # and phi checks of a tabulated modulus, a Holder synthesis and a
+    # solve load no scipy module; scipy is a test oracle only
     import freqlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))
-    code = ("import sys, freqlab.cli; print(' '.join(sorted(m for m in ("
-            "'scipy.integrate', 'scipy.optimize', 'scipy.interpolate') "
-            "if m in sys.modules)))")
+    t = [0.001, 0.01, 0.1, 1.0]
+    cfg = write_config(tmp_path / "m.json", {"schema": 1, "modulus": {
+        "kind": "tabulated", "t": t, "omega": [s ** 0.5 for s in t]}})
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import freqlab.cli",
+        f"assert freqlab.cli.main(['modulus', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0",
+        "from freqlab.coefficients import generate_holder",
+        "from freqlab.solver import PolarGrid, solve_dirichlet",
+        "g = PolarGrid.disk(17, 32)",
+        "solve_dirichlet(generate_holder(0.75, 0.05, 7), 1.0,",
+        "                np.cos(g.theta), g)",
+        "print(sorted(m for m in sys.modules",
+        "             if m == 'scipy' or m.startswith('scipy.')))",
+    ])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == []
+    assert "NonOsgood" in done.stdout  # the modulus report's verdict
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # -- cli: solve ------------------------------------------------------------

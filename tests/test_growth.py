@@ -9,6 +9,7 @@ from scipy import integrate
 
 from freqlab.growth import (
     GrowthVerdict,
+    _integral_to_one,
     continuous_growth_bound,
     discrete_cascade,
     h_transform,
@@ -96,6 +97,19 @@ def test_h_closed_forms_match_definition():
 # ---------------------------------------------------------------------------
 # continuous bound
 # ---------------------------------------------------------------------------
+
+
+def test_forcing_integral_matches_quad():
+    # the canonical forcing phi changes formula at the modulus's kinks,
+    # where the panels are cut; t = 0 is allowed
+    for m in ALL_KINDS:
+        g = phi_function(m)
+        for t in (0.0, 1e-6, 0.3):
+            inside = [x for x in m.kinks if t < x < 1.0] or None
+            ref, _ = integrate.quad(g, t, 1.0, epsabs=0.0, epsrel=1e-13,
+                                    limit=1000, points=inside)
+            assert _integral_to_one(g, t, m.kinks) == pytest.approx(
+                ref, rel=1e-12)
 
 
 def test_continuous_bound_linear_closed_form():

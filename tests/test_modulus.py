@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.integrate import quad
 from hypothesis import strategies as st
 
 from freqlab.modulus import (
@@ -15,6 +16,7 @@ from freqlab.modulus import (
     check_phi_integrable,
     check_submultiplicative_psi,
     classify_osgood,
+    dyadic_integrals,
     select_exponents,
 )
 
@@ -234,6 +236,28 @@ def test_classify_osgood_tabulated():
     assert (
         classify_osgood(Modulus.tabulated(ts, ts**0.5)) is OsgoodClass.NON_OSGOOD
     )
+
+
+_TS = np.logspace(-6, 0, 13)
+
+
+@pytest.mark.parametrize("m", [
+    Modulus.linear(), Modulus.power(0.25), Modulus.power(0.5),
+    Modulus.power(0.75), Modulus.log_power(0.5), Modulus.log_power(1.0),
+    Modulus.log_power(2.0),
+    Modulus.tabulated(_TS, _TS * (1.0 + np.log(1.0 / _TS))),
+], ids=lambda m: f"{m.kind}-{m.alpha or m.p or ''}")
+def test_panel_rule_matches_quad_on_every_dyadic_segment(m):
+    # both integrands the Osgood and phi checks sum; the t_cut and sample
+    # kinks fall inside segments, which quad splits at the same points
+    for integrand, depth in ((lambda t: 1.0 / m.omega(t), 40), (m.phi, 60)):
+        got = dyadic_integrals(integrand, depth, m.kinks)
+        for k in range(depth):
+            a, b = 2.0 ** -(k + 1), 2.0 ** -k
+            inside = [x for x in m.kinks if a < x < b] or None
+            ref, _ = quad(lambda t: float(integrand(t)), a, b, epsabs=0.0,
+                          epsrel=1e-13, limit=1000, points=inside)
+            assert abs(got[k] - ref) <= 1e-12 * abs(ref), (k, got[k], ref)
 
 
 def test_classify_osgood_depth_validation():

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.special import i0
 
@@ -290,8 +290,7 @@ class TestSolveDirichlet:
         rng = np.random.default_rng(3)
         u = solve_dirichlet(field, 1.0, rng.normal(size=128), g)
         asm = u._assembly
-        ref_lu = splu(asm.k_ii)
-        ref = ref_lu.solve(-asm.k_ib @ u.boundary_data)
+        ref = splu(_csc(asm.k_ii)).solve(-_csr(asm.k_ib) @ u.boundary_data)
         assert u.residual_norm <= 1e-12
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
 
@@ -313,7 +312,7 @@ class TestSolveDirichlet:
                             g_inner=rng.normal(size=n_t))
         asm = u._assembly
         g_all = u.values[asm.boundary]
-        ref = splu(asm.k_ii).solve(-asm.k_ib @ g_all)
+        ref = splu(_csc(asm.k_ii)).solve(-_csr(asm.k_ib) @ g_all)
         assert u.iterations == 1
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
 
@@ -322,7 +321,7 @@ class TestSolveDirichlet:
         u = solve_dirichlet(CoefficientField.diagonal([1.0, 100.0]), 1.0,
                             np.cos(g.theta) + np.sin(3.0 * g.theta), g)
         asm = u._assembly
-        ref = splu(asm.k_ii).solve(-asm.k_ib @ u.boundary_data)
+        ref = splu(_csc(asm.k_ii)).solve(-_csr(asm.k_ib) @ u.boundary_data)
         assert 1 < u.iterations < asm.cap
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-10
 
@@ -801,9 +800,9 @@ def test_cg_solve_matches_splu(g, name, seed):
     potential = _potential if name == "symmetric" else None
     u = solve_dirichlet(f, 1.0, g_out, g, g_inner=g_in, potential=potential)
     asm = u._assembly
-    rhs = -asm.k_ib @ (np.concatenate([g_in, g_out])
-                       if g.kind == "annulus" else g_out)
-    ref = splu(asm.k_ii).solve(rhs) if rhs.size else rhs
+    rhs = -_csr(asm.k_ib) @ (np.concatenate([g_in, g_out])
+                             if g.kind == "annulus" else g_out)
+    ref = splu(_csc(asm.k_ii)).solve(rhs) if rhs.size else rhs
     assert np.abs(u.values[asm.interior] - ref).max(initial=0.0) <= 1e-12
 
 
@@ -820,6 +819,39 @@ def test_affine_datum_is_reproduced(g, a, b):
     assert np.abs(u.node_grid().ravel() - exact).max() <= 1e-12
     if g.kind == "disk":
         assert abs(u.values[-1] - a) <= 1e-12
+
+
+def _radial_anisotropic(p):
+    # A = (1 + r^2) I + x x^T: its polar-frame tensor depends on r alone
+    r2 = np.sum(p * p, axis=-1)[..., None, None]
+    return (1.0 + r2) * np.eye(2) + p[..., :, None] * p[..., None, :]
+
+
+RADIAL = {
+    "bump": CoefficientField.annulus_bump(0.3, 0.4),
+    "anisotropic": CoefficientField.from_callable(
+        _radial_anisotropic, arity=Arity.ANISOTROPIC, n=2, lam=0.5),
+}
+
+
+@given(st.sampled_from(["disk", "annulus"]), st.integers(2, 24),
+       st.integers(8, 48), st.sampled_from(sorted(RADIAL)), st.data())
+def test_rotating_the_data_rotates_a_radial_solution(kind, n_r, n_t, name,
+                                                     data):
+    # a radial field's operator commutes with rotation by a grid angle
+    g = _polar_grid(kind, n_r, n_t)
+    k = data.draw(st.integers(0, n_t - 1), label="k")
+    rng = np.random.default_rng(n_r * n_t + k)
+    g_in, g_out = rng.normal(size=n_t), rng.normal(size=n_t)
+    f = RADIAL[name]
+    u = solve_dirichlet(f, 1.0, g_out, g, g_inner=g_in)
+    turned = solve_dirichlet(f, 1.0, np.roll(g_out, k), g,
+                             g_inner=np.roll(g_in, k))
+    scale = np.abs(u.values).max()
+    assert np.abs(turned.node_grid()
+                  - np.roll(u.node_grid(), k, axis=1)).max() <= 1e-12 * scale
+    if kind == "disk":
+        assert abs(turned.values[-1] - u.values[-1]) <= 1e-12 * scale
 
 
 # -- assembly plan: property tests and cache safety -------------------------
@@ -895,6 +927,38 @@ def _reference_operator(g, f, potential):
     return asm, rows_i[:, asm.interior], rows_i[:, asm.boundary]
 
 
+def _csr(op):
+    """The entries of a padded-row operator as a scipy CSR matrix, in its
+    order and without its pads."""
+    pattern = op.pattern
+    width, n = pattern.cols.shape
+    keep = pattern.cols.T < pattern.n_cols
+    data = op.data[:width * n].reshape(width, n).T[keep]
+    cols, counts = pattern.cols.T[keep], keep.sum(axis=1)
+    if pattern.last is not None:
+        data = np.append(data, op.data[width * n:])
+        cols = np.append(cols, pattern.last)
+        counts = np.append(counts, pattern.last.size)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return csr_matrix((data, cols, indptr), shape=op.shape)
+
+
+def _ascending_row_sums(a, x):
+    """a @ x for a CSR matrix a, each row summed from 0.0 in its
+    entries' order."""
+    lengths = np.diff(a.indptr)
+    out = np.zeros(a.shape[0])
+    for k in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > k)
+        at = a.indptr[rows] + k
+        out[rows] += a.data[at] * x[a.indices[at]]
+    return out
+
+
+def _csc(op):
+    return _csr(op).tocsc()
+
+
 def _sparse_gap(a, b):
     return abs(a - b).max() if a.nnz or b.nnz else 0.0
 
@@ -904,17 +968,34 @@ def test_plan_scatter_matches_coo_reference(g, name, with_potential):
     f = SYMMETRIC if name == "symmetric" else HOLDER
     potential = _potential if with_potential else None
     asm, ref_ii, ref_ib = _reference_operator(g, f, potential)
+    k_ii, k_ib = _csr(asm.k_ii), _csr(asm.k_ib)
     scale = max(abs(ref_ii).max() if ref_ii.nnz else 0.0,
                 abs(ref_ib).max() if ref_ib.nnz else 0.0)
-    assert asm.k_ii.shape == ref_ii.shape and asm.k_ib.shape == ref_ib.shape
-    assert asm.k_ii.has_canonical_format and asm.k_ib.has_canonical_format
-    assert _sparse_gap(asm.k_ii, ref_ii) <= 1e-14 * scale
-    assert _sparse_gap(asm.k_ib, ref_ib) <= 1e-14 * scale
+    assert k_ii.shape == ref_ii.shape and k_ib.shape == ref_ib.shape
+    # each row's columns ascend without repeats
+    assert k_ii.has_canonical_format and k_ib.has_canonical_format
+    assert _sparse_gap(k_ii, ref_ii) <= 1e-14 * scale
+    assert _sparse_gap(k_ib, ref_ib) <= 1e-14 * scale
+
+
+@given(GRIDS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_padded_product_matches_csr_product(g, with_potential, seed):
+    asm = solver_module._Assembly(g, HOLDER,
+                                  _potential if with_potential else None)
+    rng = np.random.default_rng(seed)
+    for op in (asm.k_ii, asm.k_ib):
+        x = rng.normal(size=op.shape[1])
+        ref = _csr(op)
+        got = op @ x
+        assert got.shape == (op.shape[0],)
+        assert np.all(np.abs(got - ref @ x) <= 1e-15 * (abs(ref) @ abs(x)))
+        # exactly: each row summed from 0.0 in ascending column order
+        assert np.array_equal(got, _ascending_row_sums(ref, x))
 
 
 @given(GRIDS)
 def test_operator_is_symmetric_for_a_symmetric_field(g):
-    k_ii = solver_module._Assembly(g, SYMMETRIC, _potential).k_ii
+    k_ii = _csr(solver_module._Assembly(g, SYMMETRIC, _potential).k_ii)
     if k_ii.nnz:
         assert _sparse_gap(k_ii, k_ii.T) <= 1e-14 * abs(k_ii).max()
 
