@@ -256,7 +256,7 @@ def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
     assert not out.exists()
 
 
-def test_cli_runs_without_loading_scipy(tmp_path):
+def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     # the program needs numpy alone: the CLI import, the numeric Osgood
     # and phi checks of a tabulated modulus, a Holder synthesis and a
     # solve load no scipy module; scipy is a test oracle only

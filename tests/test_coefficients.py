@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,6 +492,25 @@ def test_bicubic_interpolant_matches_fitpack_evaluation():
     assert np.abs(got - spline.ev(pts[:, 0], pts[:, 1])).max() <= 2e-15
     # beyond the grid the argument is clamped, not extrapolated
     assert got[-3] == ev(np.array([[1.0, 0.0]]))[0]
+
+
+def test_generate_holder_leaves_scipy_interpolate_unloaded():
+    # the fit is one banded elimination in numpy, so synthesising and
+    # evaluating a Holder field loads no scipy module; fitpack stays the
+    # test oracle only
+    import freqlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from freqlab.coefficients import generate_holder\n"
+            "generate_holder(0.75, 0.05, 7).evaluate(np.zeros((1, 2)))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[]"]
 
 
 def test_generate_holder_clamps_points_just_outside_the_disk():
