@@ -373,13 +373,13 @@ def cmd_experiment(args) -> int:
     t0 = time.monotonic()
     try:
         configs = _experiment_configs(args)
+        if args.refine:
+            configs = [dataclasses.replace(c, n_r=2 * (c.n_r - 1) + 1,
+                                           n_theta=2 * c.n_theta)
+                       for c in configs]
     except (ScenarioError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.refine:
-        configs = [dataclasses.replace(c, n_r=2 * (c.n_r - 1) + 1,
-                                       n_theta=2 * c.n_theta)
-                   for c in configs]
 
     jobs = max(1, args.jobs)
     if jobs == 1:

@@ -29,6 +29,7 @@ from ..coefficients import (
 from ..frequency import almgren_frequency
 from ..modulus import Modulus
 from ..solver import (
+    MAX_GRID_NODES,
     DiscreteSolution,
     PolarGrid,
     boundary_mass,
@@ -120,6 +121,13 @@ class ScenarioConfig:
             raise ValueError("eps and delta must be nonnegative")
         if self.n_r < 9 or self.n_theta < 16:
             raise ValueError("grid resolution too small for a scenario run")
+        # every run also solves on the refined grid
+        fine_r, fine_theta = 2 * (self.n_r - 1) + 1, 2 * self.n_theta
+        if fine_r * fine_theta > MAX_GRID_NODES:
+            raise ValueError(
+                f"grid resolution {self.n_r} x {self.n_theta} too large: its "
+                f"refinement {fine_r} x {fine_theta} exceeds the limit of "
+                f"{MAX_GRID_NODES} ring nodes")
         if not self.radii or any(not 0.0 < r < 1.0 for r in self.radii):
             raise ValueError("radius schedule must lie inside (0, 1)")
         if any(a <= b for a, b in zip(self.radii, self.radii[1:])):

@@ -33,25 +33,36 @@ sweeps over the rings: O(n log n_theta) for n unknowns.
 Whatever an assembly needs of its grid alone is built once per grid, in
 a plan (``_Plan``; the two most recently used grids are kept, keyed by
 their exact radii): the face samples with the cosines and sines of their
-angles, the cell nodes and core triangles, the unknown order, the
-operators' padded-row layout and an int32 slot map that sends every cell
-and triangle matrix entry to its place in that layout.  ``k_ii`` and
-``k_ib`` are stored as rows padded to one width (ELLPACK; Saad,
-*Iterative Methods for Sparse Linear Systems*, 3.4): a (width, rows)
-array of columns, each row's ascending and then pads that point at a
-zero, with the entries in the same order; a disk origin's row, n_theta
-+ 1 entries long, is kept on its own.  The map comes from the stencil:
-an entry is coded by its row and the place of its column in the row's
-3 x 3 (ring, angle) neighbourhood, and one sort within the rows puts
-the codes in the layout's order.  An assembly is then the field at the
-face samples, one (cells, 16) @ (16, 16) product for the 4 x 4 cell
-matrices and one ``np.bincount`` into the operators' entries.  A product
-with an operator sums each row from 0.0 in ascending column order, the
-order of scipy's CSR and CSC products, so solutions are those of a
-scipy-backed solver bit for bit; numpy is the program's only
-dependency.  Only plans are cached: an assembly belongs to the
+angles, the cell nodes and weights, the core triangles and the unknown
+order.  A plan holds geometry only.  The operator is stored as the
+stencil it is, one array per stencil place (the diagonal format of Saad,
+*Iterative Methods for Sparse Linear Systems*, 3.4, with the angle axis
+wrapped): ``stencil[p, i, j]`` couples node (i, j) to its neighbour at
+place p = 3 d_ring + d_angle + 4 of its 3 x 3 (ring, angle)
+neighbourhood, and place 9 couples ring 0 to a disk's origin, whose own
+row (ring 0, then itself) is kept apart.  ``k_ii`` and ``k_ib`` are the
+rows of the unknowns against the unknowns or the boundary nodes, so one
+product serves both: the stencil times the node values, laid out ring
+by ring between two rings of zeros, with zeros on the nodes the product
+leaves out.  An assembly is the field at the face samples, one (cells,
+16) @ (16, 16) product for the 4 x 4 cell matrices and one slice add
+per local node pair (a, b) into the stencil.  numpy is the program's
+only dependency.  Only plans are cached: an assembly belongs to the
 solutions solved with it, and energies in a solution's coefficient are
 read from that solution.
+
+The summation orders are those of a scipy-backed solver, so solutions
+are its solutions bit for bit.  Its scatter summed each entry in cell
+order, triangles last: the slice adds take local nodes a = 2, 1, 3, 0,
+which is cell order, except in angle column 0, whose cell on the left
+wraps to the end of its ring (a = 1, 2, 0, 3 there); a triangle on the
+left goes before its right neighbour except at angle 0, and the
+origin's diagonal is a running sum over the triangles.  Its CSR and CSC
+products summed each row from 0.0 in ascending column order: the places
+0..8 and then the origin, with angle columns 0 and n_theta - 1 summed
+again in the order their wrapped neighbours take.  A place the product
+leaves out adds 0 times a finite value to a sum that started at +0.0,
+which changes no bit of it.
 
 The energy functional is evaluated in the same quadrature as the
 assembly, so the divergence-theorem identity
@@ -86,6 +97,7 @@ from .coefficients import Arity, CoefficientField, FieldError, mu_factor
 
 __all__ = [
     "DiscreteSolution",
+    "MAX_GRID_NODES",
     "PolarGrid",
     "SolverError",
     "boundary_mass",
@@ -106,6 +118,19 @@ class SolverError(RuntimeError):
 
 
 # -- grids ---------------------------------------------------------------
+
+# The most ring nodes (n_r * n_theta) a grid may have: 2048 x 2048.  A
+# solve peaks near 0.55 kB per node (306 MB at 513 x 1024), so one solve
+# at the limit needs about 2.3 GB.  Larger grids are rejected before any
+# array is built.
+MAX_GRID_NODES = 1 << 22
+
+
+def _check_grid_size(n_r: int, n_theta: int) -> None:
+    if n_r * n_theta > MAX_GRID_NODES:
+        raise ValueError(
+            f"a grid of {n_r} x {n_theta} nodes exceeds the limit of "
+            f"{MAX_GRID_NODES} ring nodes")
 
 
 @dataclass(frozen=True)
@@ -130,6 +155,7 @@ class PolarGrid:
             raise ValueError("radii must be positive and strictly increasing")
         if self.n_theta < 8:
             raise ValueError(f"need at least 8 angles, got {self.n_theta}")
+        _check_grid_size(r.size, self.n_theta)
         if self.kind not in ("disk", "annulus"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
         s = np.log(r)
@@ -144,6 +170,7 @@ class PolarGrid:
         the angular step, so cells are logically square."""
         if n_r < 2:
             raise ValueError("need at least two rings")
+        _check_grid_size(n_r, n_theta)
         if r_min is None:
             r_min = radius * math.exp(-2.0 * math.pi * (n_r - 1) / n_theta)
         if not 0.0 < r_min < radius:
@@ -156,6 +183,7 @@ class PolarGrid:
                 n_theta: int) -> "PolarGrid":
         if not 0.0 < r_in < r_out:
             raise ValueError(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
+        _check_grid_size(n_r, n_theta)
         s = np.linspace(math.log(r_in), math.log(r_out), n_r)
         return cls(np.exp(s), n_theta, "annulus")
 
@@ -240,7 +268,7 @@ _TRI_BASIS = np.array([
 ])
 # (ring, angle) offsets of the local nodes, and the place of local node
 # b in local node a's 3 x 3 (ring, angle) neighbourhood
-_CELL_LOCAL = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.int32)
+_CELL_LOCAL = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 _CELL_PLACE = (3 * (_CELL_LOCAL[None, :, 0] - _CELL_LOCAL[:, None, 0])
                + _CELL_LOCAL[None, :, 1] - _CELL_LOCAL[:, None, 1] + 4)
 
@@ -288,86 +316,12 @@ def _check_elliptic(b: np.ndarray, where: str) -> float:
 _CG_TOL = 4.0 * float(np.finfo(float).eps)
 
 
-class _RowPattern:
-    """Where the entries of a sparse matrix stored as rows padded to one
-    width (ELLPACK) sit.
-
-    ``cols`` (width, rows) holds each row's columns in ascending order,
-    then pads naming column ``n_cols``, a zero appended to every vector
-    the matrix multiplies.  ``last`` are the columns of one more row,
-    kept on its own: a disk origin's, n_theta + 1 entries long (empty in
-    ``k_ib``), or None.  The rows of a stencil mostly share each place's
-    column offset from the row's own index: ``offsets`` holds the most
-    common offset per place, and ``irregular`` the rows whose columns
-    differ from it anywhere but at a pad."""
-
-    def __init__(self, cols: np.ndarray, last: Optional[np.ndarray],
-                 n_cols: int):
-        self.cols, self.last, self.n_cols = cols, last, n_cols
-        self.shape = (cols.shape[1] + (last is not None), n_cols)
-        delta = cols - np.arange(cols.shape[1])
-        real = cols < n_cols
-        self.offsets = []
-        for d, has in zip(delta, real):
-            d = d[has]
-            low = d.min(initial=0)
-            self.offsets.append(int(np.bincount(d - low).argmax() + low)
-                                if d.size else 0)
-        self.reach = max(map(abs, self.offsets), default=0)
-        self.irregular = np.flatnonzero(np.any(
-            real & (delta != np.array(self.offsets, dtype=int)[:, None]),
-            axis=0))
-        self.irregular_cols = cols[:, self.irregular]
-
-    def product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The product with x of the matrix with entries ``data``.  Each
-        row is summed from 0.0 in ascending column order, the order of
-        scipy's CSR and CSC products, so the result is theirs bit for
-        bit.  All rows first read x through one shifted slice per place;
-        a pad there adds 0 times a finite value, so for finite x a
-        regular row's sum is exact, and the irregular rows are then
-        summed again through their columns."""
-        width, n = self.cols.shape
-        entries = data[:width * n].reshape(width, n)
-        reach = self.reach
-        x_ext = np.zeros(max(n, x.size) + 2 * reach + 1)
-        x_ext[reach:reach + x.size] = x
-        out = np.zeros(self.shape[0])
-        head = out[:n]
-        for offset, vals in zip(self.offsets, entries):
-            head += vals * x_ext[reach + offset:reach + offset + n]
-        x_pad = x_ext[reach:]  # x, then zeros: the pads' column
-        fix = np.zeros(self.irregular.size)
-        for cols, vals in zip(self.irregular_cols,
-                              entries[:, self.irregular]):
-            fix += vals * x_pad[cols]
-        head[self.irregular] = fix
-        if self.last is not None:
-            tail = data[width * n:] * x[self.last]
-            out[n] = np.cumsum(np.append(0.0, tail))[-1]  # in order
-        return out
-
-
-class _PaddedRows:
-    """A sparse matrix: its ``_RowPattern`` and its entries ``data`` in
-    the pattern's order (zero at the pads), then those of ``last``."""
-
-    def __init__(self, pattern: _RowPattern, data: np.ndarray):
-        self.pattern, self.data, self.shape = pattern, data, pattern.shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.pattern.product(self.data, x)
-
-
 class _Plan:
-    """What every assembly on one grid shares: the face samples, the
-    cell and core-triangle geometry, the unknown order (ring by ring, a
-    disk's origin last), the row patterns ``ii`` and ``ib`` of ``k_ii``
-    and ``k_ib``, and the slot map that sends each cell and triangle
-    matrix entry to its place in their entries: the first ``n_ii`` slots
-    are ``k_ii``'s, then ``k_ib``'s up to ``n_slots``, and the spare slot
-    ``n_slots`` takes the entries of boundary rows.  The padded columns
-    are intp, for a fast gather; the other index arrays are int32."""
+    """What every assembly on one grid shares, all geometry: the face
+    samples with their angles' cosines and sines, the cells' nodes and
+    volume weights, the core triangles (None on annuli), the unknown
+    order (ring by ring, a disk's origin last), and the matrix that turns
+    a cell's B at its four faces into its 4 x 4 stiffness matrix."""
 
     def __init__(self, grid: PolarGrid):
         self.n_r, self.n_t = n_r, n_t = grid.n_r, grid.n_theta
@@ -404,7 +358,6 @@ class _Plan:
                        r_mid ** 2, r_mid ** 2], axis=1)
         self.cell_volw = np.broadcast_to((w * r2)[:, None, :], (n_band, n_t, 4))
 
-        origin = grid.node_count - 1
         if disk:
             p = grid.ring_points(0)
             p_next = p[jp]
@@ -423,7 +376,8 @@ class _Plan:
             self.tri_mids = np.concatenate(
                 [0.5 * (p + p_next), 0.5 * p_next, 0.5 * p])
             self.tri_nodes = np.stack(
-                [np.full(n_t, origin, dtype=np.int32), jj, jp], axis=1)
+                [np.full(n_t, grid.node_count - 1, dtype=np.int32), jj, jp],
+                axis=1)
         else:
             self.tri_g = self.tri_area = self.tri_mids = self.tri_nodes = None
 
@@ -433,93 +387,7 @@ class _Plan:
         mask = np.ones(grid.node_count, dtype=bool)
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask)
-
-        # Each matrix entry (row, col) has a code: 10 row + the place of
-        # col in row's 3 x 3 (ring, angle) neighbourhood (3 d_ring +
-        # d_angle + 4), or 10 row + 9 for the origin.  The origin's own
-        # row follows the grid's: 10 n_grid + j for its ring-0 column j,
-        # then 10 n_grid + n_theta for itself.
-        n_grid = n_r * n_t
-        pos = np.full(grid.node_count, -1, dtype=np.int32)
-        pos[self.interior] = np.arange(self.interior.size, dtype=np.int32)
-        bpos = np.full(grid.node_count, -1, dtype=np.int32)
-        bpos[self.boundary] = np.arange(self.boundary.size, dtype=np.int32)
-
-        def at_places(index: np.ndarray) -> np.ndarray:
-            """``index`` of each grid node's neighbour at each place,
-            (n_grid, 10), -1 where there is none."""
-            nodes = index[:n_grid].reshape(n_r, n_t)
-            out = np.full((n_r, n_t, 10), -1, dtype=np.int32)
-            for di in (-1, 0, 1):
-                lo, hi = max(0, -di), n_r - max(0, di)
-                for dj in (-1, 0, 1):
-                    out[lo:hi, :, 3 * di + dj + 4] = np.roll(
-                        nodes[lo + di:hi + di], -dj, axis=1)
-            if disk:
-                out[0, :, 9] = index[origin]
-            return out.reshape(n_grid, 10)
-
-        # the ring rows: every unknown but a disk's origin, in order
-        rows = (self.interior[:-1] if disk else self.interior).astype(np.int32)
-        n_rows = rows.size
-
-        def padded(cols: np.ndarray, n_cols: int) -> tuple:
-            """The ring rows' columns ``cols`` (n_rows, 10; -1: none)
-            as (width, n_rows) padded columns, each row's ascending and
-            then the pad ``n_cols``; the codes of the entries and their
-            flat places in that array."""
-            # sort (column, place) keys: a plain sort beats an argsort
-            keys = cols.astype(np.intp)
-            keys[keys < 0] = n_cols
-            keys <<= 4
-            keys |= np.arange(10)
-            keys.sort(axis=1)
-            width = int(np.count_nonzero(keys < 16 * n_cols, axis=1)
-                        .max(initial=0))
-            keys = np.ascontiguousarray(keys[:, :width].T)
-            # intp: a gather with these is twice as fast as with int32
-            cols = keys >> 4
-            has = cols < n_cols
-            return (cols, (10 * rows + (keys & 15))[has],
-                    np.flatnonzero(has))
-
-        n_int, n_code = self.interior.size, 10 * n_grid
-        ii_cols, ii_codes, ii_at = padded(at_places(pos)[rows], n_int)
-        ib_cols, ib_codes, ib_at = padded(at_places(bpos)[rows],
-                                          self.boundary.size)
-        origin_ii = origin_ib = None
-        self.n_ii = ii_cols.size
-        if disk:
-            # the origin's row, ascending: ring 0 leads the unknowns
-            origin_ii = np.append(pos[:n_t], pos[origin])
-            origin_ib = np.zeros(0, dtype=np.int32)
-            self.n_ii += n_t + 1
-            n_code += n_t + 1
-        self.ii = _RowPattern(ii_cols, origin_ii, n_int)
-        self.ib = _RowPattern(ib_cols, origin_ib, self.boundary.size)
-        self.n_slots = self.n_ii + ib_cols.size
-        slot = np.full(n_code, self.n_slots, dtype=np.int32)
-        slot[ii_codes] = ii_at
-        slot[10 * n_grid:] = np.arange(ii_cols.size, self.n_ii)  # origin
-        slot[ib_codes] = self.n_ii + ib_at
-
-        # slots of the cell entries, (i, j, a, b), then of the triangles'
-        n_cell = n_band * n_t * 16
-        self.slots = np.empty(n_cell + (9 * n_t if disk else 0), dtype=np.int32)
-        cells = self.slots[:n_cell].reshape(n_band, n_t, 4, 4)
-        by_node = slot[:10 * n_grid].reshape(n_r, n_t, 10)
-        for a, (da, ea) in enumerate(_CELL_LOCAL):
-            # local node a of cell (i, j) is node (i + da, j + ea)
-            cells[:, :, a] = np.roll(by_node[da:da + n_band], -ea,
-                                     axis=1)[..., _CELL_PLACE[a]]
-        if disk:
-            o = np.full(n_t, 10 * origin, dtype=np.int32)
-            self.slots[n_cell:] = slot[np.stack(
-                [o + n_t, o + jj, o + jp,
-                 10 * jj + 9, 10 * jj + 4, 10 * jj + 5,
-                 10 * jp + 9, 10 * jp + 3, 10 * jp + 4], axis=1)].ravel()
-        for a in [*vars(self).values(), *vars(self.ii).values(),
-                  *vars(self.ib).values()]:
+        for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
@@ -534,39 +402,90 @@ class _Plan:
     @cached_property
     def identity(self) -> tuple:
         """The identity field's cell and core-triangle matrices."""
-        return _element_matrices(self, CoefficientField.identity())[1:3]
+        return _element_matrices(self, CoefficientField.identity())[:2]
 
 
 def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
-    """f's cell and core-triangle matrices in one array in the order of
-    ``plan.slots``, views of the cells' (n_r - 1, n_theta, 4, 4) and the
-    triangles' (n_theta, 3, 3), B at the faces, the core's frozen tensors
-    (None on annuli), and their largest eigenvalue over their smallest."""
+    """f's cell matrices (n_r - 1, n_theta, 4, 4) and core-triangle
+    matrices (n_theta, 3, 3), B at the faces, the core's frozen tensors
+    (None and None on annuli), and their largest eigenvalue over their
+    smallest."""
     face_b = _rotated_tensor(f, plan.face_pts, plan.face_cos, plan.face_sin)
     contrast = _check_elliptic(face_b, "at a cell face")
     # per cell the (q, i, j) entries of B at its four faces
     quad_b = np.stack([b.reshape(plan.n_band, plan.n_t, 4)
                        for b in plan.cell_faces(face_b)], axis=2)
-    vals = np.empty(plan.slots.size)
-    cell_k = vals[:quad_b.size].reshape(quad_b.shape)
-    np.matmul(quad_b.reshape(-1, 16), plan.stiffness,
-              out=cell_k.reshape(-1, 16))
+    cell_k = (quad_b.reshape(-1, 16) @ plan.stiffness).reshape(quad_b.shape)
     if plan.tri_nodes is None:
-        return vals, cell_k, None, face_b, None, contrast
+        return cell_k, None, face_b, None, contrast
     tri_a = f.matrices(plan.tri_mids).reshape(3, plan.n_t, 2, 2).mean(axis=0)
     contrast = max(contrast, _check_elliptic(tri_a, "inside the core disk"))
-    tri_k = vals[cell_k.size:].reshape(plan.n_t, 3, 3)
-    tri_k[:] = plan.tri_area[:, None, None] * np.einsum(
+    tri_k = plan.tri_area[:, None, None] * np.einsum(
         "tai,tij,tbj->tab", plan.tri_g, tri_a, plan.tri_g)
-    return vals, cell_k, tri_k, face_b, tri_a, contrast
+    return cell_k, tri_k, face_b, tri_a, contrast
+
+
+def _scatter(cell_k: np.ndarray, tri_k: Optional[np.ndarray]) -> tuple:
+    """The stencil (10, n_r, n_theta) of the cell matrices (n_r - 1,
+    n_theta, 4, 4) and core-triangle matrices (n_theta, 3, 3; None on
+    annuli), and the origin's row (None on annuli).  Each entry is summed
+    from 0.0 in cell order, triangles last."""
+    n_band, n_t = cell_k.shape[:2]
+    stencil = np.zeros((10, n_band + 1, n_t))
+    # the cell matrices place-first, (a, b, i, j), copied a few bands at
+    # a time: a plain transposed copy is 2.5 times slower at 257 x 512
+    by_place = np.empty((4, 4, n_band, n_t))
+    step = max(1, 2048 // n_t)
+    for i in range(0, n_band, step):
+        by_place[:, :, i:i + step] = cell_k[i:i + step].transpose(2, 3, 0, 1)
+    # Cell order: the cells of ring i - 1 come first, and in a ring the
+    # cell on the left (local nodes 2, 3) first.  Through flat slices,
+    # node a of cell (i, j) being node (i + da, j + ea); that is right
+    # but in angle column 0, whose cell on the left is its ring's last:
+    # that column is summed again.
+    flat = stencil.reshape(10, -1)
+    for a in (2, 1, 3, 0):
+        da, ea = _CELL_LOCAL[a]
+        start, size = da * n_t + ea, n_band * n_t - ea
+        for b in range(4):
+            flat[_CELL_PLACE[a, b], start:start + size] += \
+                by_place[a, b].ravel()[:size]
+    stencil[:, :, 0] = 0.0
+    for a in (1, 2, 0, 3):
+        da, ea = _CELL_LOCAL[a]
+        for b in range(4):
+            stencil[_CELL_PLACE[a, b], da:da + n_band, 0] += \
+                by_place[a, b, :, -ea]
+    if tri_k is None:
+        return stencil, None
+    # ring-0 node j is triangle j's first ring node and triangle j - 1's
+    # second; the places of their rows' columns (origin, first, second)
+    prev = np.roll(tri_k, 1, axis=0)
+    first = (tri_k[:, 1], (9, 4, 5), tri_k[:, 0, 1])
+    second = (prev[:, 2], (9, 3, 4), prev[:, 0, 2])
+    origin_row = np.zeros(n_t + 1)
+    for cols, parts in ((slice(1, None), (second, first)),
+                        (slice(0, 1), (first, second))):
+        for rows, places, col in parts:
+            stencil[places, 0, cols] += rows[cols].T
+            origin_row[:n_t][cols] += col[cols]
+    origin_row[n_t] = np.cumsum(np.append(0.0, tri_k[:, 0, 0]))[-1]
+    return stencil, origin_row
+
+
+# the places of angle columns 0 and n_theta - 1 in ascending column
+# order: there the angle neighbour across theta = 0 wraps to the other
+# end of its ring
+_WRAPPED_ORDERS = ((0, (1, 2, 0, 4, 5, 3, 7, 8, 6)),
+                   (-1, (2, 0, 1, 5, 3, 4, 8, 6, 7)))
 
 
 class _Assembly:
     """Cell matrices and the assembled operator for one (grid, field,
     potential) triple: the field at the plan's face samples, one product
-    for the 4 x 4 cell matrices, one ``np.bincount`` into the entries of
-    the padded-row operators ``k_ii`` and ``k_ib``, and the factored
-    ring-mean operator."""
+    for the 4 x 4 cell matrices, the operator as ``stencil`` (10, n_r,
+    n_theta) by place and a disk's ``origin_row`` (see ``_scatter``;
+    ``product`` applies them), and the factored ring-mean operator."""
 
     def __init__(self, grid: PolarGrid, f: CoefficientField,
                  potential: Optional[Callable[[np.ndarray], np.ndarray]]):
@@ -574,7 +493,7 @@ class _Assembly:
         self.plan = plan = _get_plan(grid)
         self.interior, self.boundary = plan.interior, plan.boundary
         n_r, n_t = grid.n_r, grid.n_theta
-        (vals, cell_k, tri_k, self.face_b, self.tri_a,
+        (cell_k, tri_k, self.face_b, self.tri_a,
          contrast) = _element_matrices(plan, f)
         self.cell_k, self.tri_k = cell_k, tri_k
         # row sums of the mass matrices; the stiffness's are zero
@@ -594,11 +513,7 @@ class _Assembly:
                                  _TRI_BASIS, _TRI_BASIS)
                 tri_k += mass
                 tri_rows = mass.sum(axis=-1)
-
-        data = np.bincount(plan.slots, weights=vals,
-                           minlength=plan.n_slots + 1)
-        self.k_ii = _PaddedRows(plan.ii, data[:plan.n_ii])
-        self.k_ib = _PaddedRows(plan.ib, data[plan.n_ii:plan.n_slots])
+        self.stencil, self.origin_row = _scatter(cell_k, tri_k)
 
         # The ring-mean operator in mode k, w = exp(2 pi i k / n_theta): a
         # band's mean cell matrix M becomes P^H M P on the (inner, outer)
@@ -637,6 +552,53 @@ class _Assembly:
         # needs about contrast ln(2 / tol) / 2 steps; the cap allows twice
         self.cap = 1 + math.ceil(contrast * math.log(2.0 / _CG_TOL))
 
+    def product(self, x: np.ndarray, boundary: bool = False) -> np.ndarray:
+        """``k_ii @ x`` for x on the unknowns, or ``k_ib @ x`` for x on
+        the boundary nodes: the unknowns' rows of the stencil times the
+        node values, zero off x's nodes.  Each row is summed from 0.0 in
+        ascending column order, then the origin's row in its order."""
+        stencil, n_t = self.stencil, self.grid.n_theta
+        lo = int(self.origin_row is None)  # the first unknown ring
+        n = stencil.shape[1] - 1 - lo  # unknown rings
+        size = n * n_t
+        # the node values ring by ring between two rings of zeros, and one
+        # zero more at each end; (ring, angle) is at n_t (ring + 1) + angle + 1
+        flat = np.zeros((n + lo + 3) * n_t + 2)
+        rings = flat[1:-1].reshape(-1, n_t)
+        origin = 0.0
+        if boundary:
+            rings[-2] = x[x.size - n_t:]
+            if lo:
+                rings[1] = x[:n_t]
+        else:
+            rings[1 + lo:-2] = x[:size].reshape(n, n_t)
+            if not lo:
+                origin = x[-1]
+        # the places in order, through shifted slices: right but in angle
+        # columns 0 and n_theta - 1, which the next loop sums again
+        rows = stencil[:, lo:lo + n]
+        flat_rows = rows.reshape(10, size)
+        out, term = np.zeros(size), np.empty(size)
+        for p in range(9):
+            di, dj = divmod(p, 3)
+            start = (lo + di) * n_t + dj
+            out += np.multiply(flat_rows[p], flat[start:start + size],
+                               out=term)
+        out = out.reshape(n, n_t)
+        for j, order in _WRAPPED_ORDERS:
+            col = np.zeros(n)
+            for p in order:
+                di, dj = divmod(p, 3)
+                col += rows[p, :, j] * rings[lo + di:lo + di + n,
+                                             (j + dj - 1) % n_t]
+            out[:, j] = col
+        out = out.ravel()
+        if lo:
+            return out
+        out[:n_t] += rows[9, 0] * origin
+        last = self.origin_row * np.append(rings[1], origin)
+        return np.append(out, np.cumsum(np.append(0.0, last))[-1])
+
     def ring_mean_solve(self, r: np.ndarray) -> np.ndarray:
         n_t, lead = self.grid.n_theta, int(self.tri_k is not None)
         n_ring = r.size - lead
@@ -658,7 +620,7 @@ class _Assembly:
         rz = r @ z
         stop = _CG_TOL * np.linalg.norm(b)
         for it in range(1, self.cap + 1):
-            q = self.k_ii @ p
+            q = self.product(p)
             pq = p @ q
             if pq <= 0.0:
                 raise SolverError("operator is not positive definite: "
@@ -823,11 +785,11 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
     # unit-size data keep the CG scalars and norms in range: |b| >= 1 or 0
     # 0 - k_ib g rather than -(k_ib g): a row without boundary terms
     # stays +0.0, as in a product with the negated matrix
-    rhs = 0.0 - asm.k_ib @ g_all
+    rhs = 0.0 - asm.product(g_all, boundary=True)
     scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
     b = rhs / scale
     y, iterations = asm.solve(b) if b.any() else (b, 0)
-    residual = float(np.linalg.norm(asm.k_ii @ y - b)
+    residual = float(np.linalg.norm(asm.product(y) - b)
                      / max(np.linalg.norm(b), 1.0))
     x = y * scale
     if not (residual <= rtol and np.all(np.isfinite(x))):

@@ -324,6 +324,19 @@ def test_cli_solve_missing_grid_block(tmp_path, capsys):
         assert "grid" in capsys.readouterr().err
 
 
+def test_cli_solve_rejects_oversized_grid(tmp_path, capsys):
+    # 10^13 angles would need 73 TiB for the angles alone: the size is
+    # refused before any array of that length is built
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "grid": {"n_r": 3, "n_theta": 10 ** 13, "r_min": 0.1},
+        "boundary": {"kind": "harmonic", "degree": 1}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "exceeds the limit" in err
+    assert not out.exists()
+
+
 def test_cli_solve_resolution_override(tmp_path):
     cfg = write_config(tmp_path / "s.json", {
         "schema": 1,
@@ -385,6 +398,20 @@ def test_cli_experiment_unknown_scenario(tmp_path, capsys):
     assert main(["experiment", "no_such_thing",
                  "--out", str(tmp_path / "out")]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--resolution", "9,10000000000000"],
+    # 513 x 1024 runs, but --refine makes it 1025 x 2048, whose own
+    # refinement is past the limit
+    ["--resolution", "513,1024", "--refine"],
+], ids=["huge", "refined"])
+def test_cli_experiment_rejects_oversized_grid(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["experiment", "approx_v", "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "exceeds the limit" in err
+    assert not out.exists()
 
 
 def test_cli_experiment_rejects_names_plus_config(tmp_path, capsys):

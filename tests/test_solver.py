@@ -97,6 +97,16 @@ class TestPolarGrid:
         with pytest.raises(ValueError):
             PolarGrid(np.array([0.1, 0.3, 0.5]), 32)  # not geometric
 
+    def test_oversized_grid_is_rejected_by_every_constructor(self):
+        limit = solver_module.MAX_GRID_NODES
+        assert PolarGrid.disk(2, limit // 2).node_count == limit + 1
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            PolarGrid.disk(2, limit // 2 + 1)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            PolarGrid.annulus(0.5, 1.0, 3, 10 ** 13)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            PolarGrid(np.array([0.25, 0.5, 1.0]), 10 ** 13)
+
     def test_node_count(self):
         assert PolarGrid.disk(10, 16).node_count == 161
         assert PolarGrid.annulus(0.5, 1.0, 10, 16).node_count == 160
@@ -290,7 +300,7 @@ class TestSolveDirichlet:
         rng = np.random.default_rng(3)
         u = solve_dirichlet(field, 1.0, rng.normal(size=128), g)
         asm = u._assembly
-        ref = splu(_csc(asm.k_ii)).solve(-_csr(asm.k_ib) @ u.boundary_data)
+        ref = splu(_csc(asm)).solve(-_csr(asm, True) @ u.boundary_data)
         assert u.residual_norm <= 1e-12
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
 
@@ -312,7 +322,7 @@ class TestSolveDirichlet:
                             g_inner=rng.normal(size=n_t))
         asm = u._assembly
         g_all = u.values[asm.boundary]
-        ref = splu(_csc(asm.k_ii)).solve(-_csr(asm.k_ib) @ g_all)
+        ref = splu(_csc(asm)).solve(-_csr(asm, True) @ g_all)
         assert u.iterations == 1
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
 
@@ -321,7 +331,7 @@ class TestSolveDirichlet:
         u = solve_dirichlet(CoefficientField.diagonal([1.0, 100.0]), 1.0,
                             np.cos(g.theta) + np.sin(3.0 * g.theta), g)
         asm = u._assembly
-        ref = splu(_csc(asm.k_ii)).solve(-_csr(asm.k_ib) @ u.boundary_data)
+        ref = splu(_csc(asm)).solve(-_csr(asm, True) @ u.boundary_data)
         assert 1 < u.iterations < asm.cap
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-10
 
@@ -594,8 +604,8 @@ class TestVolumeFunctionals:
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(D21, 1.0, harmonic_deg(2), g, potential=_potential)
         fresh = replace(u, _assembly=solver_module._Assembly(g, D21, None))
-        assert not np.array_equal(u._assembly.k_ii.data,
-                                  fresh._assembly.k_ii.data)
+        assert not np.array_equal(u._assembly.stencil,
+                                  fresh._assembly.stencil)
         for r in (g.radii[20], 1.0):
             assert weighted_gradient_energy(u, u.values, r) == \
                 weighted_gradient_energy(fresh, u.values, r)
@@ -800,9 +810,9 @@ def test_cg_solve_matches_splu(g, name, seed):
     potential = _potential if name == "symmetric" else None
     u = solve_dirichlet(f, 1.0, g_out, g, g_inner=g_in, potential=potential)
     asm = u._assembly
-    rhs = -_csr(asm.k_ib) @ (np.concatenate([g_in, g_out])
-                             if g.kind == "annulus" else g_out)
-    ref = splu(_csc(asm.k_ii)).solve(rhs) if rhs.size else rhs
+    rhs = -_csr(asm, True) @ (np.concatenate([g_in, g_out])
+                              if g.kind == "annulus" else g_out)
+    ref = splu(_csc(asm)).solve(rhs) if rhs.size else rhs
     assert np.abs(u.values[asm.interior] - ref).max(initial=0.0) <= 1e-12
 
 
@@ -857,10 +867,10 @@ def test_rotating_the_data_rotates_a_radial_solution(kind, n_r, n_t, name,
 # -- assembly plan: property tests and cache safety -------------------------
 
 
-def _reference_operator(g, f, potential):
-    """k_ii and k_ib the direct way: B sampled at face midpoints placed
-    here, cell and triangle matrices from three-operand products, and one
-    coo_matrix scatter restricted to the unknowns and boundary nodes."""
+def _reference_elements(g, f, potential):
+    """The cell matrices (n_r - 1, n_theta, 4, 4) and core-triangle
+    matrices (n_theta, 3, 3; None on annuli) the direct way: B sampled at
+    face midpoints placed here, and three-operand products."""
     n_r, n_t = g.n_r, g.n_theta
     h, k = g.d_s, g.d_theta
     th = g.theta
@@ -894,53 +904,101 @@ def _reference_operator(g, f, potential):
             r_mid[:, None] ** 2, r_mid[:, None] ** 2), axis=-1)
         kc = kc + np.einsum("btq,qm,qn->btmn", w * r2 * vq,
                             _BASIS_ROWS, _BASIS_ROWS)
+    if g.kind != "disk":
+        return kc, None
+    p = g.ring_points(0)
+    q = p[jp]
+    area = 0.5 * np.abs(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+    grad = np.stack([q - p, -q, p], axis=1)[..., ::-1] * [-1.0, 1.0]
+    grad /= (2.0 * area)[:, None, None]
+    mids = np.stack([0.5 * (p + q), 0.5 * q, 0.5 * p])
+    a_mid = f.matrices(mids.reshape(-1, 2)).reshape(3, n_t, 2, 2).mean(0)
+    kt = area[:, None, None] * np.einsum("tai,tij,tbj->tab",
+                                         grad, a_mid, grad)
+    if potential is not None:
+        vt = potential(mids).T
+        kt = kt + np.einsum("tq,qm,qn->tmn", (area / 3.0)[:, None] * vt,
+                            _TRI_BASIS, _TRI_BASIS)
+    return kc, kt
+
+
+def _element_entries(g, kc, kt):
+    """The element matrices kc and kt as (row node, column node, value)
+    triples, cells in order, then the core triangles."""
+    n_r, n_t = g.n_r, g.n_theta
+    jp = (np.arange(n_t) + 1) % n_t
     ii = np.arange(n_r - 1)[:, None] * n_t
     nodes = np.stack([ii + np.arange(n_t), ii + n_t + np.arange(n_t),
                       ii + n_t + jp, ii + jp], axis=-1)
     rows = [np.broadcast_to(nodes[..., :, None], kc.shape).ravel()]
     cols = [np.broadcast_to(nodes[..., None, :], kc.shape).ravel()]
     vals = [kc.ravel()]
-    if g.kind == "disk":
-        origin = n_r * n_t
-        p = g.ring_points(0)
-        q = p[jp]
-        area = 0.5 * np.abs(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
-        grad = np.stack([q - p, -q, p], axis=1)[..., ::-1] * [-1.0, 1.0]
-        grad /= (2.0 * area)[:, None, None]
-        mids = np.stack([0.5 * (p + q), 0.5 * q, 0.5 * p])
-        a_mid = f.matrices(mids.reshape(-1, 2)).reshape(3, n_t, 2, 2).mean(0)
-        kt = area[:, None, None] * np.einsum("tai,tij,tbj->tab",
-                                             grad, a_mid, grad)
-        if potential is not None:
-            vt = potential(mids).T
-            kt = kt + np.einsum("tq,qm,qn->tmn", (area / 3.0)[:, None] * vt,
-                                _TRI_BASIS, _TRI_BASIS)
-        tri = np.stack([np.full(n_t, origin), np.arange(n_t), jp], axis=1)
+    if kt is not None:
+        tri = np.stack([np.full(n_t, n_r * n_t), np.arange(n_t), jp], axis=1)
         rows.append(np.broadcast_to(tri[:, :, None], kt.shape).ravel())
         cols.append(np.broadcast_to(tri[:, None, :], kt.shape).ravel())
         vals.append(kt.ravel())
-    full = coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _reference_operator(g, f, potential):
+    """k_ii and k_ib the direct way: the reference element matrices and
+    one coo_matrix scatter restricted to the unknowns and boundary nodes;
+    also the assembly and the element matrices."""
+    kc, kt = _reference_elements(g, f, potential)
+    rows, cols, vals = _element_entries(g, kc, kt)
+    full = coo_matrix((vals, (rows, cols)),
                       shape=(g.node_count, g.node_count)).tocsr()
     asm = solver_module._Assembly(g, f, potential)
     rows_i = full[asm.interior]
-    return asm, rows_i[:, asm.interior], rows_i[:, asm.boundary]
+    return asm, rows_i[:, asm.interior], rows_i[:, asm.boundary], kc, kt
 
 
-def _csr(op):
-    """The entries of a padded-row operator as a scipy CSR matrix, in its
-    order and without its pads."""
-    pattern = op.pattern
-    width, n = pattern.cols.shape
-    keep = pattern.cols.T < pattern.n_cols
-    data = op.data[:width * n].reshape(width, n).T[keep]
-    cols, counts = pattern.cols.T[keep], keep.sum(axis=1)
-    if pattern.last is not None:
-        data = np.append(data, op.data[width * n:])
-        cols = np.append(cols, pattern.last)
-        counts = np.append(counts, pattern.last.size)
+# the places of angle columns 0 and n_theta - 1 in ascending column order
+_WRAPPED = {0: [1, 2, 0, 4, 5, 3, 7, 8, 6], -1: [2, 0, 1, 5, 3, 4, 8, 6, 7]}
+
+
+def _stencil_entries(g, stencil, origin_row):
+    """The (row node, column node, value) entries of a stencil and a
+    disk's origin row, row by row, each row in the order the product sums
+    it: ascending column order."""
+    n_r, n_t = g.n_r, g.n_theta
+    i, j = np.divmod(np.arange(n_r * n_t), n_t)
+    di, dj = np.divmod(np.arange(10), 3)
+    ring = i[:, None] + di - 1
+    cols = ring * n_t + (j[:, None] + dj - 1) % n_t
+    cols[(ring < 0) | (ring >= n_r)] = -1
+    cols[:, 9] = np.where((i == 0) & (g.kind == "disk"), n_r * n_t, -1)
+    vals = stencil.reshape(10, -1).T.copy()
+    for col, order in _WRAPPED.items():
+        at = j == j[col]
+        cols[at, :9] = cols[at][:, order]
+        vals[at, :9] = vals[at][:, order]
+    has = cols >= 0
+    rows = np.broadcast_to(np.arange(n_r * n_t)[:, None], cols.shape)[has]
+    cols, vals = cols[has], vals[has]
+    if origin_row is not None:
+        rows = np.append(rows, np.full(n_t + 1, n_r * n_t))
+        cols = np.append(cols, np.append(np.arange(n_t), n_r * n_t))
+        vals = np.append(vals, origin_row)
+    return rows, cols, vals
+
+
+def _csr(asm, boundary=False):
+    """k_ii, or k_ib with ``boundary``, as a scipy CSR matrix read from
+    the assembly's stencil: the unknowns' rows, each row's entries in the
+    order the product sums them, the places off the columns left out."""
+    columns = asm.boundary if boundary else asm.interior
+    row_at, col_at = (np.full(asm.grid.node_count, -1) for _ in range(2))
+    row_at[asm.interior] = np.arange(asm.interior.size)
+    col_at[columns] = np.arange(columns.size)
+    rows, cols, vals = _stencil_entries(asm.grid, asm.stencil,
+                                        asm.origin_row)
+    keep = (row_at[rows] >= 0) & (col_at[cols] >= 0)
+    counts = np.bincount(row_at[rows[keep]], minlength=asm.interior.size)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return csr_matrix((data, cols, indptr), shape=op.shape)
+    return csr_matrix((vals[keep], col_at[cols[keep]], indptr),
+                      shape=(asm.interior.size, columns.size))
 
 
 def _ascending_row_sums(a, x):
@@ -955,8 +1013,8 @@ def _ascending_row_sums(a, x):
     return out
 
 
-def _csc(op):
-    return _csr(op).tocsc()
+def _csc(asm):
+    return _csr(asm).tocsc()
 
 
 def _sparse_gap(a, b):
@@ -967,8 +1025,8 @@ def _sparse_gap(a, b):
 def test_plan_scatter_matches_coo_reference(g, name, with_potential):
     f = SYMMETRIC if name == "symmetric" else HOLDER
     potential = _potential if with_potential else None
-    asm, ref_ii, ref_ib = _reference_operator(g, f, potential)
-    k_ii, k_ib = _csr(asm.k_ii), _csr(asm.k_ib)
+    asm, ref_ii, ref_ib, kc, kt = _reference_operator(g, f, potential)
+    k_ii, k_ib = _csr(asm), _csr(asm, True)
     scale = max(abs(ref_ii).max() if ref_ii.nnz else 0.0,
                 abs(ref_ib).max() if ref_ib.nnz else 0.0)
     assert k_ii.shape == ref_ii.shape and k_ib.shape == ref_ib.shape
@@ -976,6 +1034,15 @@ def test_plan_scatter_matches_coo_reference(g, name, with_potential):
     assert k_ii.has_canonical_format and k_ib.has_canonical_format
     assert _sparse_gap(k_ii, ref_ii) <= 1e-14 * scale
     assert _sparse_gap(k_ib, ref_ib) <= 1e-14 * scale
+    # exactly, signs of zeros too: the stencil of the reference element
+    # matrices holds np.bincount's sums, in cell order, triangles last
+    rows, cols, vals = _element_entries(g, kc, kt)
+    codes, at = np.unique(rows * g.node_count + cols, return_inverse=True)
+    sums = np.bincount(at.ravel(), weights=vals)
+    rows, cols, got = _stencil_entries(g, *solver_module._scatter(kc, kt))
+    order = np.argsort(rows * g.node_count + cols)
+    assert np.array_equal((rows * g.node_count + cols)[order], codes)
+    assert got[order].tobytes() == sums.tobytes()
 
 
 @given(GRIDS, st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -983,11 +1050,11 @@ def test_padded_product_matches_csr_product(g, with_potential, seed):
     asm = solver_module._Assembly(g, HOLDER,
                                   _potential if with_potential else None)
     rng = np.random.default_rng(seed)
-    for op in (asm.k_ii, asm.k_ib):
-        x = rng.normal(size=op.shape[1])
-        ref = _csr(op)
-        got = op @ x
-        assert got.shape == (op.shape[0],)
+    for boundary in (False, True):
+        ref = _csr(asm, boundary)
+        x = rng.normal(size=ref.shape[1])
+        got = asm.product(x, boundary)
+        assert got.shape == (ref.shape[0],)
         assert np.all(np.abs(got - ref @ x) <= 1e-15 * (abs(ref) @ abs(x)))
         # exactly: each row summed from 0.0 in ascending column order
         assert np.array_equal(got, _ascending_row_sums(ref, x))
@@ -995,7 +1062,7 @@ def test_padded_product_matches_csr_product(g, with_potential, seed):
 
 @given(GRIDS)
 def test_operator_is_symmetric_for_a_symmetric_field(g):
-    k_ii = _csr(solver_module._Assembly(g, SYMMETRIC, _potential).k_ii)
+    k_ii = _csr(solver_module._Assembly(g, SYMMETRIC, _potential))
     if k_ii.nnz:
         assert _sparse_gap(k_ii, k_ii.T) <= 1e-14 * abs(k_ii).max()
 
@@ -1030,8 +1097,7 @@ def test_plan_cache_keeps_grids_of_one_shape_apart():
     fresh = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
     assert after._assembly.plan is not fresh._assembly.plan
     assert np.array_equal(after.values, fresh.values)
-    assert np.array_equal(after._assembly.k_ii.data, fresh._assembly.k_ii.data)
-    assert np.array_equal(after._assembly.k_ib.data, fresh._assembly.k_ib.data)
+    assert np.array_equal(after._assembly.stencil, fresh._assembly.stencil)
 
 
 def test_plans_stay_bounded_and_exact_under_concurrent_solves():
