@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,11 +282,45 @@ def test_cusp_evaluators_match_masked_formula(m):
     assert np.array_equal(aniso.evaluate(pts), ref)
 
 
-def test_kernel_gradient_constant_against_quadrature():
-    num = quad(lambda r: math.exp(-1 / (1 - r * r)) * 2 * r / (1 - r * r) ** 2 * r,
-               0, 1)[0]
-    den = quad(lambda r: math.exp(-1 / (1 - r * r)) * r, 0, 1)[0]
-    assert kernel_gradient_constant(2) == pytest.approx(num / den, rel=1e-6)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_gradient_constant_against_quadrature(n):
+    def integral(f):
+        return quad(f, 0, 1, epsabs=0, epsrel=1e-13, limit=200)[0]
+
+    num = integral(lambda r: math.exp(-1 / (1 - r * r)) * 2 * r
+                   / (1 - r * r) ** 2 * r ** (n - 1))
+    den = integral(lambda r: math.exp(-1 / (1 - r * r)) * r ** (n - 1))
+    assert kernel_gradient_constant(n) == pytest.approx(num / den, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CoefficientField.cusp_isotropic(_LOG_CUSP, 0.4),
+    lambda: mollify(CoefficientField.cusp_isotropic(_LOG_CUSP, 0.4), 0.1),
+    lambda: generate_holder(0.75, 0.05, 3),
+    lambda: CoefficientField.affine(1.0, [0.2, -0.1]),
+], ids=["cusp", "mollified_cusp", "holder", "affine"])
+def test_non_finite_points_rejected(build):
+    # a NaN radius must fail the domain check, not reach the evaluator
+    f = build()
+    for point in [(math.nan, 0.2), (0.1, math.nan), (math.inf, 0.0)]:
+        with pytest.raises(FieldError, match="outside"):
+            f.evaluate(point)
+        with pytest.raises(FieldError, match="outside"):
+            f.evaluate(np.array([(0.1, 0.1), point]))
+
+
+def test_mollify_peak_memory_is_small():
+    # numpy reports its buffers to tracemalloc; the kernel constant
+    # once took a 1024^2 grid (66 MB) here
+    tracemalloc.start()
+    try:
+        f = mollify(CoefficientField.cusp_anisotropic(Modulus.log_power(1.0),
+                                                      0.1), 0.1)
+        f.evaluate(np.array([0.3, 0.4]) + sample_disk(4000, 0.2, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # -- homogeneous projection ----------------------------------------------
