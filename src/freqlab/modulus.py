@@ -136,6 +136,12 @@ class Modulus:
         return None
 
     @property
+    def t_far(self) -> float:
+        """The point from which ``omega(min(t, 1))`` is constant:
+        ``t_cut`` for ``log_power``, 1 for every other kind."""
+        return self.t_cut if self.kind == "log_power" else 1.0
+
+    @property
     def kinks(self) -> tuple:
         """The abscissae where ``omega``'s formula changes: ``t_cut``, or
         the sample abscissae; empty for the smooth kinds."""

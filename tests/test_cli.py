@@ -258,8 +258,9 @@ def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
 
 def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     # the program needs numpy alone: the CLI import, the numeric Osgood
-    # and phi checks of a tabulated modulus, a Holder synthesis and a
-    # solve load no scipy module; scipy is a test oracle only
+    # and phi checks of a tabulated modulus, a Holder synthesis, a solve
+    # and a mollified cusp field (its profile table and its rule) load
+    # no scipy module; scipy is a test oracle only
     import freqlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))
@@ -277,6 +278,13 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
         "g = PolarGrid.disk(17, 32)",
         "solve_dirichlet(generate_holder(0.75, 0.05, 7), 1.0,",
         "                np.cos(g.theta), g)",
+        "from freqlab.coefficients import CoefficientField, mollify",
+        "from freqlab.modulus import Modulus",
+        "f = mollify(CoefficientField.cusp_isotropic(Modulus.log_power(1.0),",
+        "                                            0.4), 0.1)",
+        "# the rule, the table and the far constant, in that order",
+        "d = np.array([[0.05], [0.2], [0.6]])",
+        "assert np.all(np.isfinite(f.evaluate((0.3, 0.4) + d * (0.6, -0.8))))",
         "print(sorted(m for m in sys.modules",
         "             if m == 'scipy' or m.startswith('scipy.')))",
     ])
