@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .modulus import _GL_NODES, _GL_WEIGHTS, Modulus, panel_integrals
+from .modulus import Modulus, panel_integrals
 
 __all__ = [
     "Arity",
@@ -540,6 +540,23 @@ def _exact_profile(modulus: Modulus, eps: float, d: np.ndarray) -> np.ndarray:
     cosh_tau = np.cosh(_TAU)
     sech2_tau = 1.0 / (cosh_tau * cosh_tau)
     tan2_tau = np.tanh(_TAU) ** 2
+
+    def moments(dd: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        # the integrands in xi of mass * omega and of mass, at (rows,
+        # panels, nodes) for distances dd of shape (rows, 1, 1)
+        def f(xi: np.ndarray) -> np.ndarray:
+            cosh_xi = np.cosh(xi)
+            rho = dd + eps * np.tanh(xi)
+            chord2 = (eps / cosh_xi) ** 2 / (4.0 * dd)
+            bump = np.exp(-np.square(cosh_xi[..., None] * cosh_tau))
+            bump *= sech2_tau
+            bump /= np.sqrt(rho[..., None] - chord2[..., None] * tan2_tau)
+            mass = rho / cosh_xi ** 3 * bump.sum(axis=-1)
+            return np.stack([mass * modulus.omega(np.minimum(rho, 1.0)),
+                             mass])
+
+        return f
+
     out = np.empty(d.size)
     for lo in range(0, d.size, _PROFILE_BLOCK):
         dd = d[lo:lo + _PROFILE_BLOCK, None]
@@ -547,19 +564,9 @@ def _exact_profile(modulus: Modulus, eps: float, d: np.ndarray) -> np.ndarray:
         cuts = np.sort(np.concatenate(
             [np.broadcast_to(_XI_CUTS, (dd.shape[0], _XI_CUTS.size)),
              np.arctanh(np.clip((ks - dd) / eps, -edge, edge))], axis=1))
-        width = np.diff(cuts, axis=1)[:, :, None]
-        xi = (cuts[:, :-1, None] + width * _GL_NODES).reshape(dd.shape[0], -1)
-        w = (width * _GL_WEIGHTS).reshape(xi.shape)
-        cosh_xi = np.cosh(xi)
-        rho = dd + eps * np.tanh(xi)
-        chord2 = (eps / cosh_xi) ** 2 / (4.0 * dd)
-        bump = np.exp(-np.square(cosh_xi[:, :, None] * cosh_tau))
-        bump *= sech2_tau
-        bump /= np.sqrt(rho[:, :, None] - chord2[:, :, None] * tan2_tau)
-        mass = w * rho / cosh_xi ** 3 * bump.sum(axis=2)
-        g = modulus.omega(np.minimum(rho, 1.0))
-        out[lo:lo + _PROFILE_BLOCK] = ((mass * g).sum(axis=1)
-                                       / mass.sum(axis=1))
+        moment, mass = panel_integrals(moments(dd[:, :, None]),
+                                       cuts).sum(axis=-1)
+        out[lo:lo + _PROFILE_BLOCK] = moment / mass
     return out
 
 
@@ -569,20 +576,28 @@ def _profile_table(modulus: Modulus, eps: float
 
     F_eps is smooth but not analytic where the bump's rim touches a kink
     k of omega(min(t, 1)) (k = 0, ``Modulus.kinks`` and t_far), that is
-    at d = k +- eps.  The panels are cut there and graded geometrically
-    away from each such point, at distances eps * 2^j for j >= -4, so
-    that every panel is analytic in a Bernstein ellipse its degree-12
-    interpolant resolves to about 1e-14.
+    at d = k +- eps.  The panels are cut at these flat points and graded
+    geometrically away from each, at distances eps * 2^j for j >= -4 up
+    to the neighbouring flat points, so that every panel is analytic in
+    a Bernstein ellipse its degree-12 interpolant resolves to about
+    1e-14.  The panel count grows with the number of flat points, not
+    with their square: a ``tabulated`` modulus of 50 samples takes 2,500
+    to 5,800 nodes at eps = 0.1 to 0.02.
     """
     t_far = modulus.t_far
     lo, hi = eps, t_far + eps
-    flat = np.array([k + s * eps for k in {0.0, t_far, *modulus.kinks}
-                     for s in (-1.0, 1.0)])
+    flat = np.array(sorted({k + s * eps for k in {0.0, t_far, *modulus.kinks}
+                            for s in (-1.0, 1.0)}))
+    flat = flat[(flat >= lo) & (flat <= hi)]  # from lo to hi
     steps = eps * 2.0 ** np.arange(-4.0, math.log2(hi / eps) + 1.0)
-    edges = np.concatenate(
-        [[lo, hi], flat, (flat[:, None] + steps).ravel(),
-         (flat[:, None] - steps).ravel()])
-    edges = np.sort(edges[(edges >= lo) & (edges <= hi)])
+    inside = steps < np.diff(flat)[:, None]  # (gaps, steps)
+    # the first gap's panels also grade at ratio sqrt(2) away from lo,
+    # where the bump nears omega's own singularity at t = 0; at ratio 2
+    # alone, power(0.5) at eps = 0.02 is off by 1e-12 there
+    mid = math.sqrt(2.0) * steps[math.sqrt(2.0) * steps < flat[1] - lo]
+    edges = np.concatenate([flat, lo + mid, (flat[:-1, None] + steps)[inside],
+                            (flat[1:, None] - steps)[inside]])
+    edges = np.sort(edges)
     edges = edges[np.append(True, np.diff(edges) > 1e-12)]
     width = np.diff(edges)[:, None]
     nodes = edges[:-1, None] + 0.5 * width * (_PROFILE_NODES + 1.0)
@@ -637,8 +652,8 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
     - eps <= d < t_far + eps: F_eps(d), the exact convolution of the
       profile with the continuously normalized bump, read from a
       piecewise Chebyshev table (``_profile_table``).  The table is
-      built once per call, from 130 to 880 nodes of a fixed quadrature
-      (``_exact_profile``), in 3-17 ms on one core for the tested
+      built once per call, from 180 to 740 nodes of a fixed quadrature
+      (``_exact_profile``), in 3-12 ms on one core for the tested
       moduli at eps = 0.02-0.1; it is within 1e-13 of adaptive
       quadrature.  The rule differs from F_eps by the rule's own
       error: under 2.5e-9, except where the bump straddles a slope

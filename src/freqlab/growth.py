@@ -247,7 +247,8 @@ class GrowthTrace:
 
 
 def _vectorized(g: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda s: np.array([g(x) for x in s.tolist()])
+    return lambda s: np.array([g(x) for x in s.ravel().tolist()]
+                              ).reshape(s.shape)
 
 
 # below 2^-200 one panel reaches down to t, so that t = 0 is allowed: a

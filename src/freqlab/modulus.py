@@ -270,11 +270,15 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 def panel_integrals(f, cuts: np.ndarray) -> np.ndarray:
     """Integrals of the vectorized ``f`` over the panels between
-    consecutive ``cuts`` (ascending), by the fixed Gauss-Legendre rule.
-    The nodes are interior, so ``f`` is never evaluated at a cut."""
-    a, b = cuts[:-1, None], cuts[1:, None]
+    consecutive ``cuts`` (ascending along the last axis), by the fixed
+    Gauss-Legendre rule.  ``cuts`` may carry leading batch axes; ``f``
+    takes the nodes as one (..., panels, nodes) array and returns values
+    of that shape, or a stack of such arrays along further leading axes,
+    whose integrals come back stacked the same way.  The nodes are
+    interior, so ``f`` is never evaluated at a cut."""
+    a, b = cuts[..., :-1, None], cuts[..., 1:, None]
     x = a + (b - a) * _GL_NODES
-    return (b - a)[:, 0] * (f(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
+    return (b - a)[..., 0] * (f(x) @ _GL_WEIGHTS)
 
 
 def dyadic_integrals(f, depth: int, kinks=()) -> np.ndarray:
