@@ -9,11 +9,12 @@ Three subcommands drive the library from JSON configs:
 
 Exit codes: 0 success (including branch verdicts), 1 scenario failure
 (margins violated or an admissibility regime error), 2 usage or
-configuration error, 3 solver failure.  A scenario that cannot run
-writes ``<stem>.error.json`` with its status: ``regime_error`` (exit 1),
-``scenario_error`` or ``field_error`` (a field its config cannot build,
-such as a Holder amplitude that leaves the ellipticity budget; exit 2),
-or ``solver_error`` (exit 3).
+configuration error (a non-finite number in a config among them), 3
+solver failure.  A scenario that cannot run writes ``<stem>.error.json``
+with its status: ``regime_error`` (exit 1), ``scenario_error`` or
+``field_error`` (a field its config cannot build, such as a Holder
+amplitude that leaves the ellipticity budget; exit 2), or
+``solver_error`` (exit 3).
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ and provides the two field surgeries used throughout: smoothing by a
 fixed compactly supported bump (``mollify``), and freezing a scalar
 field along rays through the origin (``homogeneous_projection``).
 
-Generators return fields carrying their own construction record, so any
-field built here round-trips through ``to_config``/``from_config``.
+Fields are described by ``build_field`` specs or constructor calls;
+``mollify`` reads a field's ``kind`` and a cusp field's ``params``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "kernel_gradient_constant",
     "mollify",
     "mu_factor",
-    "normalize_at_origin",
 ]
 
 class FieldError(ValueError):
@@ -78,6 +77,12 @@ class CoefficientField:
     of every component over distance t is at most omega(t);
     ``holder`` = (alpha, C_h) certifies oscillation <= C_h * t^alpha.
     Either certificate may be absent.
+
+    ``kind`` names the construction: ``mollify`` mollifies the cusp
+    kinds exactly from their ``params`` (anchors, signs, amplitude;
+    empty for every other kind), and a benchmark tracer splits its
+    evaluation counts on ``"mollified"``.  ``meta`` holds derived
+    bounds and diagnostics that no output file records.
     """
 
     arity: Arity
@@ -88,7 +93,6 @@ class CoefficientField:
     holder: Optional[tuple[float, float]] = None
     kind: str = "custom"
     params: Mapping[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
     domain_radius: float = 1.0
     meta: Mapping[str, Any] = field(default_factory=dict)
 
@@ -130,15 +134,6 @@ class CoefficientField:
             vals = vals[:, None, None] * np.eye(self.n)[None, :, :]
         return vals[0] if single else vals
 
-    def origin_value(self) -> np.ndarray:
-        return self.evaluate(np.zeros(self.n))
-
-    def origin_normalized(self, tol: float = 1e-12) -> bool:
-        v = self.origin_value()
-        if self.arity is Arity.ISOTROPIC:
-            return abs(float(v) - 1.0) <= tol
-        return bool(np.max(np.abs(v - np.eye(self.n))) <= tol)
-
     def check_symmetry(self, sample_count: int = 64, seed: int = 0,
                        tol: float = 1e-12) -> bool:
         if self.arity is Arity.ISOTROPIC:
@@ -171,8 +166,7 @@ class CoefficientField:
         def ev(pts: np.ndarray) -> np.ndarray:
             return np.full(pts.shape[0], v)
 
-        return cls(Arity.ISOTROPIC, 2, ev, lam, kind="constant",
-                   params={"value": v})
+        return cls(Arity.ISOTROPIC, 2, ev, lam, kind="constant")
 
     @classmethod
     def identity(cls, n: int = 2) -> "CoefficientField":
@@ -195,8 +189,7 @@ class CoefficientField:
         def ev(pts: np.ndarray) -> np.ndarray:
             return np.broadcast_to(mat, (pts.shape[0], 2, 2)).copy()
 
-        return cls(Arity.ANISOTROPIC, 2, ev, lam, kind="diag",
-                   params={"entries": [float(v) for v in d]})
+        return cls(Arity.ANISOTROPIC, 2, ev, lam, kind="diag")
 
     @classmethod
     def affine(cls, const: float, gradient: Any) -> "CoefficientField":
@@ -215,9 +208,7 @@ class CoefficientField:
 
         return cls(Arity.ISOTROPIC, 2, ev, lam,
                    holder=(1.0, gnorm) if gnorm > 0 else None,
-                   kind="affine",
-                   params={"const": float(const),
-                           "gradient": [float(v) for v in g]})
+                   kind="affine")
 
     @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], *,
@@ -225,9 +216,9 @@ class CoefficientField:
                       declared_modulus: Optional[Modulus] = None,
                       holder: Optional[tuple[float, float]] = None,
                       domain_radius: float = 1.0) -> "CoefficientField":
-        """Wrap a vectorized callable.  Not serializable."""
+        """Wrap a vectorized callable."""
         return cls(arity, n, fn, lam, declared_modulus=declared_modulus,
-                   holder=holder, kind="custom", domain_radius=domain_radius)
+                   holder=holder, domain_radius=domain_radius)
 
     @classmethod
     def cusp_isotropic(cls, modulus: Modulus, amplitude: float,
@@ -263,8 +254,7 @@ class CoefficientField:
 
         return cls(Arity.ISOTROPIC, 2, ev, lam, declared_modulus=modulus,
                    kind="cusp_iso",
-                   params={"modulus": modulus.to_config(), "amplitude": amp,
-                           "anchors": pts_anchor.tolist(),
+                   params={"amplitude": amp, "anchors": pts_anchor.tolist(),
                            "signs": sgn.tolist()})
 
     @classmethod
@@ -293,8 +283,7 @@ class CoefficientField:
 
         return cls(Arity.ANISOTROPIC, 2, ev, lam, declared_modulus=modulus,
                    kind="cusp_aniso",
-                   params={"modulus": modulus.to_config(), "amplitude": amp,
-                           "anchors": pts_anchor.tolist()})
+                   params={"amplitude": amp, "anchors": pts_anchor.tolist()})
 
     @classmethod
     def annulus_bump(cls, eps: float, r_in: float) -> "CoefficientField":
@@ -316,55 +305,7 @@ class CoefficientField:
             out[inside] += e * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
             return out
 
-        return cls(Arity.ISOTROPIC, 2, ev, lam, kind="annulus_bump",
-                   params={"eps": e, "r_in": ri})
-
-    # -- serialization --------------------------------------------------
-
-    def to_config(self) -> dict:
-        if self.kind == "custom":
-            raise FieldError("fields wrapping raw callables are not serializable")
-        cfg: dict = {"arity": self.arity.value, "kind": self.kind,
-                     "params": jsonable(self.params)}
-        if self.seed is not None:
-            cfg["seed"] = int(self.seed)
-        return cfg
-
-    @staticmethod
-    def from_config(cfg: Mapping[str, Any]) -> "CoefficientField":
-        kind = cfg.get("kind")
-        params = dict(cfg.get("params", {}))
-        if kind == "constant":
-            return CoefficientField.constant(params["value"])
-        if kind == "identity":
-            return CoefficientField.identity()
-        if kind == "diag":
-            return CoefficientField.diagonal(params["entries"])
-        if kind == "affine":
-            return CoefficientField.affine(params["const"], params["gradient"])
-        if kind == "cusp_iso":
-            return CoefficientField.cusp_isotropic(
-                Modulus.from_config(params["modulus"]), params["amplitude"],
-                params["anchors"], params.get("signs"))
-        if kind == "cusp_aniso":
-            return CoefficientField.cusp_anisotropic(
-                Modulus.from_config(params["modulus"]), params["amplitude"],
-                params["anchors"])
-        if kind == "annulus_bump":
-            return CoefficientField.annulus_bump(params["eps"], params["r_in"])
-        if kind == "holder_synthetic":
-            return generate_holder(params["alpha"], params["amplitude"],
-                                   cfg.get("seed", 0))
-        if kind == "mollified":
-            return mollify(CoefficientField.from_config(params["base"]),
-                           params["eps"])
-        if kind == "homogeneous":
-            return homogeneous_projection(
-                CoefficientField.from_config(params["base"]),
-                params["anchor_radius"])
-        if kind == "normalized":
-            return normalize_at_origin(CoefficientField.from_config(params["base"]))
-        raise FieldError(f"unknown field kind {kind!r}")
+        return cls(Arity.ISOTROPIC, 2, ev, lam, kind="annulus_bump")
 
 
 def _cusp_values(arity: Arity, amp: float, signs: Optional[np.ndarray],
@@ -757,17 +698,10 @@ def mollify(f: CoefficientField, eps: float) -> CoefficientField:
         meta["sup_distance_bound"] = sup_bound
         meta["gradient_sup_bound"] = grad_const * sup_bound / e
 
-    params: dict[str, Any] = {"eps": e}
-    kind = "mollified"
-    if f.kind != "custom":
-        params["base"] = f.to_config()
-    else:
-        kind = "custom"
     return CoefficientField(
         f.arity, f.n, values, f.lam,
         declared_modulus=f.declared_modulus, holder=f.holder,
-        kind=kind, params=params, seed=f.seed,
-        domain_radius=radius, meta=meta)
+        kind="mollified", domain_radius=radius, meta=meta)
 
 
 # -- homogeneous projection ---------------------------------------------
@@ -802,64 +736,10 @@ def homogeneous_projection(f: CoefficientField, r: float) -> CoefficientField:
             out[pos] = base_ev(proj)
         return out
 
-    params: dict[str, Any] = {"anchor_radius": anchor}
-    kind = "homogeneous"
-    if f.kind != "custom":
-        params["base"] = f.to_config()
-    else:
-        kind = "custom"
     return CoefficientField(
         Arity.ISOTROPIC, 2, ev, f.lam,
         declared_modulus=f.declared_modulus, holder=f.holder,
-        kind=kind, params=params, seed=f.seed,
-        domain_radius=1.0, meta={"anchor_radius": anchor})
-
-
-def normalize_at_origin(f: CoefficientField) -> CoefficientField:
-    """Divide out the origin value so a(0) = 1 (resp. A(0) = I).
-
-    Matrix fields must already have A(0) proportional to I; a general
-    origin value would require a change of variables, which this
-    laboratory does not perform.  Dividing by c < 1 inflates
-    oscillation, so certificates are rescaled (Holder) or dropped
-    (modulus) as needed.
-    """
-    v = f.origin_value()
-    if f.arity is Arity.ISOTROPIC:
-        c = float(v)
-    else:
-        diag = float(np.trace(v)) / f.n
-        if np.max(np.abs(v - diag * np.eye(f.n))) > 1e-12:
-            raise FieldError(
-                "origin value is not a multiple of the identity; "
-                "normalize via an explicit change of variables instead")
-        c = diag
-    if c <= 0.0:
-        raise FieldError(f"origin value {c:.6g} is not positive")
-    if abs(c - 1.0) <= 1e-15:
-        return f
-    base_ev = f.evaluator
-    scale = 1.0 / c
-
-    def ev(pts: np.ndarray) -> np.ndarray:
-        return scale * base_ev(pts)
-
-    lo, hi = f.lam * scale, scale / f.lam
-    lam = min(lo, 1.0 / hi, 1.0)
-    holder = None
-    if f.holder is not None:
-        holder = (f.holder[0], f.holder[1] * scale)
-    modulus = f.declared_modulus if c >= 1.0 else None
-    params: dict[str, Any] = {}
-    kind = "normalized"
-    if f.kind != "custom":
-        params["base"] = f.to_config()
-    else:
-        kind = "custom"
-    return CoefficientField(
-        f.arity, f.n, ev, lam, declared_modulus=modulus, holder=holder,
-        kind=kind, params=params, seed=f.seed,
-        domain_radius=f.domain_radius, meta={"origin_scale": c})
+        kind="homogeneous", meta={"anchor_radius": anchor})
 
 
 # -- empirical regularity -----------------------------------------------
@@ -1095,11 +975,9 @@ def generate_holder(alpha: float, amplitude: float,
     if amp < 0.0:
         raise FieldError(f"amplitude must be nonnegative, got {amp}")
     if amp == 0.0:
-        f = CoefficientField.constant(1.0)
         return CoefficientField(
-            Arity.ISOTROPIC, 2, f.evaluator, 1.0, holder=(a, 0.0),
-            kind="holder_synthetic",
-            params={"alpha": a, "amplitude": 0.0}, seed=int(seed))
+            Arity.ISOTROPIC, 2, CoefficientField.constant().evaluator, 1.0,
+            holder=(a, 0.0), kind="holder_synthetic")
 
     m = _HOLDER_GRID
     rng = np.random.default_rng(int(seed))
@@ -1147,6 +1025,4 @@ def generate_holder(alpha: float, amplitude: float,
 
     return CoefficientField(
         Arity.ISOTROPIC, 2, ev, 0.5, holder=(a, c_h),
-        kind="holder_synthetic",
-        params={"alpha": a, "amplitude": amp}, seed=int(seed),
-        meta={"grid": m, "range": (lo, hi)})
+        kind="holder_synthetic", meta={"grid": m, "range": (lo, hi)})

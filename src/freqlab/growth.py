@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .modulus import Modulus, dyadic_integrals, panel_integrals
+from .modulus import Modulus, dyadic_integrals, panel_integrals, union_cuts
 
 __all__ = [
     "GrowthVerdict",
@@ -261,7 +261,7 @@ def _integral_to_one(g: ScalarMap, t: float, kinks: tuple) -> float:
     """``int_t^1 g`` by the Gauss-Legendre panel rule of ``modulus`` on
     [t, 1] cut at the powers of two and the ``kinks`` above t."""
     depth = _DEEPEST if t <= 2.0**-_DEEPEST else math.ceil(-math.log2(t))
-    cuts = np.union1d(2.0 ** -np.arange(depth, -1, -1.0), kinks)
+    cuts = union_cuts(2.0 ** -np.arange(depth, -1, -1.0), kinks)
     cuts = np.concatenate([[t], cuts[(cuts > t) & (cuts <= 1.0)]])
     return float(panel_integrals(_vectorized(g), cuts).sum())
 

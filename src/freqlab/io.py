@@ -9,6 +9,7 @@ import csv
 import hashlib
 import io as _io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -89,14 +90,22 @@ def write_json(path: str, obj: Any) -> str:
 
 def load_config(path: str) -> dict:
     """Parse a JSON run configuration and check its schema version.
-    Parse failures report the line and column."""
+    Parse failures report the line and column; NaN, infinities and
+    float literals beyond the float range (``1e400``) are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror}") from err
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: number {literal} is not finite")
+        return value
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err

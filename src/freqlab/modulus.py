@@ -85,8 +85,13 @@ class Modulus:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError("power modulus needs alpha in (0, 1)")
         elif self.kind == "log_power":
-            if self.p is None or self.p <= 0.0:
+            if self.p is None or not self.p > 0.0:
                 raise ValueError("log_power modulus needs p > 0")
+            with np.errstate(over="ignore"):  # p^p overflows from p ~ 144
+                top = float(self.omega(self.t_cut))
+            if not 0.0 < top < math.inf:  # p < ~1e-17 rounds t_cut to 1
+                raise ValueError(f"log_power modulus with p = {self.p} "
+                                 f"has omega(t_cut) = {top}")
         elif self.kind == "tabulated":
             self._validate_samples()
         else:
@@ -115,6 +120,8 @@ class Modulus:
         s = self.samples
         if s is None or s.ndim != 2 or s.shape[1] != 2 or s.shape[0] < 2:
             raise ValueError("tabulated modulus needs >= 2 sample pairs")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("tabulated modulus needs finite samples")
         t, w = s[:, 0], s[:, 1]
         if np.any(t <= 0.0) or np.any(t > 1.0) or np.any(np.diff(t) <= 0.0):
             raise ValueError("sample abscissae must increase within (0, 1]")
@@ -281,6 +288,12 @@ def panel_integrals(f, cuts: np.ndarray) -> np.ndarray:
     return (b - a)[..., 0] * (f(x) @ _GL_WEIGHTS)
 
 
+def union_cuts(*parts) -> np.ndarray:
+    """``np.union1d`` of the 1-D parts, without its import of numpy.ma."""
+    values = np.sort(np.concatenate(parts))
+    return values[np.append(True, np.diff(values) > 0.0)]
+
+
 def dyadic_integrals(f, depth: int, kinks=()) -> np.ndarray:
     """``I[k] = int_{2^-(k+1)}^{2^-k} f`` for ``k = 0..depth-1``, each
     segment split at the ``kinks`` inside it into panels of the
@@ -289,7 +302,7 @@ def dyadic_integrals(f, depth: int, kinks=()) -> np.ndarray:
     one panel length away; the rule matches ``quad`` at ``epsrel=1e-13``
     to 1e-12 on every segment."""
     edges = 2.0 ** -np.arange(depth, -1, -1.0)  # ascending, to 1
-    cuts = np.union1d(edges, [x for x in kinks if edges[0] < x < 1.0])
+    cuts = union_cuts(edges, [x for x in kinks if edges[0] < x < 1.0])
     segment = np.searchsorted(edges, cuts[:-1], side="right") - 1
     return np.bincount(segment, panel_integrals(f, cuts),
                        minlength=depth)[::-1]

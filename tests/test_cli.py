@@ -246,8 +246,11 @@ _HARMONIC = {"kind": "harmonic", "degree": 1}
     ("modulus", {"modulus": {"kind": "linear"}, "c_m": "x"}),
     ("modulus", {"modulus": {"kind": "linear"}, "c_m": None}),
     ("modulus", {"modulus": {"kind": "linear"}, "seed": "x"}),
+    ("modulus", {"modulus": {"kind": "log_power", "p": 1e-20}}),
+    ("modulus", {"modulus": {"kind": "log_power", "p": 149.0}}),
 ], ids=["solve_grid_int", "solve_grid_list", "modulus_int", "c_m_str",
-        "c_m_null", "modulus_seed_str"])
+        "c_m_null", "modulus_seed_str", "log_power_omega_zero",
+        "log_power_omega_overflow"])
 def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "c.json", {"schema": 1, **doc})
     out = tmp_path / "out"
@@ -256,11 +259,35 @@ def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
     assert not out.exists()
 
 
+_NON_FINITE = [
+    ("modulus", '{"schema": 1, "modulus": {"kind": "log_power", "p": %s}}'),
+    ("experiment", '{"schema": 1, "scenario": "eps_approx", "eps": %s}'),
+    ("solve", '{"schema": 1, "grid": {"n_r": 17, "n_theta": 32}, '
+              '"boundary": {"kind": "mixture", "terms": [[1, %s]]}}'),
+]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command, template", _NON_FINITE,
+                         ids=[c for c, _ in _NON_FINITE])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, template,
+                                        literal):
+    path = tmp_path / "c.json"
+    path.write_text(template % literal)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{literal} is not finite" in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     # the program needs numpy alone: the CLI import, the numeric Osgood
-    # and phi checks of a tabulated modulus, a Holder synthesis, a solve
-    # and a mollified cusp field (its profile table and its rule) load
-    # no scipy module; scipy is a test oracle only
+    # and phi checks of a tabulated modulus, a Holder synthesis, a solve,
+    # a mollified cusp field (its profile table and its rule), an
+    # empirical modulus and a growth bound load no scipy module; scipy
+    # is a test oracle only.  Nor do they load numpy.ma, which
+    # np.unique imports.
     import freqlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(freqlab.__file__)))
@@ -285,6 +312,12 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
         "# the rule, the table and the far constant, in that order",
         "d = np.array([[0.05], [0.2], [0.6]])",
         "assert np.all(np.isfinite(f.evaluate((0.3, 0.4) + d * (0.6, -0.8))))",
+        "from freqlab.coefficients import empirical_modulus",
+        "from freqlab.growth import continuous_growth_bound",
+        "empirical_modulus(f, 100)",
+        "continuous_growth_bound(Modulus.log_power(1.0), 2.0,",
+        "                        lambda s: s, 1.0, 1e-3)",
+        "print('numpy.ma' in sys.modules)",
         "print(sorted(m for m in sys.modules",
         "             if m == 'scipy' or m.startswith('scipy.')))",
     ])
@@ -292,7 +325,7 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert "NonOsgood" in done.stdout  # the modulus report's verdict
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["False", "[]"]
 
 
 # -- cli: solve ------------------------------------------------------------
@@ -529,6 +562,10 @@ def test_cli_experiment_field_error_exit(tmp_path, capsys):
     ({"field_spec": {"kind": "bogus"}}, "field_error"),
     ({"field_spec": {"kind": "holder", "alpha": 0.75}}, "field_error"),
     ({"boundary_spec": {"kind": "bogus"}}, "scenario_error"),
+    # p = 1e-20 rounds t_cut to 1, so omega would vanish
+    ({"field_spec": {"kind": "cusp", "amplitude": 0.2,
+                     "modulus": {"kind": "log_power", "p": 1e-20}}},
+     "field_error"),
 ])
 def test_cli_experiment_bad_spec_writes_error_file(tmp_path, capsys, spec,
                                                    status):

@@ -24,7 +24,6 @@ from freqlab.coefficients import (
     kernel_gradient_constant,
     mollify,
     mu_factor,
-    normalize_at_origin,
 )
 from freqlab.modulus import Modulus
 
@@ -486,7 +485,7 @@ def test_projection_scale_invariance_and_idempotence():
     again = homogeneous_projection(h, 0.9)
     pts = sample_disk(64, seed=6)
     assert np.max(np.abs(again.evaluate(pts) - h.evaluate(pts))) < 1e-14
-    assert again.params["anchor_radius"] == pytest.approx(0.9)
+    assert again.meta["anchor_radius"] == pytest.approx(0.9)
 
 
 def test_projection_rejects_matrix_fields():
@@ -665,54 +664,6 @@ def test_generate_holder_clamps_points_just_outside_the_disk():
     edge = f.evaluate(np.array([[1.0, 0.0], [0.0, -1.0]]))
     beyond = f.evaluate(np.array([[1.0 + 1e-10, 0.0], [0.0, -1.0 - 1e-10]]))
     assert np.array_equal(edge, beyond)
-
-
-# -- normalization and serialization ---------------------------------------
-
-
-def test_normalize_at_origin_scalar():
-    f = CoefficientField.affine(2.0, [0.2, 0.0])
-    g = normalize_at_origin(f)
-    assert g.origin_normalized()
-    pts = sample_disk(32, seed=11)
-    assert np.allclose(g.evaluate(pts), f.evaluate(pts) / 2.0, rtol=1e-15)
-
-
-def test_normalize_at_origin_matrix():
-    d = CoefficientField.diagonal([2.0, 2.0])
-    g = normalize_at_origin(d)
-    assert g.origin_normalized()
-    with pytest.raises(FieldError):
-        normalize_at_origin(CoefficientField.diagonal([2.0, 1.0]))
-
-
-@pytest.mark.parametrize("build", [
-    lambda: CoefficientField.constant(1.3),
-    lambda: CoefficientField.identity(2),
-    lambda: CoefficientField.diagonal([2.0, 0.9]),
-    lambda: CoefficientField.affine(1.0, [0.05, -0.02]),
-    lambda: CoefficientField.cusp_isotropic(Modulus.log_power(1.0), 0.3),
-    lambda: CoefficientField.cusp_anisotropic(Modulus.log_power(1.0), 0.2),
-    lambda: CoefficientField.annulus_bump(0.1, 0.6),
-    lambda: generate_holder(0.7, 0.1, seed=1),
-    lambda: mollify(CoefficientField.affine(1.0, [0.1, 0.0]), 0.05),
-    lambda: homogeneous_projection(CoefficientField.affine(1.0, [0.1, 0.0]), 0.5),
-    lambda: normalize_at_origin(CoefficientField.affine(2.0, [0.1, 0.0])),
-])
-def test_config_roundtrip(build):
-    f = build()
-    g = CoefficientField.from_config(f.to_config())
-    pts = sample_disk(48, radius=min(f.domain_radius, g.domain_radius) * 0.99,
-                      seed=12, n=f.n)
-    assert np.allclose(g.evaluate(pts), f.evaluate(pts), atol=1e-14)
-    assert g.arity is f.arity
-
-
-def test_custom_fields_not_serializable():
-    f = CoefficientField.from_callable(lambda p: np.ones(p.shape[0]),
-                                       arity=Arity.ISOTROPIC, n=2, lam=1.0)
-    with pytest.raises(FieldError):
-        f.to_config()
 
 
 def test_evaluate_outside_domain_rejected():

@@ -191,6 +191,18 @@ def test_tabulated_roundtrip_and_validation():
         Modulus.tabulated([0.25, 0.5], [0.0, 0.1])  # vanishing on an interval
     with pytest.raises(ValueError):
         Modulus.tabulated([0.1, 0.5, 1.0], [0.01, 0.02, 0.2])  # convex
+    with pytest.raises(ValueError, match="finite"):
+        Modulus.tabulated([0.1, 0.5, 1.0], [0.1, math.nan, 0.5])
+
+
+def test_log_power_needs_positive_finite_omega_at_t_cut():
+    # p = 1e-20 rounds t_cut to 1, where omega is 0; at p = 149,
+    # log(1/t_cut)^p overflows before the product with t_cut
+    for p in (1e-20, 149.0):
+        with pytest.raises(ValueError, match="t_cut"):
+            Modulus.log_power(p)
+    for p in (1e-16, 140.0):
+        assert 0.0 < float(Modulus.log_power(p).omega(math.exp(-p))) < math.inf
 
 
 def test_config_roundtrip():
