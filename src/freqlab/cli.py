@@ -168,7 +168,8 @@ def cmd_modulus(args) -> int:
         m = Modulus.from_config(spec)
         c_m = float(doc.get("c_m", 100.0))
         seed = int(doc.get("seed", 0))
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as err:
         raise ConfigError(
             f"{args.config}: bad modulus block, c_m or seed: {err}") from err
 
@@ -232,7 +233,7 @@ def cmd_solve(args) -> int:
         seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
         r_lo = float(profile_spec.get("r_lo", 0.2))
         r_hi = float(profile_spec.get("r_hi", 0.9))
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, OverflowError, TypeError, ValueError) as err:
         raise ConfigError(
             f"{args.config}: bad seed or profile window: {err}") from err
     if not 0.0 < r_lo < r_hi <= 1.0:
@@ -251,7 +252,7 @@ def cmd_solve(args) -> int:
         if args.refine:
             grids.append(PolarGrid.disk(2 * (n_r - 1) + 1, 2 * n_theta,
                                         r_min=r_min))
-    except (TypeError, ValueError) as err:
+    except (OverflowError, TypeError, ValueError) as err:
         raise ConfigError(f"{args.config}: bad grid: {err}") from err
     try:
         f = build_field(field_spec)
@@ -358,7 +359,7 @@ def _run_one(cfg: ScenarioConfig) -> dict:
     except RegimeError as err:
         return {"scenario": cfg.scenario, "status": "regime_error",
                 "message": str(err), "max_radius": float(err.max_radius)}
-    except ScenarioError as err:
+    except (OverflowError, ScenarioError) as err:  # e.g. a huge int as eps
         return {"scenario": cfg.scenario, "status": "scenario_error",
                 "message": str(err)}
     except SolverError as err:
@@ -378,7 +379,7 @@ def cmd_experiment(args) -> int:
             configs = [dataclasses.replace(c, n_r=2 * (c.n_r - 1) + 1,
                                            n_theta=2 * c.n_theta)
                        for c in configs]
-    except (ScenarioError, ValueError) as err:
+    except (OverflowError, ScenarioError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -271,7 +271,8 @@ def build_field(spec: dict) -> CoefficientField:
         return _field_from_spec(spec)
     except FieldError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as err:
         raise FieldError(f"bad field spec {spec!r}: {err!r}") from err
 
 
@@ -307,7 +308,8 @@ def build_boundary(spec: dict, seed: int) -> Callable:
     key."""
     try:
         return _boundary_from_spec(spec, seed)
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as err:
         raise ScenarioError(f"bad boundary spec {spec!r}: {err!r}") from err
 
 

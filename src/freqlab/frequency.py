@@ -32,10 +32,10 @@ import numpy as np
 from .coefficients import Arity, CoefficientField, FieldError
 from .solver import (
     DiscreteSolution,
-    boundary_mass,
+    boundary_mass_profile,
     boundary_mass_scalar,
     dirichlet_energy,
-    dirichlet_energy_flux,
+    energy_flux_profile,
 )
 
 __all__ = [
@@ -136,22 +136,21 @@ def almgren_frequency(u: DiscreteSolution, f: CoefficientField,
     # absolute floor for the energy cross-check: rounding noise in the
     # flux form scales with u^2 even when the true energy is zero
     floor = 1e-12 * float(np.mean(u.values ** 2))
-    d_vals = np.empty(rr.size)
-    h_vals = np.empty(rr.size)
-    for i, r in enumerate(rr):
-        h = boundary_mass(u, f, float(r))
+    h_vals = boundary_mass_profile(u, f, rr)
+    on = np.array([u.grid.on_ring(r) is not None for r in rr])
+    d_vals = np.zeros(rr.size)
+    d_vals[on] = energy_flux_profile(u, rr[on])
+    # checked radius by radius, so the first failing radius is named
+    for r, h, d_flux in zip(rr, h_vals, d_vals):
         if h <= thr:
             raise VanishingBoundaryError(
                 f"boundary mass {h:.3e} at r={r:.6g} is below the vanishing "
                 f"threshold {thr:.3e}")
-        d_flux = dirichlet_energy_flux(u, float(r))
-        d_vol = dirichlet_energy(u, float(r))
+        d_vol = dirichlet_energy(u, float(r))  # ValueError off the rings
         if abs(d_flux - d_vol) > 1e-6 * abs(d_vol) + floor:
             raise FrequencyError(
                 f"energy forms disagree at r={r:.6g}: "
                 f"flux {d_flux:.12e} vs volume {d_vol:.12e}")
-        d_vals[i] = d_flux
-        h_vals[i] = h
     n_vals = rr * d_vals / h_vals
     return FrequencyProfile(rr, d_vals, h_vals, n_vals,
                             WeightKind.MU_WEIGHTED)

@@ -388,7 +388,12 @@ def check_submultiplicative_psi(
     grid = np.logspace(0.0, 6.0, sample_count)
     px = m.psi(grid)
     xy = np.outer(grid, grid)
-    ratios = m.psi(xy.ravel()).reshape(xy.shape) / np.outer(px, px)
+    # px * px underflows for moduli near 1e-300; scaling px by a power of
+    # two is exact, so the quotient is unchanged wherever that one is normal
+    scale = np.frexp(px.max())[1]
+    ps = np.ldexp(px, -scale)
+    ratios = np.ldexp(m.psi(xy.ravel()).reshape(xy.shape) / np.outer(ps, ps),
+                      -2 * scale)
     idx = np.unravel_index(np.argmax(ratios), ratios.shape)
     worst = float(ratios[idx])
     return SubmultiplicativityReport(

@@ -89,7 +89,7 @@ import math
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -101,10 +101,12 @@ __all__ = [
     "PolarGrid",
     "SolverError",
     "boundary_mass",
+    "boundary_mass_profile",
     "boundary_mass_scalar",
     "clear_operator_cache",
     "dirichlet_energy",
     "dirichlet_energy_flux",
+    "energy_flux_profile",
     "gradient_energy",
     "gradient_mean_square",
     "solve_dirichlet",
@@ -545,6 +547,7 @@ class _Assembly:
         for i in range(off.shape[0]):
             self.mult[i] = off[i].conj() / self.pivots[i]
             self.pivots[i + 1] -= (off[i] * self.mult[i]).real
+        self.mult_conj = self.mult.conj()  # for the back substitution
         if not np.all(self.pivots > 0.0):
             raise SolverError("operator is not positive definite: "
                               "its ring mean has a non-positive pivot")
@@ -609,7 +612,7 @@ class _Assembly:
             y[i + 1] -= self.mult[i] * y[i]
         y /= self.pivots
         for i in range(self.mult.shape[0] - 1, -1, -1):
-            y[i] -= self.mult[i].conj() * y[i + 1]
+            y[i] -= self.mult_conj[i] * y[i + 1]
         x = np.fft.irfft(y[lead:], n=n_t, axis=1).ravel()
         return np.append(x, y[:lead, 0].real / n_t)
 
@@ -853,23 +856,32 @@ def dirichlet_energy(u: DiscreteSolution, r: float) -> float:
     return float(_cumulative_energy(u, u._assembly, u.values, "cumE")[i])
 
 
-def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
-    """D(r) in boundary-flux form: sum over ring nodes of u times the
-    discrete flux from the cells inside, at grid radius r.  Identical to
-    ``dirichlet_energy`` by the divergence structure."""
+def energy_flux_profile(u: DiscreteSolution,
+                        radii: Sequence[float]) -> np.ndarray:
+    """D in boundary-flux form at each of the grid radii ``radii``: the
+    sum over the ring's nodes of u times the discrete flux from the
+    cells inside, by one product over the bands the radii span.
+    Identical to ``dirichlet_energy`` by the divergence structure."""
     asm = u._assembly
-    i = _ring_index(u.grid, r)
-    if i == 0:
-        if asm.tri_k is None:
-            return 0.0
+    rings = np.array([_ring_index(u.grid, r) for r in radii], dtype=int)
+    out = np.zeros(rings.size)
+    outer = rings > 0
+    # views of the spanned bands; local nodes 1, 2 lie on a band's outer ring
+    lo, hi = rings[outer].min(initial=1) - 1, rings.max(initial=0)
+    uc = u.values[asm.plan.cell_nodes[lo:hi]]
+    forces = np.einsum("btmn,btn->btm", asm.cell_k[lo:hi], uc)
+    band = rings[outer] - 1 - lo
+    out[outer] = np.sum(forces[band, :, 1:3] * uc[band, :, 1:3], axis=(1, 2))
+    if asm.tri_k is not None and not outer.all():
         ut = u.values[asm.plan.tri_nodes]
         forces = np.einsum("tmn,tn->tm", asm.tri_k, ut)
-        return float(np.sum(forces[:, 1:] * ut[:, 1:]))
-    band = i - 1
-    uc = u.values[asm.plan.cell_nodes[band]]
-    forces = np.einsum("tmn,tn->tm", asm.cell_k[band], uc)
-    # local nodes 1, 2 lie on ring i
-    return float(np.sum(forces[:, 1:3] * uc[:, 1:3]))
+        out[~outer] = np.sum(forces[:, 1:] * ut[:, 1:])
+    return out
+
+
+def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
+    """D(r) in boundary-flux form at grid radius r."""
+    return float(energy_flux_profile(u, [r])[0])
 
 
 def _element_energy(grid: PolarGrid, plan: _Plan, cell_k: np.ndarray,
@@ -947,43 +959,50 @@ def gradient_mean_square(u: DiscreteSolution, r: float,
     return total / area
 
 
-def _circle_integral(u: DiscreteSolution, r: float,
+def _circle_integral(u: DiscreteSolution, radii: Sequence[float],
                      weight_at: Callable[[np.ndarray], np.ndarray]
-                     ) -> tuple[float, float]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """(rho, int over the circle of radius rho of (trace of u)^2 * weight
-    dtheta), Simpson in angle, with rho the grid radius r names, or r
-    itself between the rings.
+    dtheta) for each of ``radii``, Simpson in angle, with rho the grid
+    radius r names, or r itself between the rings.
 
     The trace is the bilinear interpolant's: on a ring its nodal values,
     between rings ``u.evaluate`` at the grid angles.  Either way it is
     piecewise linear in theta, so the midpoint value is the mean of the
     endpoints and Simpson integrates the square exactly against a smooth
-    weight's samples."""
+    weight's samples.  ``weight_at`` takes every circle's nodes and
+    midpoints in one call, and each circle's Simpson terms are summed
+    along its own contiguous row."""
     grid = u.grid
-    i = grid.on_ring(r)
-    rho = r if i is None else grid.radii[i]
-    th = grid.theta
-    pts_node = rho * np.stack([np.cos(th), np.sin(th)], axis=1)
-    uv = u.evaluate(pts_node) if i is None else u.ring_values(i)
-    u_next = np.roll(uv, -1)
+    rings = [grid.on_ring(r) for r in radii]
+    rho = np.array([r if i is None else grid.radii[i]
+                    for r, i in zip(radii, rings)], dtype=float)
+    th = np.stack([grid.theta, grid.theta + 0.5 * grid.d_theta])
+    # (node or midpoint, circle, angle, xy)
+    pts = rho[:, None, None] * np.stack([np.cos(th), np.sin(th)], 2)[:, None]
+    uv = np.array([u.evaluate(p) if i is None else u.ring_values(i)
+                   for i, p in zip(rings, pts[0])])
+    u_next = np.roll(uv, -1, axis=1)
     u_mid = 0.5 * (uv + u_next)
-    th_mid = th + 0.5 * grid.d_theta
-    pts_mid = rho * np.stack([np.cos(th_mid), np.sin(th_mid)], axis=1)
-    w_node = weight_at(pts_node)
-    w_mid = weight_at(pts_mid)
-    w_next = np.roll(w_node, -1)
+    w_node, w_mid = weight_at(pts.reshape(-1, 2)).reshape(pts.shape[:3])
+    w_next = np.roll(w_node, -1, axis=1)
     seg = (grid.d_theta / 6.0) * (uv ** 2 * w_node + 4.0 * u_mid ** 2 * w_mid
                                   + u_next ** 2 * w_next)
-    return rho, float(seg.sum())
+    return rho, seg.sum(axis=1)
+
+
+def boundary_mass_profile(u: DiscreteSolution, f: CoefficientField,
+                          radii: Sequence[float]) -> np.ndarray:
+    """H at each of ``radii``: int over the circle of u^2 mu dsigma with
+    mu = <A x/|x|, x/|x|>, at any radius within the grid's range; between
+    the rings it integrates the discrete solution's own trace."""
+    rho, mass = _circle_integral(u, radii, lambda p: mu_factor(f, p))
+    return rho * mass
 
 
 def boundary_mass(u: DiscreteSolution, f: CoefficientField, r: float) -> float:
-    """H(r): int over the circle of u^2 mu dsigma with
-    mu = <A x/|x|, x/|x|>, at any radius within the grid's range; between
-    the rings it integrates the discrete solution's own trace."""
-    rho, mass = _circle_integral(
-        u, r, lambda p: np.atleast_1d(mu_factor(f, p)))
-    return rho * mass
+    """H(r); see ``boundary_mass_profile``."""
+    return float(boundary_mass_profile(u, f, [r])[0])
 
 
 def boundary_mass_scalar(u: DiscreteSolution, abar: CoefficientField,
@@ -993,4 +1012,4 @@ def boundary_mass_scalar(u: DiscreteSolution, abar: CoefficientField,
     ``boundary_mass`` it accepts any radius within the grid's range."""
     if abar.arity is not Arity.ISOTROPIC:
         raise FieldError("scalar boundary mass needs a scalar weight field")
-    return _circle_integral(u, r, abar.evaluate)[1]
+    return float(_circle_integral(u, [r], abar.evaluate)[1][0])

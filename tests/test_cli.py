@@ -237,6 +237,8 @@ def test_cli_rejects_malformed_json(tmp_path, capsys):
 
 
 _HARMONIC = {"kind": "harmonic", "degree": 1}
+# an integer literal beyond the float range, where a float is expected
+_HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -248,9 +250,22 @@ _HARMONIC = {"kind": "harmonic", "degree": 1}
     ("modulus", {"modulus": {"kind": "linear"}, "seed": "x"}),
     ("modulus", {"modulus": {"kind": "log_power", "p": 1e-20}}),
     ("modulus", {"modulus": {"kind": "log_power", "p": 149.0}}),
+    ("modulus", {"modulus": {"kind": "linear"}, "c_m": _HUGE}),
+    ("modulus", {"modulus": {"kind": "tabulated", "t": [0.5, 1.0],
+                             "omega": [_HUGE, _HUGE]}}),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32, "r_min": _HUGE},
+               "boundary": _HARMONIC}),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32}, "boundary": _HARMONIC,
+               "profile": {"r_lo": _HUGE}}),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32}, "boundary": _HARMONIC,
+               "field": {"kind": "holder", "alpha": 0.75,
+                         "amplitude": _HUGE}}),
+    ("experiment", {"scenario": "eps_approx", "radii": [_HUGE]}),
 ], ids=["solve_grid_int", "solve_grid_list", "modulus_int", "c_m_str",
         "c_m_null", "modulus_seed_str", "log_power_omega_zero",
-        "log_power_omega_overflow"])
+        "log_power_omega_overflow", "c_m_huge_int", "tabulated_huge_int",
+        "r_min_huge_int", "r_lo_huge_int", "amplitude_huge_int",
+        "radii_huge_int"])
 def test_cli_ill_typed_block_is_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "c.json", {"schema": 1, **doc})
     out = tmp_path / "out"
@@ -566,6 +581,10 @@ def test_cli_experiment_field_error_exit(tmp_path, capsys):
     ({"field_spec": {"kind": "cusp", "amplitude": 0.2,
                      "modulus": {"kind": "log_power", "p": 1e-20}}},
      "field_error"),
+    ({"field_spec": {"kind": "holder", "alpha": 0.75, "amplitude": _HUGE}},
+     "field_error"),
+    ({"boundary_spec": {"kind": "constant", "value": _HUGE}},
+     "scenario_error"),
 ])
 def test_cli_experiment_bad_spec_writes_error_file(tmp_path, capsys, spec,
                                                    status):
@@ -580,6 +599,25 @@ def test_cli_experiment_bad_spec_writes_error_file(tmp_path, capsys, spec,
     summary = json.load(open(os.path.join(out, "sweep_summary.json")))
     assert summary["scenarios"] == [{k: v for k, v in error.items()
                                      if k != "schema"}]
+
+
+@pytest.mark.parametrize("scenario, spec", [
+    ("eps_approx", {"eps": _HUGE}),
+    ("stability", {"pair_spec": {"mode": "scaled", "eps": _HUGE}}),
+    ("schroedinger", {"potential_spec": {"kind": "constant",
+                                         "value": _HUGE}}),
+])
+def test_cli_scenario_scalar_beyond_float_range_writes_error_file(
+        tmp_path, capsys, scenario, spec):
+    cfg = write_config(tmp_path / "e.json",
+                       {"schema": 1, "scenario": scenario, **spec})
+    out = str(tmp_path / "out")
+    assert main(["experiment", "--config", cfg, "--resolution", "17,32",
+                 "--out", out]) == 2
+    assert "scenario_error" in capsys.readouterr().err
+    error = json.load(open(os.path.join(out, f"{scenario}.error.json")))
+    assert error["status"] == "scenario_error"
+    assert "too large" in error["message"]
 
 
 def test_cli_usage_errors():

@@ -19,8 +19,11 @@ from freqlab.coefficients import (
     homogeneous_projection,
     _MOLLIFY_BLOCK_SAMPLES,
     _bicubic_interpolant,
+    _cubic_basis,
     _kernel_table,
+    _not_a_knot_fit,
     _profile_table,
+    _uniform_basis,
     kernel_gradient_constant,
     mollify,
     mu_factor,
@@ -638,6 +641,29 @@ def test_bicubic_interpolant_matches_fitpack_evaluation():
     assert np.abs(got - spline.ev(pts[:, 0], pts[:, 1])).max() <= 2e-15
     # beyond the grid the argument is clamped, not extrapolated
     assert got[-3] == ev(np.array([[1.0, 0.0]]))[0]
+
+
+def test_uniform_basis_matches_recurrence():
+    # the closed-form basis against the de Boor-Cox recurrence on
+    # generate_holder's knot vector: at every knot, at 15 points inside
+    # every cell (so in the cells either side of both seams between the
+    # closed form and the recurrence) and at clamped points
+    m = 1024
+    h = 2.0 / m
+    t, _ = _not_a_knot_fit(-1.0, h, m + 1)
+    axis = -1.0 + h * np.arange(m + 1)
+    inside = axis[:-1, None] + h * np.arange(1, 16) / 16.0
+    x = np.concatenate([axis, inside.ravel(),
+                        [-1.5, -1.0 - 1e-12, 1.0 + 1e-12, 3.0]])
+    lead, basis = _uniform_basis(t, x)
+    want_lead, want = _cubic_basis(t, x)
+    assert np.array_equal(lead, want_lead)
+    for got, ref in zip(basis, want):
+        assert np.abs(got - ref).max() <= 2.0 * np.finfo(float).eps
+    # clamped points take the end knots' basis exactly
+    ends = _uniform_basis(t, np.array([-1.5, -1.0, 1.0, 3.0]))[1]
+    for b in ends:
+        assert b[0] == b[1] and b[2] == b[3]
 
 
 def test_generate_holder_leaves_scipy_interpolate_unloaded():

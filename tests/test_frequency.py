@@ -134,6 +134,27 @@ class TestAlmgrenFrequency:
         with pytest.raises(FrequencyError, match="disagree"):
             almgren_frequency(u, I2)
 
+    def test_errors_name_the_first_failing_radius(self):
+        # zeroing ring k makes H vanish there and breaks the flux form
+        # from ring k out; going down the radii, each call raises for the
+        # first radius that fails, whichever check fails there
+        g = PolarGrid.disk(33, 64)
+        u = solve_dirichlet(I2, 1.0, fourier_data(g.theta, 3), g)
+        k = 16
+        u.values[k * 64:(k + 1) * 64] = 0.0
+        r = g.radii
+        assert almgren_frequency(u, I2, radii=r[:k]).N.size == k
+        with pytest.raises(FrequencyError, match="disagree") as err:
+            almgren_frequency(u, I2, radii=r[[k - 1, k, k + 1]])
+        assert f"r={r[k + 1]:.6g}:" in str(err.value)
+        with pytest.raises(VanishingBoundaryError) as err:
+            almgren_frequency(u, I2, radii=r[[k - 1, k]])
+        assert f"r={r[k]:.6g} " in str(err.value)
+        off = 0.5 * (r[k + 1] + r[k + 2])
+        with pytest.raises(ValueError, match="not a grid radius") as err:
+            almgren_frequency(u, I2, radii=[r[k], off])
+        assert f"radius {off:.6g} " in str(err.value)
+
     def test_scale_invariance(self):
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(I2, 1.0, fourier_data(g.theta, 8), g)

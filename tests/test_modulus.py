@@ -306,6 +306,24 @@ def test_psi_submultiplicative_log_power():
     assert ratios.max() <= 2.0 + 1e-12
 
 
+def test_psi_submultiplicative_tiny_modulus_stays_finite():
+    # psi(x) psi(y) underflows for omega near 1e-300, but the ratio is
+    # 1/omega times that of the unit-scaled modulus and stays finite
+    t = [0.5, 1.0]
+    tiny = check_submultiplicative_psi(
+        Modulus.tabulated(t, [1e-300, 2e-300]), 100.0)
+    unit = check_submultiplicative_psi(Modulus.tabulated(t, [1.0, 2.0]), 100.0)
+    assert math.isfinite(tiny.worst_ratio) and not tiny.holds
+    assert tiny.worst_ratio == pytest.approx(1e300 * unit.worst_ratio,
+                                             rel=1e-12)
+    # where nothing underflows the ratio is the plain quotient, bit for bit
+    m = Modulus.log_power(1.0)
+    grid = np.logspace(0.0, 6.0, 64)
+    px = m.psi(grid)
+    plain = m.psi(np.outer(grid, grid).ravel()) / np.outer(px, px).ravel()
+    assert check_submultiplicative_psi(m, 2.8).worst_ratio == plain.max()
+
+
 def test_phi_integrable_values():
     rep = check_phi_integrable(Modulus.linear())
     assert rep.finite and rep.value == pytest.approx(1.0, rel=1e-7)

@@ -21,10 +21,12 @@ from freqlab.solver import (
     PolarGrid,
     SolverError,
     boundary_mass,
+    boundary_mass_profile,
     boundary_mass_scalar,
     clear_operator_cache,
     dirichlet_energy,
     dirichlet_energy_flux,
+    energy_flux_profile,
     gradient_energy,
     gradient_mean_square,
     solve_dirichlet,
@@ -514,6 +516,48 @@ class TestBoundaryMass:
             r * simpson(lambda p: mu_factor(D21, p)), rel=1e-12)
         assert boundary_mass_scalar(u, one, r) == pytest.approx(
             simpson(one.evaluate), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["disk", "annulus"])
+    def test_profiles_equal_per_ring_formulas(self, kind):
+        # H and flux D for many rings at once equal, bit for bit, one
+        # ring's Simpson sum and one band's flux product
+        g = _polar_grid(kind, 33, 64)
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=64)
+        for f in (HOLDER, D21):
+            u = solve_dirichlet(f, 1.0, data, g, g_inner=data[::-1].copy())
+            asm = u._assembly
+
+            def ring_h(i):
+                rho, th = g.radii[i], g.theta
+                node = rho * np.stack([np.cos(th), np.sin(th)], axis=1)
+                th = th + 0.5 * g.d_theta
+                mid = rho * np.stack([np.cos(th), np.sin(th)], axis=1)
+                uv = u.ring_values(i)
+                u_next = np.roll(uv, -1)
+                w = mu_factor(f, node)
+                seg = (g.d_theta / 6.0) * (
+                    uv ** 2 * w + 4.0 * (0.5 * (uv + u_next)) ** 2
+                    * mu_factor(f, mid) + u_next ** 2 * np.roll(w, -1))
+                return rho * float(seg.sum())
+
+            def ring_d(i):
+                if i == 0:
+                    if asm.tri_k is None:
+                        return 0.0
+                    ut = u.values[asm.plan.tri_nodes]
+                    forces = np.einsum("tmn,tn->tm", asm.tri_k, ut)
+                    return float(np.sum(forces[:, 1:] * ut[:, 1:]))
+                uc = u.values[asm.plan.cell_nodes[i - 1]]
+                forces = np.einsum("tmn,tn->tm", asm.cell_k[i - 1], uc)
+                return float(np.sum(forces[:, 1:3] * uc[:, 1:3]))
+
+            for rings in (np.arange(g.n_r), np.arange(g.n_r)[::-3], [7]):
+                radii = g.radii[rings]
+                assert boundary_mass_profile(u, f, radii).tolist() == [
+                    ring_h(i) for i in rings]
+                assert energy_flux_profile(u, radii).tolist() == [
+                    ring_d(i) for i in rings]
 
 
 class TestBoundaryMassScalar:
