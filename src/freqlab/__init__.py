@@ -6,8 +6,8 @@ Modules
 modulus       moduli of continuity, Osgood classification, transform checks
 growth        h-transform, continuous growth bounds, discrete cascades
 coefficients  coefficient fields: generation, mollification, projections
-solver        polar grids on disks and annuli, Dirichlet solves, and
-              the quadratic functionals D, H
+solver        polar grids on disks, Dirichlet solves, and the
+              quadratic functionals D, H
 frequency     Almgren-type frequency profiles and monotonicity checks
 experiments   scenario runners comparing measured margins to the estimates
 cli           command line front end (``freqlab``)

@@ -217,6 +217,6 @@ def freq_cascade_eval(cfg, setup, data, grid):
         "frequencies": values,
         "bound": trace.bound,
         "n0_effective": n0_eff,
-        "doubling_top": doubling_index(u, f, r0),
+        "doubling_top": doubling_index(u, r0),
     })
     return ev

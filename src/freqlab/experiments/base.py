@@ -471,7 +471,7 @@ def subsolution(u: DiscreteSolution, f2: CoefficientField, r: float,
     if grid.on_ring(r) is None:
         raise ScenarioError(f"comparison radius {r:.6g} is not a grid ring")
     nt = grid.n_theta
-    sub = PolarGrid(grid.radii[:i + 1], nt, "disk")
+    sub = PolarGrid(grid.radii[:i + 1], nt)
     v = solve_dirichlet(f2, float(sub.r_out), u.ring_values(i), sub,
                         potential=potential)
     mask = np.concatenate([np.arange((i + 1) * nt),

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "HIdentityReport",
     "HomogeneousMonotonicityReport",
     "VanishingBoundaryError",
-    "WeightKind",
     "almgren_frequency",
     "doubling_index",
     "two_scale_frequency",
@@ -61,11 +59,6 @@ class VanishingBoundaryError(FrequencyError):
     """Boundary mass vanished at some radius; u looks trivial there."""
 
 
-class WeightKind(Enum):
-    MU_WEIGHTED = "mu"
-    SCALAR_WEIGHTED = "scalar"
-
-
 @dataclass(frozen=True)
 class FrequencyProfile:
     """Sampled frequency data on decreasing radii with N = r D / H."""
@@ -74,7 +67,6 @@ class FrequencyProfile:
     D: np.ndarray
     H: np.ndarray
     N: np.ndarray
-    weight_kind: WeightKind
 
     def __post_init__(self) -> None:
         r = np.asarray(self.radii, dtype=float)
@@ -152,8 +144,7 @@ def almgren_frequency(u: DiscreteSolution, f: CoefficientField,
                 f"energy forms disagree at r={r:.6g}: "
                 f"flux {d_flux:.12e} vs volume {d_vol:.12e}")
     n_vals = rr * d_vals / h_vals
-    return FrequencyProfile(rr, d_vals, h_vals, n_vals,
-                            WeightKind.MU_WEIGHTED)
+    return FrequencyProfile(rr, d_vals, h_vals, n_vals)
 
 
 def two_scale_frequency(u: DiscreteSolution, abar: CoefficientField,
@@ -173,12 +164,9 @@ def two_scale_frequency(u: DiscreteSolution, abar: CoefficientField,
     return math.log(h_r / h_rho) / (2.0 * math.log(r / rho))
 
 
-def doubling_index(u: DiscreteSolution, f: CoefficientField,
-                   r: float) -> float:
+def doubling_index(u: DiscreteSolution, r: float) -> float:
     """log2 of the ratio of unweighted boundary means of u^2 at radii r
-    and r/2; for a degree-k homogeneous solution this is 2k.  The field
-    argument identifies the solve but the means are unweighted."""
-    del f
+    and r/2; for a degree-k homogeneous solution this is 2k."""
     one = CoefficientField.constant(1.0)
     thr = _vanishing_threshold(u)
     top = boundary_mass_scalar(u, one, r)

@@ -38,15 +38,14 @@ SCHEMA_VERSION = 1
 # binary grid container, little-endian:
 #   bytes 0..3    magic "FLGR"
 #   uint32        format version (1)
-#   uint32        grid kind (0 disk, 1 annulus)
+#   uint32        grid kind, 0 (a disk: the only kind read or written)
 #   uint32        n_r
 #   uint32        n_theta
 #   float64[n_r]  ring radii, ascending
-#   float64[n]    nodal values, ring-major; disk grids append one
-#                 origin node after the rings
+#   float64[n]    nodal values, ring-major, then the origin node
 _GRID_MAGIC = b"FLGR"
 _GRID_VERSION = 1
-_GRID_KINDS = ("disk", "annulus")
+_GRID_DISK = 0
 
 
 class ConfigError(ValueError):
@@ -150,8 +149,7 @@ def write_grid(path: str, solution: DiscreteSolution) -> str:
             f"value count {values.size} does not match the grid's "
             f"{grid.node_count} nodes")
     head = _GRID_MAGIC + struct.pack(
-        "<IIII", _GRID_VERSION, _GRID_KINDS.index(grid.kind),
-        grid.n_r, grid.n_theta)
+        "<IIII", _GRID_VERSION, _GRID_DISK, grid.n_r, grid.n_theta)
     body = grid.radii.astype("<f8").tobytes() + values.tobytes()
     return atomic_write_bytes(path, head + body)
 
@@ -164,11 +162,11 @@ def read_grid(path: str) -> tuple[PolarGrid, np.ndarray]:
     version, kind_code, n_r, n_theta = struct.unpack_from("<IIII", blob, 4)
     if version != _GRID_VERSION:
         raise ConfigError(f"{path}: unsupported grid format {version}")
-    if kind_code >= len(_GRID_KINDS):
+    if kind_code != _GRID_DISK:
         raise ConfigError(f"{path}: unknown grid kind code {kind_code}")
     offset = 4 + 16
     radii = np.frombuffer(blob, dtype="<f8", count=n_r, offset=offset)
-    grid = PolarGrid(radii.copy(), n_theta, _GRID_KINDS[kind_code])
+    grid = PolarGrid(radii.copy(), n_theta)
     offset += 8 * n_r
     values = np.frombuffer(blob, dtype="<f8", count=grid.node_count,
                            offset=offset)

@@ -1,4 +1,4 @@
-"""Dirichlet solver for -div(A grad u) = 0 on disks and annuli.
+"""Dirichlet solver for -div(A grad u) = 0 on disks.
 
 The grid is polar with geometrically spaced radii, so in the logical
 coordinates (s, theta) = (log r, theta) the cells form a uniform
@@ -13,14 +13,14 @@ symmetry and eigenvalue bounds of A.  On each logical cell the discrete
 energy uses the bilinear interpolant with the coefficient sampled at
 the four face midpoints (one sample per control surface), which keeps
 the assembled operator symmetric positive definite and is second-order
-accurate for full tensors.  Data affine in (log r, theta) are
-reproduced exactly (constants on disks, a + b log r on annuli); the
-Cartesian coordinates x, y are reproduced to O(h^2).  The disk of
-radius r_min around the origin is a single fan of linear triangles
-sharing one origin unknown, coupling the core to the first ring without
-regularizing the equation.
+accurate for full tensors.  Constant data are reproduced exactly, and
+a + b log r, linear in the logical radius, satisfies the equations of
+every ring clear of the core; the Cartesian coordinates x, y are
+reproduced to O(h^2).  The disk of radius r_min around the origin is a
+single fan of linear triangles sharing one origin unknown, coupling the
+core to the first ring without regularizing the equation.
 
-The unknowns, numbered ring by ring with a disk's origin last, are
+The unknowns, numbered ring by ring with the origin last, are
 solved for by conjugate gradients preconditioned with the ring-mean
 operator: every cell and core-triangle matrix (potential mass included)
 replaced by its band mean.  That is the mean of the operator over the
@@ -39,8 +39,8 @@ stencil it is, one array per stencil place (the diagonal format of Saad,
 *Iterative Methods for Sparse Linear Systems*, 3.4, with the angle axis
 wrapped): ``stencil[p, i, j]`` couples node (i, j) to its neighbour at
 place p = 3 d_ring + d_angle + 4 of its 3 x 3 (ring, angle)
-neighbourhood, and place 9 couples ring 0 to a disk's origin, whose own
-row (ring 0, then itself) is kept apart.  ``k_ii`` and ``k_ib`` are the
+neighbourhood, and place 9 couples ring 0 to the origin, whose own row
+(ring 0, then itself) is kept apart.  ``k_ii`` and ``k_ib`` are the
 rows of the unknowns against the unknowns or the boundary nodes, so one
 product serves both: the stencil times the node values, laid out ring
 by ring between two rings of zeros, with zeros on the nodes the product
@@ -140,13 +140,12 @@ class PolarGrid:
     """Structured polar grid: geometric radii, equispaced angles.
 
     ``radii`` ascend; node (i, j) sits at radius radii[i], angle
-    2 pi j / n_theta.  Disk grids carry one extra origin node closing
-    the hole below radii[0].
+    2 pi j / n_theta.  One extra origin node closes the hole below
+    radii[0].
     """
 
     radii: np.ndarray
     n_theta: int
-    kind: str = "disk"
 
     def __post_init__(self) -> None:
         r = np.asarray(self.radii, dtype=float)
@@ -158,8 +157,6 @@ class PolarGrid:
         if self.n_theta < 8:
             raise ValueError(f"need at least 8 angles, got {self.n_theta}")
         _check_grid_size(r.size, self.n_theta)
-        if self.kind not in ("disk", "annulus"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         s = np.log(r)
         steps = np.diff(s)
         if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
@@ -178,16 +175,7 @@ class PolarGrid:
         if not 0.0 < r_min < radius:
             raise ValueError(f"inner radius {r_min} outside (0, {radius})")
         s = np.linspace(math.log(r_min), math.log(radius), n_r)
-        return cls(np.exp(s), n_theta, "disk")
-
-    @classmethod
-    def annulus(cls, r_in: float, r_out: float, n_r: int,
-                n_theta: int) -> "PolarGrid":
-        if not 0.0 < r_in < r_out:
-            raise ValueError(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
-        _check_grid_size(n_r, n_theta)
-        s = np.linspace(math.log(r_in), math.log(r_out), n_r)
-        return cls(np.exp(s), n_theta, "annulus")
+        return cls(np.exp(s), n_theta)
 
     @property
     def n_r(self) -> int:
@@ -215,8 +203,7 @@ class PolarGrid:
 
     @property
     def node_count(self) -> int:
-        extra = 1 if self.kind == "disk" else 0
-        return self.n_r * self.n_theta + extra
+        return self.n_r * self.n_theta + 1
 
     def ring_points(self, i: int) -> np.ndarray:
         th = self.theta
@@ -235,13 +222,11 @@ class PolarGrid:
             return i
         return None
 
-    def refine(self, factor: int = 2) -> "PolarGrid":
+    def refine(self) -> "PolarGrid":
         """Halve both mesh widths; existing ring radii are preserved."""
-        if factor < 2:
-            return self
-        n_r = factor * (self.n_r - 1) + 1
+        n_r = 2 * (self.n_r - 1) + 1
         s = np.linspace(math.log(self.r_in), math.log(self.r_out), n_r)
-        return PolarGrid(np.exp(s), factor * self.n_theta, self.kind)
+        return PolarGrid(np.exp(s), 2 * self.n_theta)
 
 
 # -- assembly ------------------------------------------------------------
@@ -316,21 +301,22 @@ def _check_elliptic(b: np.ndarray, where: str) -> float:
 # CG stops once the recurred residual of unit-size data is NaN or this
 # small, or 16 times it after one step (reached only by an exact inverse)
 _CG_TOL = 4.0 * float(np.finfo(float).eps)
+# the largest relative residual a solve may leave
+_RESIDUAL_TOL = 1e-10
 
 
 class _Plan:
     """What every assembly on one grid shares, all geometry: the face
     samples with their angles' cosines and sines, the cells' nodes and
-    volume weights, the core triangles (None on annuli), the unknown
-    order (ring by ring, a disk's origin last), and the matrix that turns
-    a cell's B at its four faces into its 4 x 4 stiffness matrix."""
+    volume weights, the core triangles, the unknown order (ring by ring,
+    the origin last), and the matrix that turns a cell's B at its four
+    faces into its 4 x 4 stiffness matrix."""
 
     def __init__(self, grid: PolarGrid):
         self.n_r, self.n_t = n_r, n_t = grid.n_r, grid.n_theta
         self.n_band = n_band = n_r - 1
         h, k = grid.d_s, grid.d_theta
         th = grid.theta
-        disk = grid.kind == "disk"
         self.quad_w = w = h * k / 4.0
         self.quad_g = g = _GRAD_ROWS / np.array([[h], [k]])
         # cell_k[m, n] = w sum_q G_q[i, m] B_q[i, j] G_q[j, n], as one
@@ -360,32 +346,27 @@ class _Plan:
                        r_mid ** 2, r_mid ** 2], axis=1)
         self.cell_volw = np.broadcast_to((w * r2)[:, None, :], (n_band, n_t, 4))
 
-        if disk:
-            p = grid.ring_points(0)
-            p_next = p[jp]
-            area = 0.5 * np.abs(p[:, 0] * p_next[:, 1]
-                                - p[:, 1] * p_next[:, 0])
-            # P1 gradients for vertices (origin, p, p_next)
-            e0 = p_next - p
-            e1 = -p_next
-            e2 = p
-            self.tri_g = np.stack([
-                np.stack([-e0[:, 1], e0[:, 0]], axis=1),
-                np.stack([-e1[:, 1], e1[:, 0]], axis=1),
-                np.stack([-e2[:, 1], e2[:, 0]], axis=1),
-            ], axis=1) / (2.0 * area)[:, None, None]
-            self.tri_area = area
-            self.tri_mids = np.concatenate(
-                [0.5 * (p + p_next), 0.5 * p_next, 0.5 * p])
-            self.tri_nodes = np.stack(
-                [np.full(n_t, grid.node_count - 1, dtype=np.int32), jj, jp],
-                axis=1)
-        else:
-            self.tri_g = self.tri_area = self.tri_mids = self.tri_nodes = None
+        p = grid.ring_points(0)
+        p_next = p[jp]
+        area = 0.5 * np.abs(p[:, 0] * p_next[:, 1]
+                            - p[:, 1] * p_next[:, 0])
+        # P1 gradients for vertices (origin, p, p_next)
+        e0 = p_next - p
+        e1 = -p_next
+        e2 = p
+        self.tri_g = np.stack([
+            np.stack([-e0[:, 1], e0[:, 0]], axis=1),
+            np.stack([-e1[:, 1], e1[:, 0]], axis=1),
+            np.stack([-e2[:, 1], e2[:, 0]], axis=1),
+        ], axis=1) / (2.0 * area)[:, None, None]
+        self.tri_area = area
+        self.tri_mids = np.concatenate(
+            [0.5 * (p + p_next), 0.5 * p_next, 0.5 * p])
+        self.tri_nodes = np.stack(
+            [np.full(n_t, grid.node_count - 1, dtype=np.int32), jj, jp],
+            axis=1)
 
-        outer = np.arange(n_band * n_t, n_r * n_t)
-        self.boundary = (np.concatenate([np.arange(n_t), outer])
-                         if not disk else outer)
+        self.boundary = np.arange(n_band * n_t, n_r * n_t)
         mask = np.ones(grid.node_count, dtype=bool)
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask)
@@ -409,17 +390,14 @@ class _Plan:
 
 def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
     """f's cell matrices (n_r - 1, n_theta, 4, 4) and core-triangle
-    matrices (n_theta, 3, 3), B at the faces, the core's frozen tensors
-    (None and None on annuli), and their largest eigenvalue over their
-    smallest."""
+    matrices (n_theta, 3, 3), B at the faces, the core's frozen tensors,
+    and their largest eigenvalue over their smallest."""
     face_b = _rotated_tensor(f, plan.face_pts, plan.face_cos, plan.face_sin)
     contrast = _check_elliptic(face_b, "at a cell face")
     # per cell the (q, i, j) entries of B at its four faces
     quad_b = np.stack([b.reshape(plan.n_band, plan.n_t, 4)
                        for b in plan.cell_faces(face_b)], axis=2)
     cell_k = (quad_b.reshape(-1, 16) @ plan.stiffness).reshape(quad_b.shape)
-    if plan.tri_nodes is None:
-        return cell_k, None, face_b, None, contrast
     tri_a = f.matrices(plan.tri_mids).reshape(3, plan.n_t, 2, 2).mean(axis=0)
     contrast = max(contrast, _check_elliptic(tri_a, "inside the core disk"))
     tri_k = plan.tri_area[:, None, None] * np.einsum(
@@ -427,11 +405,11 @@ def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
     return cell_k, tri_k, face_b, tri_a, contrast
 
 
-def _scatter(cell_k: np.ndarray, tri_k: Optional[np.ndarray]) -> tuple:
+def _scatter(cell_k: np.ndarray, tri_k: np.ndarray) -> tuple:
     """The stencil (10, n_r, n_theta) of the cell matrices (n_r - 1,
-    n_theta, 4, 4) and core-triangle matrices (n_theta, 3, 3; None on
-    annuli), and the origin's row (None on annuli).  Each entry is summed
-    from 0.0 in cell order, triangles last."""
+    n_theta, 4, 4) and core-triangle matrices (n_theta, 3, 3), and the
+    origin's row.  Each entry is summed from 0.0 in cell order,
+    triangles last."""
     n_band, n_t = cell_k.shape[:2]
     stencil = np.zeros((10, n_band + 1, n_t))
     # the cell matrices place-first, (a, b, i, j), copied a few bands at
@@ -458,8 +436,6 @@ def _scatter(cell_k: np.ndarray, tri_k: Optional[np.ndarray]) -> tuple:
         for b in range(4):
             stencil[_CELL_PLACE[a, b], da:da + n_band, 0] += \
                 by_place[a, b, :, -ea]
-    if tri_k is None:
-        return stencil, None
     # ring-0 node j is triangle j's first ring node and triangle j - 1's
     # second; the places of their rows' columns (origin, first, second)
     prev = np.roll(tri_k, 1, axis=0)
@@ -486,7 +462,7 @@ class _Assembly:
     """Cell matrices and the assembled operator for one (grid, field,
     potential) triple: the field at the plan's face samples, one product
     for the 4 x 4 cell matrices, the operator as ``stencil`` (10, n_r,
-    n_theta) by place and a disk's ``origin_row`` (see ``_scatter``;
+    n_theta) by place and the ``origin_row`` (see ``_scatter``;
     ``product`` applies them), and the factored ring-mean operator."""
 
     def __init__(self, grid: PolarGrid, f: CoefficientField,
@@ -507,14 +483,13 @@ class _Assembly:
                     @ _CELL_MASS).reshape(cell_k.shape)
             cell_k += mass
             cell_rows = mass.sum(axis=-1)
-            if tri_k is not None:
-                self.tri_k = tri_k.copy()
-                vt = potential(plan.tri_mids).reshape(3, n_t).T
-                mass = np.einsum("tq,qm,qn->tmn",
-                                 (plan.tri_area / 3.0)[:, None] * vt,
-                                 _TRI_BASIS, _TRI_BASIS)
-                tri_k += mass
-                tri_rows = mass.sum(axis=-1)
+            self.tri_k = tri_k.copy()
+            vt = potential(plan.tri_mids).reshape(3, n_t).T
+            mass = np.einsum("tq,qm,qn->tmn",
+                             (plan.tri_area / 3.0)[:, None] * vt,
+                             _TRI_BASIS, _TRI_BASIS)
+            tri_k += mass
+            tri_rows = mass.sum(axis=-1)
         self.stencil, self.origin_row = _scatter(cell_k, tri_k)
 
         # The ring-mean operator in mode k, w = exp(2 pi i k / n_theta): a
@@ -533,15 +508,12 @@ class _Assembly:
         diag[:-1] += rows[:, 0] + rows[:, 3] - edges - gap * m[:, 0, 3]
         diag[1:] += rows[:, 1] + rows[:, 2] - edges - gap * m[:, 1, 2]
         off = m[:, 0, 1] + m[:, 2, 3] + w * m[:, 0, 2] + w.conj() * m[:, 1, 3]
-        if tri_k is not None:
-            t, rows = tri_k.mean(axis=0), tri_rows.mean(axis=0)
-            edges = t[0, 1] + t[0, 2]
-            diag[0] += rows[1] + rows[2] - edges - gap * t[1, 2]
-            diag = np.vstack([np.ones(w.size), diag[:-1]])
-            off = np.vstack([np.zeros(w.size), off[:-1]])
-            diag[0, 0], off[0, 0] = rows[0] - edges, edges
-        else:
-            diag, off = diag[1:-1], off[1:-1]
+        t, rows = tri_k.mean(axis=0), tri_rows.mean(axis=0)
+        edges = t[0, 1] + t[0, 2]
+        diag[0] += rows[1] + rows[2] - edges - gap * t[1, 2]
+        diag = np.vstack([np.ones(w.size), diag[:-1]])
+        off = np.vstack([np.zeros(w.size), off[:-1]])
+        diag[0, 0], off[0, 0] = rows[0] - edges, edges
         # factored as L D L^H per mode, over all modes at once
         self.pivots, self.mult = diag, np.empty_like(off)
         for i in range(off.shape[0]):
@@ -561,30 +533,26 @@ class _Assembly:
         node values, zero off x's nodes.  Each row is summed from 0.0 in
         ascending column order, then the origin's row in its order."""
         stencil, n_t = self.stencil, self.grid.n_theta
-        lo = int(self.origin_row is None)  # the first unknown ring
-        n = stencil.shape[1] - 1 - lo  # unknown rings
+        n = stencil.shape[1] - 1  # unknown rings
         size = n * n_t
         # the node values ring by ring between two rings of zeros, and one
         # zero more at each end; (ring, angle) is at n_t (ring + 1) + angle + 1
-        flat = np.zeros((n + lo + 3) * n_t + 2)
+        flat = np.zeros((n + 3) * n_t + 2)
         rings = flat[1:-1].reshape(-1, n_t)
         origin = 0.0
         if boundary:
-            rings[-2] = x[x.size - n_t:]
-            if lo:
-                rings[1] = x[:n_t]
+            rings[-2] = x
         else:
-            rings[1 + lo:-2] = x[:size].reshape(n, n_t)
-            if not lo:
-                origin = x[-1]
+            rings[1:-2] = x[:size].reshape(n, n_t)
+            origin = x[-1]
         # the places in order, through shifted slices: right but in angle
         # columns 0 and n_theta - 1, which the next loop sums again
-        rows = stencil[:, lo:lo + n]
+        rows = stencil[:, :n]
         flat_rows = rows.reshape(10, size)
         out, term = np.zeros(size), np.empty(size)
         for p in range(9):
             di, dj = divmod(p, 3)
-            start = (lo + di) * n_t + dj
+            start = di * n_t + dj
             out += np.multiply(flat_rows[p], flat[start:start + size],
                                out=term)
         out = out.reshape(n, n_t)
@@ -592,29 +560,25 @@ class _Assembly:
             col = np.zeros(n)
             for p in order:
                 di, dj = divmod(p, 3)
-                col += rows[p, :, j] * rings[lo + di:lo + di + n,
-                                             (j + dj - 1) % n_t]
+                col += rows[p, :, j] * rings[di:di + n, (j + dj - 1) % n_t]
             out[:, j] = col
         out = out.ravel()
-        if lo:
-            return out
         out[:n_t] += rows[9, 0] * origin
         last = self.origin_row * np.append(rings[1], origin)
         return np.append(out, np.cumsum(np.append(0.0, last))[-1])
 
     def ring_mean_solve(self, r: np.ndarray) -> np.ndarray:
-        n_t, lead = self.grid.n_theta, int(self.tri_k is not None)
-        n_ring = r.size - lead
+        n_t = self.grid.n_theta
         y = np.zeros(self.pivots.shape, dtype=complex)
-        y[lead:] = np.fft.rfft(r[:n_ring].reshape(-1, n_t), axis=1)
-        y[:lead, 0] = r[n_ring:]  # the origin row; its unknown: n_theta u_0
+        y[1:] = np.fft.rfft(r[:-1].reshape(-1, n_t), axis=1)
+        y[0, 0] = r[-1]  # the origin row; its unknown: n_theta u_0
         for i in range(self.mult.shape[0]):
             y[i + 1] -= self.mult[i] * y[i]
         y /= self.pivots
         for i in range(self.mult.shape[0] - 1, -1, -1):
             y[i] -= self.mult_conj[i] * y[i + 1]
-        x = np.fft.irfft(y[lead:], n=n_t, axis=1).ravel()
-        return np.append(x, y[:lead, 0].real / n_t)
+        x = np.fft.irfft(y[1:], n=n_t, axis=1).ravel()
+        return np.append(x, y[0, 0].real / n_t)
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
         """``k_ii^-1 b`` for b of unit size, not 0, and the CG iterations."""
@@ -655,7 +619,7 @@ def clear_operator_cache() -> None:
 
 
 def _get_plan(grid: PolarGrid) -> _Plan:
-    key = (grid.kind, grid.n_theta, grid.radii.tobytes())
+    key = (grid.n_theta, grid.radii.tobytes())
     with _PLAN_LOCK:
         plan = _PLANS.pop(key, None)
         if plan is not None:
@@ -704,8 +668,7 @@ class DiscreteSolution:
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """The discrete solution at points ``pts``: bilinear in (log r,
         theta) between the rings, with a linear blend to the origin value
-        inside a disk's innermost ring.  Points inside an annulus's inner
-        ring raise ValueError."""
+        inside the innermost ring."""
         grid = self.grid
         n_r, nt = grid.n_r, grid.n_theta
         vals = self.node_grid()
@@ -729,13 +692,7 @@ class DiscreteSolution:
                + vals[i0, j1] * (1.0 - fs) * ft
                + vals[i0 + 1, j1] * fs * ft)
         inner = rr < float(grid.radii[0])
-        if grid.kind == "annulus":
-            # values[-1] is a ring value here, not an origin value
-            if np.any(rr < grid.r_in * (1.0 - 1e-9)):
-                raise ValueError(
-                    f"point at radius {rr.min():.6g} inside the annulus's "
-                    f"inner ring {grid.r_in:.6g}")
-        elif inner.any():
+        if inner.any():
             w = rr[inner] / float(grid.radii[0])
             ring0 = vals[0, j0[inner]] * (1.0 - ft[inner]) \
                 + vals[0, j1[inner]] * ft[inner]
@@ -757,51 +714,42 @@ def _boundary_values(g: Any, pts: np.ndarray, n_t: int) -> np.ndarray:
 
 
 def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
-                    *, g_inner: Any = None,
-                    potential: Optional[Callable] = None,
-                    rtol: float = 1e-10) -> DiscreteSolution:
+                    *, potential: Optional[Callable] = None
+                    ) -> DiscreteSolution:
     """Solve -div(A grad u) = 0 (plus an optional reaction term
     potential * u) with Dirichlet data g on the circle of radius r.
 
     An operator found not positive definite, a relative residual above
-    ``rtol`` or a non-finite solution raise SolverError.
+    1e-10 or a non-finite solution raise SolverError.
     """
     if abs(r - grid.r_out) > 1e-12 * max(1.0, r):
         raise SolverError(
             f"grid outer radius {grid.r_out:.12g} does not match r={r:.12g}")
-    if grid.kind == "annulus" and g_inner is None:
-        raise SolverError("annulus grids need inner boundary data g_inner")
     if f.domain_radius < grid.r_out * (1 - 1e-12):
         raise SolverError(
             f"field domain radius {f.domain_radius:.6g} does not cover "
             f"the grid radius {grid.r_out:.6g}")
 
     asm = _Assembly(grid, f, potential)
-    n_t = grid.n_theta
-    g_out = _boundary_values(g, grid.ring_points(grid.n_r - 1), n_t)
-    if grid.kind == "annulus":
-        g_in = _boundary_values(g_inner, grid.ring_points(0), n_t)
-        g_all = np.concatenate([g_in, g_out])
-    else:
-        g_all = g_out
+    g_out = _boundary_values(g, grid.ring_points(grid.n_r - 1), grid.n_theta)
 
     # unit-size data keep the CG scalars and norms in range: |b| >= 1 or 0
     # 0 - k_ib g rather than -(k_ib g): a row without boundary terms
     # stays +0.0, as in a product with the negated matrix
-    rhs = 0.0 - asm.product(g_all, boundary=True)
+    rhs = 0.0 - asm.product(g_out, boundary=True)
     scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
     b = rhs / scale
     y, iterations = asm.solve(b) if b.any() else (b, 0)
     residual = float(np.linalg.norm(asm.product(y) - b)
                      / max(np.linalg.norm(b), 1.0))
     x = y * scale
-    if not (residual <= rtol and np.all(np.isfinite(x))):
+    if not (residual <= _RESIDUAL_TOL and np.all(np.isfinite(x))):
         raise SolverError(
             f"solve left relative residual {residual:.3e} after "
-            f"{iterations} iterations, requested {rtol:.1e}")
+            f"{iterations} iterations, requested {_RESIDUAL_TOL:.1e}")
 
     values = np.empty(grid.node_count)
-    values[asm.boundary] = g_all
+    values[asm.boundary] = g_out
     values[asm.interior] = x
     return DiscreteSolution(grid, values, f, g_out, residual, iterations,
                             _assembly=asm)
@@ -810,34 +758,32 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
 # -- functionals ---------------------------------------------------------
 
 
-def _cumulative_energy(u: DiscreteSolution, asm: _Assembly,
-                       values: np.ndarray, tag: str) -> np.ndarray:
-    """Energy inside each grid radius; index i matches radii[i].
+def _cumulative_energy(u: DiscreteSolution) -> np.ndarray:
+    """u's energy inside each grid radius; index i matches radii[i].
 
     Evaluated in factored form (G u)^T B (G u) per quadrature point so
     that constant values give exactly zero."""
-    cached = u._cache.get(tag)
+    cached = u._cache.get("cumE")
     if cached is not None:
         return cached
+    asm, values = u._assembly, u.values
     plan = asm.plan
     uc = values[plan.cell_nodes]
     band = np.zeros(u.grid.n_r - 1)
     for g, b in zip(plan.quad_g, plan.cell_faces(asm.face_b)):
         gv = np.einsum("im,btm->bti", g, uc)
         band += plan.quad_w * np.einsum("bti,btij,btj->b", gv, b, gv)
-    core = 0.0
-    if asm.tri_k is not None:
-        ut = values[plan.tri_nodes]
-        # gradient from differences against the origin node: exact for
-        # constants since the basis gradients sum to zero
-        dv = ut[:, 1:] - ut[:, :1]
-        gv = np.einsum("tmi,tm->ti", plan.tri_g[:, 1:, :], dv)
-        core = float(np.sum(plan.tri_area * np.einsum(
-            "ti,tij,tj->t", gv, asm.tri_a, gv)))
+    ut = values[plan.tri_nodes]
+    # gradient from differences against the origin node: exact for
+    # constants since the basis gradients sum to zero
+    dv = ut[:, 1:] - ut[:, :1]
+    gv = np.einsum("tmi,tm->ti", plan.tri_g[:, 1:, :], dv)
+    core = float(np.sum(plan.tri_area * np.einsum(
+        "ti,tij,tj->t", gv, asm.tri_a, gv)))
     cum = np.empty(u.grid.n_r)
     cum[0] = core
     cum[1:] = core + np.cumsum(band)
-    u._cache[tag] = cum
+    u._cache["cumE"] = cum
     return cum
 
 
@@ -853,7 +799,7 @@ def dirichlet_energy(u: DiscreteSolution, r: float) -> float:
     """D(r): energy <A grad u, grad u> inside grid radius r, from the
     cell quadratic forms."""
     i = _ring_index(u.grid, r)
-    return float(_cumulative_energy(u, u._assembly, u.values, "cumE")[i])
+    return float(_cumulative_energy(u)[i])
 
 
 def energy_flux_profile(u: DiscreteSolution,
@@ -872,7 +818,7 @@ def energy_flux_profile(u: DiscreteSolution,
     forces = np.einsum("btmn,btn->btm", asm.cell_k[lo:hi], uc)
     band = rings[outer] - 1 - lo
     out[outer] = np.sum(forces[band, :, 1:3] * uc[band, :, 1:3], axis=(1, 2))
-    if asm.tri_k is not None and not outer.all():
+    if not outer.all():
         ut = u.values[asm.plan.tri_nodes]
         forces = np.einsum("tmn,tn->tm", asm.tri_k, ut)
         out[~outer] = np.sum(forces[:, 1:] * ut[:, 1:])
@@ -885,17 +831,14 @@ def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
 
 
 def _element_energy(grid: PolarGrid, plan: _Plan, cell_k: np.ndarray,
-                    tri_k: Optional[np.ndarray], values: np.ndarray,
-                    r: float) -> float:
+                    tri_k: np.ndarray, values: np.ndarray, r: float) -> float:
     """sum of the element energies values^T K values inside grid
     radius r."""
     i = _ring_index(grid, r)
     uc = values[plan.cell_nodes[:i]]
-    total = float(np.einsum("btmn,btm,btn->", cell_k[:i], uc, uc))
-    if tri_k is not None:
-        ut = values[plan.tri_nodes]
-        total += float(np.einsum("tmn,tm,tn->", tri_k, ut, ut))
-    return total
+    ut = values[plan.tri_nodes]
+    return (float(np.einsum("btmn,btm,btn->", cell_k[:i], uc, uc))
+            + float(np.einsum("tmn,tm,tn->", tri_k, ut, ut)))
 
 
 def weighted_gradient_energy(u: DiscreteSolution, values: np.ndarray,
@@ -928,12 +871,10 @@ def volume_mean_square(u: DiscreteSolution, r: float,
         uq = np.einsum("qm,btm->btq", _BASIS_ROWS, uc)
         band = np.einsum("btq,btq->b", plan.cell_volw, uq ** 2)
         band_area = plan.cell_volw.sum(axis=(1, 2))
-        core = core_area = 0.0
-        if asm.tri_k is not None:
-            ut = vals[plan.tri_nodes]
-            um = np.einsum("qm,tm->tq", _TRI_BASIS, ut)
-            core = float(np.sum(plan.tri_area / 3.0 * np.sum(um ** 2, axis=1)))
-            core_area = float(plan.tri_area.sum())
+        ut = vals[plan.tri_nodes]
+        um = np.einsum("qm,tm->tq", _TRI_BASIS, ut)
+        core = float(np.sum(plan.tri_area / 3.0 * np.sum(um ** 2, axis=1)))
+        core_area = float(plan.tri_area.sum())
         cum = np.empty(u.grid.n_r)
         cum[0] = core
         cum[1:] = core + np.cumsum(band)
@@ -954,9 +895,7 @@ def gradient_mean_square(u: DiscreteSolution, r: float,
     i = _ring_index(u.grid, r)
     plan = u._assembly.plan
     area = float(plan.cell_volw[:i].sum()) if i > 0 else 0.0
-    if plan.tri_area is not None:
-        area += float(plan.tri_area.sum())
-    return total / area
+    return total / (area + float(plan.tri_area.sum()))
 
 
 def _circle_integral(u: DiscreteSolution, radii: Sequence[float],

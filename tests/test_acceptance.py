@@ -251,7 +251,7 @@ def test_criterion_08_holder_cascade_boundedness():
             assert sup_n <= 1.5 * top, \
                 f"field {i}: sup N = {sup_n:.3f} vs 1.5 N(0.8) = {1.5 * top:.3f}"
             probes[n_r] = (two_scale_frequency(u, f, 0.4, 0.2),
-                           doubling_index(u, f, 0.4))
+                           doubling_index(u, 0.4))
         for a, b in zip(probes[65], probes[129]):
             drift = abs(b - a) / max(abs(a), abs(b))
             assert drift <= 0.25, \

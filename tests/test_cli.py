@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_write_json_is_atomic(tmp_path):
 
 @pytest.mark.parametrize("grid", [
     PolarGrid.disk(9, 16),
-    PolarGrid.annulus(0.25, 1.0, 9, 16),
+    PolarGrid.disk(9, 16, r_min=0.25),
 ])
 def test_grid_file_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(3)
@@ -122,7 +123,6 @@ def test_grid_file_roundtrip(tmp_path, grid):
     holder.values = values
     write_grid(path, holder)
     grid2, values2 = read_grid(path)
-    assert grid2.kind == grid.kind
     assert grid2.n_theta == grid.n_theta
     np.testing.assert_array_equal(grid2.radii, grid.radii)
     np.testing.assert_array_equal(values2, values)
@@ -132,6 +132,20 @@ def test_read_grid_rejects_corrupt_header(tmp_path):
     path = tmp_path / "u.grid"
     path.write_bytes(b"NOPE" + bytes(32))
     with pytest.raises(ConfigError, match="magic"):
+        read_grid(str(path))
+
+
+def test_read_grid_rejects_unknown_kind(tmp_path):
+    # 0, a disk, is the only grid kind a file may name
+    grid = PolarGrid.disk(9, 16)
+    path = tmp_path / "u.grid"
+    write_grid(str(path), SimpleNamespace(grid=grid,
+                                          values=np.ones(grid.node_count)))
+    blob = bytearray(path.read_bytes())
+    assert blob[8:12] == (0).to_bytes(4, "little")
+    blob[8:12] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="unknown grid kind code 1"):
         read_grid(str(path))
 
 

@@ -12,7 +12,6 @@ from freqlab.frequency import (
     FrequencyError,
     FrequencyProfile,
     VanishingBoundaryError,
-    WeightKind,
     almgren_frequency,
     doubling_index,
     two_scale_frequency,
@@ -53,7 +52,6 @@ class TestFrequencyProfile:
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
         prof = almgren_frequency(u, I2)
-        assert prof.weight_kind is WeightKind.MU_WEIGHTED
         assert len(prof) == g.n_r
         assert np.all(np.diff(prof.radii) < 0)
         assert np.allclose(prof.N, prof.radii * prof.D / prof.H, rtol=1e-13)
@@ -66,21 +64,16 @@ class TestFrequencyProfile:
         r = np.array([0.5, 1.0])  # increasing: wrong direction
         ones = np.ones(2)
         with pytest.raises(ValueError, match="decreasing"):
-            FrequencyProfile(r, ones, ones, r * ones,
-                             WeightKind.MU_WEIGHTED)
+            FrequencyProfile(r, ones, ones, r * ones)
         r = np.array([1.0, 0.5])
         with pytest.raises(ValueError, match="positive"):
-            FrequencyProfile(r, ones, np.array([1.0, 0.0]), ones,
-                             WeightKind.MU_WEIGHTED)
+            FrequencyProfile(r, ones, np.array([1.0, 0.0]), ones)
         with pytest.raises(ValueError, match="r D / H"):
-            FrequencyProfile(r, ones, ones, np.array([5.0, 5.0]),
-                             WeightKind.MU_WEIGHTED)
+            FrequencyProfile(r, ones, ones, np.array([5.0, 5.0]))
         with pytest.raises(ValueError, match="finite"):
-            FrequencyProfile(r, np.array([np.inf, 1.0]), ones, r,
-                             WeightKind.MU_WEIGHTED)
+            FrequencyProfile(r, np.array([np.inf, 1.0]), ones, r)
         with pytest.raises(ValueError, match="shape"):
-            FrequencyProfile(r, np.ones(3), ones, r,
-                             WeightKind.MU_WEIGHTED)
+            FrequencyProfile(r, np.ones(3), ones, r)
 
 
 class TestAlmgrenFrequency:
@@ -203,17 +196,17 @@ class TestDoublingIndex:
     def test_linear_solution_doubles_at_two(self):
         g = PolarGrid.disk(97, 192, r_min=0.25)
         u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
-        assert doubling_index(u, I2, 1.0) == pytest.approx(2.0, abs=1e-3)
+        assert doubling_index(u, 1.0) == pytest.approx(2.0, abs=1e-3)
 
     def test_constant_solution_has_zero_index(self):
         g = PolarGrid.disk(33, 64, r_min=0.25)
         u = solve_dirichlet(I2, 1.0, np.full(64, 2.5), g)
-        assert doubling_index(u, I2, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert doubling_index(u, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_cubic_harmonic_doubles_at_six(self):
         g = PolarGrid.disk(97, 192, r_min=0.25)
         u = solve_dirichlet(I2, 1.0, harmonic(3), g)
-        assert doubling_index(u, I2, 1.0) == pytest.approx(6.0, abs=2.5e-2)
+        assert doubling_index(u, 1.0) == pytest.approx(6.0, abs=2.5e-2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_off_ring_index_converges_at_second_order(self, k):
@@ -223,7 +216,7 @@ class TestDoublingIndex:
             g = PolarGrid.disk(n_r, n_t, r_min=0.02)
             assert g.on_ring(0.4) is None and g.on_ring(0.2) is None
             u = solve_dirichlet(I2, 1.0, harmonic(k), g)
-            errs.append(abs(doubling_index(u, I2, 0.4) - 2.0 * k))
+            errs.append(abs(doubling_index(u, 0.4) - 2.0 * k))
         assert errs[1] <= 1e-3
         assert errs[0] >= 3.5 * errs[1]
 

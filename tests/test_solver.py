@@ -95,8 +95,6 @@ class TestPolarGrid:
         with pytest.raises(ValueError):
             PolarGrid.disk(17, 32, r_min=2.0)
         with pytest.raises(ValueError):
-            PolarGrid.annulus(1.0, 0.5, 9, 32)
-        with pytest.raises(ValueError):
             PolarGrid(np.array([0.1, 0.3, 0.5]), 32)  # not geometric
 
     def test_oversized_grid_is_rejected_by_every_constructor(self):
@@ -105,13 +103,10 @@ class TestPolarGrid:
         with pytest.raises(ValueError, match="exceeds the limit"):
             PolarGrid.disk(2, limit // 2 + 1)
         with pytest.raises(ValueError, match="exceeds the limit"):
-            PolarGrid.annulus(0.5, 1.0, 3, 10 ** 13)
-        with pytest.raises(ValueError, match="exceeds the limit"):
             PolarGrid(np.array([0.25, 0.5, 1.0]), 10 ** 13)
 
     def test_node_count(self):
         assert PolarGrid.disk(10, 16).node_count == 161
-        assert PolarGrid.annulus(0.5, 1.0, 10, 16).node_count == 160
 
 
 # -- basic solves --------------------------------------------------------
@@ -209,24 +204,6 @@ class TestSolveDirichlet:
         exact = (coarse.radii[:, None] ** lam) * phi[::m // 64][None, :]
         assert np.abs(vc - exact).max() <= 3e-4
 
-    def test_annulus_logarithm_is_reproduced_exactly(self):
-        # log r is linear in the logical radial coordinate, hence in the
-        # discrete space; Galerkin exactness makes the solve sharp
-        g = PolarGrid.annulus(0.25, 1.0, 17, 48)
-        u = solve_dirichlet(I2, 1.0, np.zeros(48), g,
-                            g_inner=np.full(48, math.log(0.25)))
-        exact = np.repeat(np.log(g.radii), 48)
-        assert np.abs(u.values - exact).max() <= 1e-9
-
-    def test_annulus_harmonic_second_order(self):
-        g = PolarGrid.annulus(0.25, 1.0, 33, 96)
-        u = solve_dirichlet(I2, 1.0, harmonic_deg(2),
-                            g, g_inner=lambda p: harmonic_deg(2)(p))
-        th = g.theta
-        z = g.radii[:, None] * np.exp(1j * th[None, :])
-        exact = np.real(z ** 2).ravel()
-        assert np.abs(u.values - exact).max() <= 2e-4
-
     def test_reaction_term_against_bessel_oracle(self):
         # -lap u + c u = 0 with u = 1 on the boundary has the radial
         # solution I0(sqrt(c) r) / I0(sqrt(c))
@@ -262,11 +239,12 @@ class TestSolveDirichlet:
         assert u.values.max() <= data.max() + 1e-9
         assert u.values.min() >= data.min() - 1e-9
 
-    def test_solver_failure_reports_residual(self):
+    def test_solver_failure_reports_residual(self, monkeypatch):
         g = PolarGrid.disk(17, 32)
         rng = np.random.default_rng(5)
+        monkeypatch.setattr(solver_module, "_RESIDUAL_TOL", 1e-30)
         with pytest.raises(SolverError, match="residual"):
-            solve_dirichlet(I2, 1.0, rng.normal(size=32), g, rtol=1e-30)
+            solve_dirichlet(I2, 1.0, rng.normal(size=32), g)
 
     def test_ellipticity_violation_is_domain_error(self):
         bad = CoefficientField.from_callable(
@@ -285,9 +263,6 @@ class TestSolveDirichlet:
         bad[3] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
             solve_dirichlet(I2, 1.0, bad, g)
-        ann = PolarGrid.annulus(0.5, 1.0, 9, 32)
-        with pytest.raises(SolverError, match="g_inner"):
-            solve_dirichlet(I2, 1.0, np.ones(32), ann)
 
     def test_three_dimensional_field_not_implemented(self):
         with pytest.raises(FieldError):
@@ -308,9 +283,9 @@ class TestSolveDirichlet:
 
     @pytest.mark.parametrize("grid", [
         PolarGrid.disk(17, 32), PolarGrid.disk(65, 128),
-        PolarGrid.annulus(0.3, 1.0, 17, 32),
-        PolarGrid.annulus(0.3, 1.0, 40, 64),
-    ], ids=["disk17", "disk65", "annulus17", "annulus40"])
+        PolarGrid.disk(17, 32, r_min=0.3),
+        PolarGrid.disk(40, 64, r_min=0.3),
+    ], ids=["disk17", "disk65", "wide17", "wide40"])
     @pytest.mark.parametrize("field", [
         I2, CoefficientField.constant(2.5),
         CoefficientField.annulus_bump(0.3, 0.4),
@@ -319,12 +294,9 @@ class TestSolveDirichlet:
         # the ring-mean operator of a radial field is the operator itself,
         # so its Fourier symbol and origin coupling must solve exactly
         rng = np.random.default_rng(5)
-        n_t = grid.n_theta
-        u = solve_dirichlet(field, 1.0, rng.normal(size=n_t), grid,
-                            g_inner=rng.normal(size=n_t))
+        u = solve_dirichlet(field, 1.0, rng.normal(size=grid.n_theta), grid)
         asm = u._assembly
-        g_all = u.values[asm.boundary]
-        ref = splu(_csc(asm)).solve(-_csr(asm, True) @ g_all)
+        ref = splu(_csc(asm)).solve(-_csr(asm, True) @ u.boundary_data)
         assert u.iterations == 1
         assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
 
@@ -489,13 +461,13 @@ class TestBoundaryMass:
         hi = boundary_mass(u, I2, g.radii[i + 1])
         assert min(lo, hi) <= val <= max(lo, hi)
 
-    @pytest.mark.parametrize("kind", ["disk", "annulus"])
-    def test_off_ring_mass_integrates_the_solution_trace(self, kind):
+    @pytest.mark.parametrize("r_min", [None, 0.3], ids=["disk", "wide_core"])
+    def test_off_ring_mass_integrates_the_solution_trace(self, r_min):
         # between rings H is r times Simpson's rule on u.evaluate's trace,
         # whose midpoint values are read from u, not averaged
-        g = _polar_grid(kind, 33, 64)
+        g = PolarGrid.disk(33, 64, r_min=r_min)
         data = lambda p: harmonic_deg(2)(p) + 0.3 * p[:, 1]
-        u = solve_dirichlet(D21, 1.0, data, g, g_inner=data)
+        u = solve_dirichlet(D21, 1.0, data, g)
         one = CoefficientField.constant(1.0)
         r = 0.45
         assert g.on_ring(r) is None
@@ -517,15 +489,15 @@ class TestBoundaryMass:
         assert boundary_mass_scalar(u, one, r) == pytest.approx(
             simpson(one.evaluate), rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["disk", "annulus"])
-    def test_profiles_equal_per_ring_formulas(self, kind):
+    @pytest.mark.parametrize("r_min", [None, 0.3], ids=["disk", "wide_core"])
+    def test_profiles_equal_per_ring_formulas(self, r_min):
         # H and flux D for many rings at once equal, bit for bit, one
         # ring's Simpson sum and one band's flux product
-        g = _polar_grid(kind, 33, 64)
+        g = PolarGrid.disk(33, 64, r_min=r_min)
         rng = np.random.default_rng(5)
         data = rng.normal(size=64)
         for f in (HOLDER, D21):
-            u = solve_dirichlet(f, 1.0, data, g, g_inner=data[::-1].copy())
+            u = solve_dirichlet(f, 1.0, data, g)
             asm = u._assembly
 
             def ring_h(i):
@@ -543,8 +515,6 @@ class TestBoundaryMass:
 
             def ring_d(i):
                 if i == 0:
-                    if asm.tri_k is None:
-                        return 0.0
                     ut = u.values[asm.plan.tri_nodes]
                     forces = np.einsum("tmn,tn->tm", asm.tri_k, ut)
                     return float(np.sum(forces[:, 1:] * ut[:, 1:]))
@@ -676,11 +646,11 @@ class TestSolutionUtilities:
         u = solve_dirichlet(I2, 1.0, np.ones(32), g)
         assert u.node_grid().shape == (17, 32)
 
-    @pytest.mark.parametrize("kind", ["disk", "annulus"])
-    def test_evaluate_reads_nodal_values_on_the_rings(self, kind):
-        g = _polar_grid(kind, 33, 64)
+    @pytest.mark.parametrize("r_min", [None, 0.3], ids=["disk", "wide_core"])
+    def test_evaluate_reads_nodal_values_on_the_rings(self, r_min):
+        g = PolarGrid.disk(33, 64, r_min=r_min)
         data = lambda p: harmonic_deg(3)(p) + p[:, 0]
-        u = solve_dirichlet(D21, 1.0, data, g, g_inner=data)
+        u = solve_dirichlet(D21, 1.0, data, g)
         got = u.evaluate(np.concatenate(
             [g.ring_points(i) for i in range(g.n_r)])).reshape(g.n_r, -1)
         want = u.node_grid()
@@ -691,25 +661,20 @@ class TestSolutionUtilities:
         assert gaps.max() <= 1e-13 * scale, gaps
 
     def test_evaluate_is_bilinear_in_log_radius(self):
-        # a + b log r is reproduced on annuli, and is linear in log r
-        g = PolarGrid.annulus(0.2, 1.0, 17, 32)
-        u = solve_dirichlet(I2, 1.0, np.full(32, 1.0), g,
-                            g_inner=np.full(32, 3.0))
+        # nodal values a + b log r on the rings are read back exactly
+        # between them; inside ring 0 they blend linearly to the origin
+        g = PolarGrid.disk(17, 32, r_min=0.2)
+        u = solve_dirichlet(I2, 1.0, np.ones(32), g)
+        u = replace(u, values=np.append(
+            np.repeat(1.0 - 2.0 * np.log(g.radii) / math.log(5.0), 32), 7.0))
         rng = np.random.default_rng(4)
         r = np.exp(rng.uniform(math.log(0.2), 0.0, 200))
         th = rng.uniform(0.0, 2.0 * math.pi, 200)
         pts = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
         want = 1.0 - 2.0 * np.log(r) / math.log(5.0)
         assert np.abs(u.evaluate(pts) - want).max() <= 1e-12
-
-    def test_evaluate_rejects_points_inside_an_annulus(self):
-        g = PolarGrid.annulus(0.2, 1.0, 17, 32)
-        u = solve_dirichlet(I2, 1.0, np.ones(32), g, g_inner=np.ones(32))
-        assert u.evaluate(g.ring_points(0)) == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(ValueError, match="inner ring"):
-            u.evaluate([[0.1, 0.05]])
-        d = solve_dirichlet(I2, 1.0, np.ones(32), PolarGrid.disk(17, 32))
-        assert d.evaluate([[1e-3, 0.0]]) == pytest.approx(1.0, abs=1e-12)
+        assert u.evaluate([[0.05, 0.0]]) == pytest.approx(
+            7.0 * 0.75 + 3.0 * 0.25, abs=1e-12)
 
 
 class TestOperatorCache:
@@ -825,20 +790,15 @@ def _potential(p):
     return 1.0 + p[..., 0] ** 2 - 0.5 * p[..., 1]
 
 
-def _polar_grid(kind, n_r, n_t):
-    if kind == "disk":
-        return PolarGrid.disk(n_r, n_t)
-    return PolarGrid.annulus(0.3, 1.0, n_r, n_t)
-
-
-GRIDS = st.builds(_polar_grid, st.sampled_from(["disk", "annulus"]),
-                  st.integers(2, 40), st.integers(8, 70))
+# square logical cells (the default r_min) and flat ones with a wide core
+R_MINS = st.sampled_from([None, 0.3])
+GRIDS = st.builds(PolarGrid.disk, st.integers(2, 40), st.integers(8, 70),
+                  r_min=R_MINS)
 
 
 @given(GRIDS)
 def test_interior_is_a_permutation_of_the_free_nodes(g):
-    asm = solve_dirichlet(I2, 1.0, np.ones(g.n_theta), g,
-                          g_inner=np.ones(g.n_theta))._assembly
+    asm = solve_dirichlet(I2, 1.0, np.ones(g.n_theta), g)._assembly
     free = np.setdiff1d(np.arange(g.node_count), asm.boundary)
     assert asm.interior.size == free.size
     assert np.array_equal(np.sort(asm.interior), free)
@@ -848,31 +808,33 @@ def test_interior_is_a_permutation_of_the_free_nodes(g):
        st.integers(0, 2 ** 32 - 1))
 def test_cg_solve_matches_splu(g, name, seed):
     rng = np.random.default_rng(seed)
-    n_t = g.n_theta
-    g_in, g_out = rng.normal(size=n_t), rng.normal(size=n_t)
+    g_out = rng.normal(size=g.n_theta)
     f = {"d21": D21, "symmetric": SYMMETRIC, "holder": HOLDER}[name]
     potential = _potential if name == "symmetric" else None
-    u = solve_dirichlet(f, 1.0, g_out, g, g_inner=g_in, potential=potential)
+    u = solve_dirichlet(f, 1.0, g_out, g, potential=potential)
     asm = u._assembly
-    rhs = -_csr(asm, True) @ (np.concatenate([g_in, g_out])
-                              if g.kind == "annulus" else g_out)
-    ref = splu(_csc(asm)).solve(rhs) if rhs.size else rhs
-    assert np.abs(u.values[asm.interior] - ref).max(initial=0.0) <= 1e-12
+    ref = splu(_csc(asm)).solve(-_csr(asm, True) @ g_out)
+    assert np.abs(u.values[asm.interior] - ref).max() <= 1e-12
 
 
 @given(GRIDS, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_affine_datum_is_reproduced(g, a, b):
-    # affine in the logical coordinates (log r, theta) and periodic:
-    # a + b log r on annuli, the constant a on disks, whose origin node
-    # leaves log r out of the discrete space
-    b = b if g.kind == "annulus" else 0.0
+    # affine in the logical coordinates (log r, theta) and periodic: the
+    # constant a is reproduced, origin included
     n_t = g.n_theta
-    u = solve_dirichlet(I2, 1.0, np.full(n_t, a + b * math.log(g.r_out)), g,
-                        g_inner=np.full(n_t, a + b * math.log(g.r_in)))
-    exact = a + b * np.repeat(np.log(g.radii), n_t)
-    assert np.abs(u.node_grid().ravel() - exact).max() <= 1e-12
-    if g.kind == "disk":
-        assert abs(u.values[-1] - a) <= 1e-12
+    u = solve_dirichlet(I2, 1.0, np.full(n_t, a), g)
+    assert np.abs(u.values - a).max() <= 1e-12
+    # a + b log r is linear in log r, so the rows of rings 1..n_r - 2,
+    # which touch no core triangle, vanish on it; the origin node leaves
+    # log r itself out of the discrete space
+    asm = u._assembly
+    nodal = a + b * np.log(g.radii)
+    x = np.append(np.repeat(nodal[:-1], n_t), a)
+    g_out = np.full(n_t, nodal[-1])
+    rows = asm.product(x) + asm.product(g_out, boundary=True)
+    scale = abs(_csr(asm)) @ abs(x) + abs(_csr(asm, True)) @ abs(g_out)
+    clear = slice(n_t, (g.n_r - 1) * n_t)
+    assert np.all(np.abs(rows[clear]) <= 1e-14 * scale[clear])
 
 
 def _radial_anisotropic(p):
@@ -888,24 +850,22 @@ RADIAL = {
 }
 
 
-@given(st.sampled_from(["disk", "annulus"]), st.integers(2, 24),
-       st.integers(8, 48), st.sampled_from(sorted(RADIAL)), st.data())
-def test_rotating_the_data_rotates_a_radial_solution(kind, n_r, n_t, name,
+@given(R_MINS, st.integers(2, 24), st.integers(8, 48),
+       st.sampled_from(sorted(RADIAL)), st.data())
+def test_rotating_the_data_rotates_a_radial_solution(r_min, n_r, n_t, name,
                                                      data):
     # a radial field's operator commutes with rotation by a grid angle
-    g = _polar_grid(kind, n_r, n_t)
+    g = PolarGrid.disk(n_r, n_t, r_min=r_min)
     k = data.draw(st.integers(0, n_t - 1), label="k")
     rng = np.random.default_rng(n_r * n_t + k)
-    g_in, g_out = rng.normal(size=n_t), rng.normal(size=n_t)
+    g_out = rng.normal(size=n_t)
     f = RADIAL[name]
-    u = solve_dirichlet(f, 1.0, g_out, g, g_inner=g_in)
-    turned = solve_dirichlet(f, 1.0, np.roll(g_out, k), g,
-                             g_inner=np.roll(g_in, k))
+    u = solve_dirichlet(f, 1.0, g_out, g)
+    turned = solve_dirichlet(f, 1.0, np.roll(g_out, k), g)
     scale = np.abs(u.values).max()
     assert np.abs(turned.node_grid()
                   - np.roll(u.node_grid(), k, axis=1)).max() <= 1e-12 * scale
-    if kind == "disk":
-        assert abs(turned.values[-1] - u.values[-1]) <= 1e-12 * scale
+    assert abs(turned.values[-1] - u.values[-1]) <= 1e-12 * scale
 
 
 # -- assembly plan: property tests and cache safety -------------------------
@@ -913,8 +873,8 @@ def test_rotating_the_data_rotates_a_radial_solution(kind, n_r, n_t, name,
 
 def _reference_elements(g, f, potential):
     """The cell matrices (n_r - 1, n_theta, 4, 4) and core-triangle
-    matrices (n_theta, 3, 3; None on annuli) the direct way: B sampled at
-    face midpoints placed here, and three-operand products."""
+    matrices (n_theta, 3, 3) the direct way: B sampled at face midpoints
+    placed here, and three-operand products."""
     n_r, n_t = g.n_r, g.n_theta
     h, k = g.d_s, g.d_theta
     th = g.theta
@@ -948,8 +908,6 @@ def _reference_elements(g, f, potential):
             r_mid[:, None] ** 2, r_mid[:, None] ** 2), axis=-1)
         kc = kc + np.einsum("btq,qm,qn->btmn", w * r2 * vq,
                             _BASIS_ROWS, _BASIS_ROWS)
-    if g.kind != "disk":
-        return kc, None
     p = g.ring_points(0)
     q = p[jp]
     area = 0.5 * np.abs(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
@@ -974,14 +932,12 @@ def _element_entries(g, kc, kt):
     ii = np.arange(n_r - 1)[:, None] * n_t
     nodes = np.stack([ii + np.arange(n_t), ii + n_t + np.arange(n_t),
                       ii + n_t + jp, ii + jp], axis=-1)
-    rows = [np.broadcast_to(nodes[..., :, None], kc.shape).ravel()]
-    cols = [np.broadcast_to(nodes[..., None, :], kc.shape).ravel()]
-    vals = [kc.ravel()]
-    if kt is not None:
-        tri = np.stack([np.full(n_t, n_r * n_t), np.arange(n_t), jp], axis=1)
-        rows.append(np.broadcast_to(tri[:, :, None], kt.shape).ravel())
-        cols.append(np.broadcast_to(tri[:, None, :], kt.shape).ravel())
-        vals.append(kt.ravel())
+    tri = np.stack([np.full(n_t, n_r * n_t), np.arange(n_t), jp], axis=1)
+    rows = [np.broadcast_to(nodes[..., :, None], kc.shape).ravel(),
+            np.broadcast_to(tri[:, :, None], kt.shape).ravel()]
+    cols = [np.broadcast_to(nodes[..., None, :], kc.shape).ravel(),
+            np.broadcast_to(tri[:, None, :], kt.shape).ravel()]
+    vals = [kc.ravel(), kt.ravel()]
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
@@ -1003,16 +959,16 @@ _WRAPPED = {0: [1, 2, 0, 4, 5, 3, 7, 8, 6], -1: [2, 0, 1, 5, 3, 4, 8, 6, 7]}
 
 
 def _stencil_entries(g, stencil, origin_row):
-    """The (row node, column node, value) entries of a stencil and a
-    disk's origin row, row by row, each row in the order the product sums
-    it: ascending column order."""
+    """The (row node, column node, value) entries of a stencil and the
+    origin row, row by row, each row in the order the product sums it:
+    ascending column order."""
     n_r, n_t = g.n_r, g.n_theta
     i, j = np.divmod(np.arange(n_r * n_t), n_t)
     di, dj = np.divmod(np.arange(10), 3)
     ring = i[:, None] + di - 1
     cols = ring * n_t + (j[:, None] + dj - 1) % n_t
     cols[(ring < 0) | (ring >= n_r)] = -1
-    cols[:, 9] = np.where((i == 0) & (g.kind == "disk"), n_r * n_t, -1)
+    cols[:, 9] = np.where(i == 0, n_r * n_t, -1)
     vals = stencil.reshape(10, -1).T.copy()
     for col, order in _WRAPPED.items():
         at = j == j[col]
@@ -1020,12 +976,9 @@ def _stencil_entries(g, stencil, origin_row):
         vals[at, :9] = vals[at][:, order]
     has = cols >= 0
     rows = np.broadcast_to(np.arange(n_r * n_t)[:, None], cols.shape)[has]
-    cols, vals = cols[has], vals[has]
-    if origin_row is not None:
-        rows = np.append(rows, np.full(n_t + 1, n_r * n_t))
-        cols = np.append(cols, np.append(np.arange(n_t), n_r * n_t))
-        vals = np.append(vals, origin_row)
-    return rows, cols, vals
+    return (np.append(rows, np.full(n_t + 1, n_r * n_t)),
+            np.append(cols[has], np.append(np.arange(n_t), n_r * n_t)),
+            np.append(vals[has], origin_row))
 
 
 def _csr(asm, boundary=False):
@@ -1111,11 +1064,10 @@ def test_operator_is_symmetric_for_a_symmetric_field(g):
         assert _sparse_gap(k_ii, k_ii.T) <= 1e-14 * abs(k_ii).max()
 
 
-@given(GRIDS.filter(lambda g: g.kind == "disk"), st.integers(0, 2 ** 32 - 1))
+@given(GRIDS, st.integers(0, 2 ** 32 - 1))
 def test_flux_energy_equals_volume_energy_at_every_radius(g, seed):
-    # on a disk every node below the outer ring is an unknown, so the
-    # flux through each grid circle is the energy inside it; an annulus
-    # would add its inner boundary's flux
+    # every node below the outer ring is an unknown, so the flux through
+    # each grid circle is the energy inside it
     rng = np.random.default_rng(seed)
     u = solve_dirichlet(SYMMETRIC, 1.0, rng.normal(size=g.n_theta), g)
     total = dirichlet_energy(u, 1.0)
@@ -1126,19 +1078,18 @@ def test_flux_energy_equals_volume_energy_at_every_radius(g, seed):
 
 def test_plan_cache_keeps_grids_of_one_shape_apart():
     # equal (n_r, n_theta), different radii: a plan made for the first
-    # annulus must not serve the second
-    rng = np.random.default_rng(5)
-    g_out, g_in = rng.normal(size=32), rng.normal(size=32)
-    first = PolarGrid.annulus(0.3, 1.0, 17, 32)
-    second = PolarGrid.annulus(0.45, 1.0, 17, 32)
+    # disk must not serve the second
+    g_out = np.random.default_rng(5).normal(size=32)
+    first = PolarGrid.disk(17, 32, r_min=0.3)
+    second = PolarGrid.disk(17, 32, r_min=0.45)
 
     clear_operator_cache()
-    solve_dirichlet(SYMMETRIC, 1.0, g_out, first, g_inner=g_in)
-    after = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
+    solve_dirichlet(SYMMETRIC, 1.0, g_out, first)
+    after = solve_dirichlet(SYMMETRIC, 1.0, g_out, second)
     assert solver_module._PLANS
     clear_operator_cache()
     assert not solver_module._PLANS
-    fresh = solve_dirichlet(SYMMETRIC, 1.0, g_out, second, g_inner=g_in)
+    fresh = solve_dirichlet(SYMMETRIC, 1.0, g_out, second)
     assert after._assembly.plan is not fresh._assembly.plan
     assert np.array_equal(after.values, fresh.values)
     assert np.array_equal(after._assembly.stencil, fresh._assembly.stencil)
