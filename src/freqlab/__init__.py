@@ -3,8 +3,9 @@ divergence-form elliptic equations -div(A grad u) = 0.
 
 Modules
 -------
-modulus       moduli of continuity, Osgood classification, transform checks
-growth        h-transform, continuous growth bounds, discrete cascades
+modulus       moduli of continuity: each kind's omega, phi and h pair;
+              Osgood classification, transform checks
+growth        growth bounds and discrete cascades, kind-free (via Modulus)
 coefficients  coefficient fields: generation, mollification, projections
 solver        polar grids on disks, Dirichlet solves, and the
               quadratic functionals D, H

@@ -761,15 +761,6 @@ class EmpiricalModulus:
     modulus: Optional[Modulus]
     sample_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "separations": [float(v) for v in self.separations],
-            "oscillations": [float(v) for v in self.oscillations],
-            "alpha_hat": float(self.alpha_hat),
-            "c_h_hat": float(self.c_h_hat),
-            "sample_count": int(self.sample_count),
-        }
-
 
 def _concave_envelope(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least concave majorant values at the data abscissae."""

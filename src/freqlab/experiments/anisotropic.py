@@ -8,7 +8,7 @@ import numpy as np
 
 from ..coefficients import mollify
 from ..frequency import VanishingBoundaryError, doubling_index
-from ..growth import discrete_cascade, phi_function
+from ..growth import discrete_cascade
 from ..modulus import OsgoodClass, check_phi_integrable, check_submultiplicative_psi, classify_osgood
 from ..solver import gradient_mean_square
 from .base import (
@@ -190,7 +190,7 @@ def freq_cascade_eval(cfg, setup, data, grid):
     # so the recursion starts from its upper uncertainty edge
     n0_eff = max(values[0] * (1.0 + REL_TOL), cfg.n0)
     # freq_cascade_prepare branched unless phi is integrable
-    trace = discrete_cascade(m, n0_eff, phi_function(m), c_fit,
+    trace = discrete_cascade(m, n0_eff, m.scalar_phi(), c_fit,
                              floor, g_integrable=True)
     if not trace.reached_floor:
         return Branch(Verdict.INCONSISTENT,

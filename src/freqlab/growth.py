@@ -20,20 +20,19 @@ time on the shrinking schedule ``t_{k+1} = t_k (1 - 1/N_k)``, exactly in
 For a nonincreasing forcing the trace stays at or below the continuous
 inversion, and equals it for constant forcing.  It is the finite-step
 analogue used as an envelope for measured frequency profiles.  ``h`` and
-its inverse are closed forms for every modulus kind (piecewise for a
-tabulated one), so each step costs a few elementary function calls.
+its inverse are ``Modulus.h_pair``'s closed forms (piecewise for a
+tabulated modulus), so each step costs a few elementary function calls.
 
 Integrals of a forcing ``g`` (``int_t^1 g`` for the continuous bound,
 the dyadic segments of the integrability probe) use the Gauss-Legendre
 panel rule of ``modulus``, with panels cut at the powers of two and at
 the modulus's kinks, where the canonical forcing ``phi`` changes formula.
-For the forcings ``phi_function`` returns it agrees with
+For the forcings ``Modulus.scalar_phi`` returns it agrees with
 ``scipy.integrate.quad`` at ``epsrel=1e-13`` to 1e-12.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -41,7 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .modulus import Modulus, dyadic_integrals, panel_integrals, union_cuts
+from .modulus import (Modulus, ScalarMap, dyadic_integrals, panel_integrals,
+                      union_cuts)
 
 __all__ = [
     "GrowthVerdict",
@@ -49,12 +49,9 @@ __all__ = [
     "h_transform",
     "continuous_growth_bound",
     "discrete_cascade",
-    "phi_function",
-    "psi_function",
 ]
 
 OVERFLOW_GUARD = 1.0e12
-ScalarMap = Callable[[float], float]
 
 
 class GrowthVerdict(enum.Enum):
@@ -63,134 +60,11 @@ class GrowthVerdict(enum.Enum):
     BLOWUP_DETECTED = "BlowupDetected"
 
 
-def psi_function(m: Modulus) -> Callable[[float], float]:
-    """Fast scalar ``psi`` for the hot loops (closed forms where available)."""
-    if m.kind == "linear":
-        return lambda s: 1.0
-    if m.kind == "power":
-        e = 1.0 - m.alpha
-        return lambda s: s**e
-    if m.kind == "log_power":
-        p = m.p
-        knee = math.exp(p)
-        c = math.exp(-p) * p**p
-        return lambda s: c * s if s < knee else math.log(s) ** p
-    return lambda s: float(m.psi(s))
-
-
-def phi_function(m: Modulus) -> Callable[[float], float]:
-    """Fast scalar ``phi`` (the canonical integrable forcing ``g``)."""
-    if m.kind == "linear":
-        return lambda s: 1.0
-    if m.kind == "power":
-        e = m.alpha - 1.0
-        return lambda s: s**e
-    if m.kind == "log_power":
-        p = m.p
-        cut = math.exp(-p)
-        c = cut * p**p
-        return lambda s: c / s if s > cut else (-math.log(s)) ** p
-    return lambda s: float(m.phi(s))
-
-
-def _h_pair_tabulated(samples: np.ndarray) -> tuple[ScalarMap, ScalarMap]:
-    """``omega`` is piecewise linear in log-log: constant past the largest
-    sample, the innermost segment's power law below the smallest.  So in
-    ``u = log s`` the integrand ``1/psi(e^u)`` is ``exp(a_j + b_j (u - u_j))``
-    on the piece starting at ``u_j``, and ``h`` and its inverse are explicit
-    there."""
-    log_t = np.log(samples[:, 0])
-    log_w = np.log(samples[:, 1])
-    slopes = np.diff(log_w) / np.diff(log_t)
-    # pieces by increasing u = -log t; the first is the constant part
-    u_start = np.concatenate([[0.0], -log_t[:0:-1]])
-    log_w_start = np.concatenate([[log_w[-1]], log_w[:0:-1]])
-    starts = u_start.tolist()
-    offsets = (-u_start - log_w_start).tolist()
-    rates = (np.concatenate([[0.0], slopes[::-1]]) - 1.0).tolist()
-
-    def piece(j: int, d: float) -> float:  # int over [u_j, u_j + d]
-        b = rates[j]
-        scale = math.exp(offsets[j])
-        return scale * (d if b == 0.0 else math.expm1(b * d) / b)
-
-    levels = [0.0]  # h at the piece starts
-    for j in range(len(starts) - 1):
-        levels.append(levels[-1] + piece(j, starts[j + 1] - starts[j]))
-
-    def h(t: float) -> float:
-        u = math.log(t)
-        j = max(bisect.bisect_right(starts, u) - 1, 0)
-        return levels[j] + piece(j, u - starts[j])
-
-    def h_inv(y: float) -> float:
-        j = max(bisect.bisect_right(levels, y) - 1, 0)
-        rest = (y - levels[j]) * math.exp(-offsets[j])
-        b = rates[j]
-        if b == 0.0:
-            return math.exp(starts[j] + rest)
-        if b * rest <= -1.0:  # past the finite range of the last piece
-            return math.inf
-        return math.exp(starts[j] + math.log1p(b * rest) / b)
-
-    return h, h_inv
-
-
-def _h_pair_log_power(p: float) -> tuple[ScalarMap, ScalarMap]:
-    """``psi(s) = c s`` below the knee ``e^p`` and ``log(s)^p`` above it, so
-    past the knee ``h(t) = h(e^p) + int_p^{log t} u^-p du``."""
-    knee = math.exp(p)
-    c = math.exp(-p) * p**p
-    h_knee = (1.0 - 1.0 / knee) / c
-    q = 1.0 - p
-
-    def h(t: float) -> float:
-        if t < knee:
-            return (1.0 - 1.0 / t) / c
-        lt = math.log(t)
-        return h_knee + (math.log(lt / p) if q == 0.0 else (lt**q - p**q) / q)
-
-    def h_inv(y: float) -> float:
-        if y < h_knee:
-            return 1.0 / (1.0 - c * y)
-        z = y - h_knee
-        if q == 0.0:
-            return math.exp(p * math.exp(z))
-        base = p**q + q * z
-        return math.exp(base ** (1.0 / q)) if base > 0.0 else math.inf
-
-    return h, h_inv
-
-
-def _h_pair(m: Modulus) -> tuple[ScalarMap, ScalarMap]:
-    """Scalar ``h`` on ``[1, inf)`` and its inverse.
-
-    Both are closed forms of the ``psi`` that ``psi_function`` evaluates.
-    The inverse is ``inf`` past a finite range of ``h`` and raises
-    ``OverflowError`` where its value passes the float range.
-    """
-    if m.kind == "linear":
-        return math.log, math.exp
-    if m.kind == "power":
-        e = 1.0 - m.alpha  # h(t) = (1 - t^-e) / e, range [0, 1/e)
-
-        def h(t: float) -> float:
-            return (1.0 - t**-e) / e
-
-        def h_inv(y: float) -> float:
-            return (1.0 - e * y) ** (-1.0 / e) if e * y < 1.0 else math.inf
-
-        return h, h_inv
-    if m.kind == "log_power":
-        return _h_pair_log_power(m.p)
-    return _h_pair_tabulated(m.samples)
-
-
 def h_transform(m: Modulus, t: float) -> float:
     """``h(t) = int_1^t ds/(s psi(s))`` (t >= 1), in closed form."""
     if t < 1.0:
         raise ValueError("h is defined for t >= 1")
-    return _h_pair(m)[0](t)
+    return m.h_pair()[0](t)
 
 
 def continuous_growth_bound(
@@ -220,7 +94,7 @@ def continuous_growth_bound(
         raise ValueError("c1 must be nonnegative")
     if g_integral is None:
         g_integral = _integral_to_one(g, t, m.kinks)
-    h, h_inv = _h_pair(m)
+    h, h_inv = m.h_pair()
     target = h(f1) + c1 * g_integral
     if h(guard) < target:
         return math.inf
@@ -324,7 +198,7 @@ def discrete_cascade(
         raise ValueError("t_floor must lie in (0, 1)")
     if c1 < 0.0:
         raise ValueError("c1 must be nonnegative")
-    h, h_inv = _h_pair(m)
+    h, h_inv = m.h_pair()
     if g_integrable is None:
         g_integrable = _probe_g_integrable(g, m.kinks)
     doubling_ok, doubling_worst = _doubling_spot_check(g, c1, t_floor)

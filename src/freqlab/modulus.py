@@ -27,10 +27,11 @@ segment of the tested moduli.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ __all__ = [
     "select_exponents",
 ]
 
+ScalarMap = Callable[[float], float]
+
 
 class OsgoodClass(enum.Enum):
     OSGOOD = "Osgood"
@@ -59,7 +62,8 @@ def _as_array(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Modulus:
-    """One modulus of continuity.
+    """One modulus of continuity, holding each kind's ``omega``, kinks,
+    ``t_far``, scalar ``phi``, ``h`` pair, Osgood class and config.
 
     Supported kinds:
 
@@ -223,6 +227,40 @@ class Modulus:
             raise ValueError("psi is defined on [1, inf)")
         return self.omega(1.0 / s) * s
 
+    def scalar_phi(self) -> ScalarMap:
+        """Fast scalar ``phi`` (the canonical integrable forcing ``g``)."""
+        if self.kind == "linear":
+            return lambda s: 1.0
+        if self.kind == "power":
+            e = self.alpha - 1.0
+            return lambda s: s**e
+        if self.kind == "log_power":
+            p = self.p
+            cut = math.exp(-p)
+            c = cut * p**p
+            return lambda s: c / s if s > cut else (-math.log(s)) ** p
+        return lambda s: float(self.phi(s))
+
+    def h_pair(self) -> tuple[ScalarMap, ScalarMap]:
+        """Scalar ``h(t) = int_1^t ds/(s psi(s))`` on ``[1, inf)`` and its
+        inverse, in closed form.  The inverse is ``inf`` past a finite range
+        of ``h`` and raises ``OverflowError`` past the float range."""
+        if self.kind == "linear":
+            return math.log, math.exp
+        if self.kind == "power":
+            e = 1.0 - self.alpha  # h(t) = (1 - t^-e) / e, range [0, 1/e)
+
+            def h(t: float) -> float:
+                return (1.0 - t**-e) / e
+
+            def h_inv(y: float) -> float:
+                return (1.0 - e * y) ** (-1.0 / e) if e * y < 1.0 else math.inf
+
+            return h, h_inv
+        if self.kind == "log_power":
+            return _h_pair_log_power(self.p)
+        return _h_pair_tabulated(self.samples)
+
     def analytic_osgood(self) -> Optional[OsgoodClass]:
         """Closed-form classification for parametric kinds, None otherwise."""
         if self.kind == "linear":
@@ -260,6 +298,75 @@ class Modulus:
         if kind == "tabulated":
             return Modulus.tabulated(cfg["t"], cfg["omega"])
         raise ValueError(f"unknown modulus kind {kind!r}")
+
+
+def _h_pair_tabulated(samples: np.ndarray) -> tuple[ScalarMap, ScalarMap]:
+    """``omega`` is piecewise linear in log-log: constant past the largest
+    sample, the innermost segment's power law below the smallest.  So in
+    ``u = log s`` the integrand ``1/psi(e^u)`` is ``exp(a_j + b_j (u - u_j))``
+    on the piece starting at ``u_j``, and ``h`` and its inverse are explicit
+    there."""
+    log_t = np.log(samples[:, 0])
+    log_w = np.log(samples[:, 1])
+    slopes = np.diff(log_w) / np.diff(log_t)
+    # pieces by increasing u = -log t; the first is the constant part
+    u_start = np.concatenate([[0.0], -log_t[:0:-1]])
+    log_w_start = np.concatenate([[log_w[-1]], log_w[:0:-1]])
+    starts = u_start.tolist()
+    offsets = (-u_start - log_w_start).tolist()
+    rates = (np.concatenate([[0.0], slopes[::-1]]) - 1.0).tolist()
+
+    def piece(j: int, d: float) -> float:  # int over [u_j, u_j + d]
+        b = rates[j]
+        scale = math.exp(offsets[j])
+        return scale * (d if b == 0.0 else math.expm1(b * d) / b)
+
+    levels = [0.0]  # h at the piece starts
+    for j in range(len(starts) - 1):
+        levels.append(levels[-1] + piece(j, starts[j + 1] - starts[j]))
+
+    def h(t: float) -> float:
+        u = math.log(t)
+        j = max(bisect.bisect_right(starts, u) - 1, 0)
+        return levels[j] + piece(j, u - starts[j])
+
+    def h_inv(y: float) -> float:
+        j = max(bisect.bisect_right(levels, y) - 1, 0)
+        rest = (y - levels[j]) * math.exp(-offsets[j])
+        b = rates[j]
+        if b == 0.0:
+            return math.exp(starts[j] + rest)
+        if b * rest <= -1.0:  # past the finite range of the last piece
+            return math.inf
+        return math.exp(starts[j] + math.log1p(b * rest) / b)
+
+    return h, h_inv
+
+
+def _h_pair_log_power(p: float) -> tuple[ScalarMap, ScalarMap]:
+    """``psi(s) = c s`` below the knee ``e^p`` and ``log(s)^p`` above it, so
+    past the knee ``h(t) = h(e^p) + int_p^{log t} u^-p du``."""
+    knee = math.exp(p)
+    c = math.exp(-p) * p**p
+    h_knee = (1.0 - 1.0 / knee) / c
+    q = 1.0 - p
+
+    def h(t: float) -> float:
+        if t < knee:
+            return (1.0 - 1.0 / t) / c
+        lt = math.log(t)
+        return h_knee + (math.log(lt / p) if q == 0.0 else (lt**q - p**q) / q)
+
+    def h_inv(y: float) -> float:
+        if y < h_knee:
+            return 1.0 / (1.0 - c * y)
+        z = y - h_knee
+        if q == 0.0:
+            return math.exp(p * math.exp(z))
+        base = p**q + q * z
+        return math.exp(base ** (1.0 / q)) if base > 0.0 else math.inf
+
+    return h, h_inv
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +470,6 @@ class SubmultiplicativityReport:
     worst_pair: tuple
     sample_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "constant": self.constant,
-            "worst_ratio": self.worst_ratio,
-            "worst_pair": list(self.worst_pair),
-            "sample_count": self.sample_count,
-        }
-
 
 def check_submultiplicative_psi(
     m: Modulus, c_m: float, sample_count: int = 64
@@ -415,13 +513,6 @@ class IntegrabilityReport:
     finite: bool
     value: float  # integral (tail-extrapolated) when finite, partial sum otherwise
     partial_sums: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "finite": self.finite,
-            "value": self.value,
-            "partial_sums": self.partial_sums.tolist(),
-        }
 
 
 def check_phi_integrable(

@@ -668,7 +668,8 @@ class DiscreteSolution:
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """The discrete solution at points ``pts``: bilinear in (log r,
         theta) between the rings, with a linear blend to the origin value
-        inside the innermost ring."""
+        inside the innermost ring.  Points past the outer ring (beyond
+        ``nearest_ring``'s tolerance) or not finite raise ``ValueError``."""
         grid = self.grid
         n_r, nt = grid.n_r, grid.n_theta
         vals = self.node_grid()
@@ -677,6 +678,10 @@ class DiscreteSolution:
         ds, dth = grid.d_s, grid.d_theta
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rr = np.hypot(pts[:, 0], pts[:, 1])
+        top = rr.max(initial=0.0)  # NaN propagates and fails the check
+        if not top <= grid.r_out * (1 + 1e-9):
+            raise ValueError(f"radius {top} outside grid range "
+                             f"[0, {grid.r_out:.6g}]")
         th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
         rcl = np.clip(rr, float(grid.radii[0]), float(grid.radii[-1]))
         # the outer ring is the end of the last band, fraction 1

@@ -34,7 +34,6 @@ from freqlab.growth import (
     GrowthVerdict,
     continuous_growth_bound,
     discrete_cascade,
-    phi_function,
 )
 from freqlab.modulus import Modulus, OsgoodClass, classify_osgood
 from freqlab.solver import PolarGrid, boundary_mass, solve_dirichlet
@@ -133,7 +132,7 @@ def test_criterion_04_cascade_matches_continuous_bound():
     matches the continuous inversion within 5%."""
     start = time.monotonic()
     m = Modulus.linear()
-    g = phi_function(m)
+    g = m.scalar_phi()
     t_floor = 1e-9
     offenders = []
     for c1 in (0.5, 1.0, 2.0):

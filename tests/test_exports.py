@@ -1,6 +1,9 @@
-"""Every freqlab module's ``__all__`` names what the module defines."""
+"""Module boundaries: every freqlab module's ``__all__`` names what the
+module defines, and only ``modulus`` branches on a modulus kind."""
 
+import pathlib
 import pkgutil
+import re
 
 import freqlab
 
@@ -13,3 +16,21 @@ def test_every_exported_name_resolves():
         # a star import of a module whose __all__ lists a name it does
         # not define raises AttributeError naming it
         exec(f"from {name} import *", {})
+
+
+_KIND = r"""["'](?:linear|power|log_power|tabulated)["']"""
+_KIND_TEST = re.compile(rf"\.kind\s*(?:==|!=)\s*{_KIND}"
+                        rf"|\.kind\s+(?:not\s+)?in\s*[(\[{{][^)\]}}]*{_KIND}")
+
+
+def test_only_modulus_branches_on_modulus_kinds():
+    # each kind's formulas live in one place, Modulus; any other module
+    # asks the modulus for them instead of testing its kind
+    root = pathlib.Path(freqlab.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{no}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "modulus.py"
+        for no, line in enumerate(path.read_text().splitlines(), 1)
+        if _KIND_TEST.search(line)]
+    assert not offenders, offenders

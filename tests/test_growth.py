@@ -13,8 +13,6 @@ from freqlab.growth import (
     continuous_growth_bound,
     discrete_cascade,
     h_transform,
-    phi_function,
-    psi_function,
 )
 from freqlab.modulus import Modulus
 
@@ -79,15 +77,15 @@ def test_h_closed_forms_match_definition():
     # the closed forms agree with the defining integral, and the inversion
     # with c1 = 0 hands back its starting value
     for m in ALL_KINDS:
-        psi = psi_function(m)
+        psi = m.psi  # the definition, not a closed form
         for t in (1.3, math.e, 12.2, 1e5):
             upper = math.log(t)
             kinks = [m.p] if m.kind == "log_power" else []
             if m.kind == "tabulated":
                 kinks = [-math.log(x) for x in m.samples[:, 0]]
             kinks = [x for x in kinks if 0.0 < x < upper] or None
-            ref, _ = integrate.quad(lambda x: 1.0 / psi(math.exp(x)), 0.0,
-                                    upper, points=kinks, limit=200)
+            ref, _ = integrate.quad(lambda x: 1.0 / float(psi(math.exp(x))),
+                                    0.0, upper, points=kinks, limit=200)
             assert h_transform(m, t) == pytest.approx(ref, rel=1e-9)
         for f1 in (1.0, 1.5, 40.0, 1e5):
             B = continuous_growth_bound(m, f1, ONE, 0.0, 0.5)
@@ -103,7 +101,7 @@ def test_forcing_integral_matches_quad():
     # the canonical forcing phi changes formula at the modulus's kinks,
     # where the panels are cut; t = 0 is allowed
     for m in ALL_KINDS:
-        g = phi_function(m)
+        g = m.scalar_phi()
         for t in (0.0, 1e-6, 0.3):
             inside = [x for x in m.kinks if t < x < 1.0] or None
             ref, _ = integrate.quad(g, t, 1.0, epsabs=0.0, epsrel=1e-13,
@@ -185,7 +183,7 @@ def test_cascade_linear_reference_trace():
 def test_cascade_trace_below_continuous_bound():
     # the continuous inversion is an upper envelope for the trace
     for m in (Modulus.linear(), Modulus.log_power(1.0)):
-        g = phi_function(m)
+        g = m.scalar_phi()
         for c1 in (0.5, 1.0, 2.0):
             tr = discrete_cascade(m, 2.0, g, c1, 1e-6)
             B = continuous_growth_bound(m, 2.0, g, c1, 1e-6)
@@ -218,7 +216,7 @@ def test_cascade_osgood_no_blowup():
     # guarded slice: the 1e12 overflow guard is reachable for the loglog
     # family once c1 * int(phi) pushes log N above ~27, so keep c1 modest
     # there (see the decisions ledger)
-    g1 = phi_function(Modulus.log_power(1.0))
+    g1 = Modulus.log_power(1.0).scalar_phi()
     for n0 in (2.0, 1e2, 1e6):
         tr = discrete_cascade(
             Modulus.log_power(1.0), n0, g1, 0.5, 1e-4, g_integrable=True
@@ -267,7 +265,7 @@ def test_fit_consistent_c1_recovers_constant():
     # the smallest c1 for which every step obeys the one-step rule
     # h(N_{k+1}) - h(N_k) <= c1 g(t_k) (t_k - max(t_{k+1}, t_floor))
     m = Modulus.log_power(1.0)
-    g = phi_function(m)
+    g = m.scalar_phi()
     tr = discrete_cascade(m, 5.0, g, 0.7, 1e-5)
     t, hn = tr.t, [h_transform(m, nk) for nk in tr.n]
     worst = 0.0
@@ -282,8 +280,8 @@ def test_interpolant_slope_inequality():
     # piecewise-linear interpolant of a trace satisfies the differential
     # inequality h' >= -c1 h psi(h) g at midpoints for nonincreasing g
     for m in (Modulus.linear(), Modulus.log_power(1.0)):
-        g = phi_function(m)
-        psi = psi_function(m)
+        g = m.scalar_phi()
+        psi = m.psi
         tr = discrete_cascade(m, 3.0, g, 1.0, 1e-5)
         t, n = tr.t, tr.n
         slope = np.diff(n) / np.diff(t)
@@ -293,17 +291,9 @@ def test_interpolant_slope_inequality():
         assert np.all(margins >= -1e-9 * np.abs(tr.n[:-1]).max())
 
 
-def test_psi_phi_function_fast_paths():
-    for m in (
-        Modulus.linear(),
-        Modulus.power(0.3),
-        Modulus.log_power(1.0),
-        Modulus.log_power(2.5),
-    ):
-        psi = psi_function(m)
-        phi = phi_function(m)
-        for s in (1.0, 1.7, math.e, 10.0, 1e5):
-            assert psi(s) == pytest.approx(float(m.psi(s)), rel=1e-12)
+def test_scalar_phi_matches_vectorized_phi():
+    for m in ALL_KINDS:
+        phi = m.scalar_phi()
         for s in (1e-6, 0.01, 1.0 / math.e, 0.5, 1.0):
             assert phi(s) == pytest.approx(float(m.phi(s)), rel=1e-12)
 
@@ -311,7 +301,7 @@ def test_psi_phi_function_fast_paths():
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_log_power_phi_finite_below_overflow(p):
     # 1 / s overflows below about 5.6e-309; phi(s) = log(1/s)^p does not
-    phi = phi_function(Modulus.log_power(p))
+    phi = Modulus.log_power(p).scalar_phi()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [phi(s) for s in (1e-310, 5e-324)]

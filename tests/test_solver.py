@@ -676,6 +676,18 @@ class TestSolutionUtilities:
         assert u.evaluate([[0.05, 0.0]]) == pytest.approx(
             7.0 * 0.75 + 3.0 * 0.25, abs=1e-12)
 
+    def test_evaluate_rejects_points_off_the_grid(self):
+        # a point beyond the outer ring is not clipped onto it; within
+        # nearest_ring's relative tolerance it reads the ring value
+        g = PolarGrid.disk(17, 32)
+        u = solve_dirichlet(I2, 1.0, lambda p: p[:, 0], g)
+        for pt in ([2.0, 0.0], [math.nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="outside grid range"):
+                u.evaluate([pt])
+        edge = u.evaluate([[1.0 + 1e-12, 0.0]])
+        assert edge[0] == pytest.approx(u.ring_values(g.n_r - 1)[0],
+                                        abs=1e-13)
+
 
 class TestOperatorCache:
     def test_distinct_custom_fields_not_conflated(self):
