@@ -11,7 +11,10 @@ solver        polar grids on disks, Dirichlet solves, and the
               quadratic functionals D, H
 frequency     Almgren-type frequency profiles and monotonicity checks
 experiments   scenario runners comparing measured margins to the estimates
-cli           command line front end (``freqlab``)
+io            file formats: canonical JSON (the one JSON-plaining rule),
+              CSV tables, the binary grid container
+svg           byte-stable SVG plots of profiles and margins
+cli         command line front end (``freqlab``)
 """
 
 __version__ = "0.1.0"

@@ -7,6 +7,9 @@ Three subcommands drive the library from JSON configs:
 ``freqlab solve``       one Dirichlet solve with a frequency profile
 ``freqlab experiment``  scenario runs or a whole sweep
 
+``modulus`` takes only ``--config`` and ``--out``; ``solve`` and
+``experiment`` also take ``--seed``, ``--resolution`` and ``--refine``.
+
 Exit codes: 0 success (including branch verdicts), 1 scenario failure
 (margins violated or an admissibility regime error), 2 usage or
 configuration error (a non-finite number in a config among them), 3
@@ -29,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .coefficients import FieldError, jsonable
+from .coefficients import FieldError
 from .experiments import (
     RegimeError,
     ScenarioConfig,
@@ -92,8 +95,7 @@ class RunManifest:
     wall_clock_s: float
 
     def write(self, out_dir: str) -> str:
-        return write_json(os.path.join(out_dir, "manifest.json"),
-                          dataclasses.asdict(self))
+        return write_json(os.path.join(out_dir, "manifest.json"), self)
 
 
 def _parse_resolution(text: str) -> tuple:
@@ -117,26 +119,27 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"freqlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--out", default="out", metavar="DIR",
-                        help="output directory (default: out)")
-    shared.add_argument("--seed", type=int, default=None, metavar="K",
-                        help="override the config seed")
-    shared.add_argument("--resolution", type=_parse_resolution,
-                        default=None, metavar="N_R,N_THETA",
-                        help="override the grid resolution")
-    shared.add_argument("--refine", action="store_true",
-                        help="double the resolution and emit deltas")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="out", metavar="DIR",
+                     help="output directory (default: out)")
+    grid = argparse.ArgumentParser(add_help=False, parents=[out])
+    grid.add_argument("--seed", type=int, default=None, metavar="K",
+                      help="override the config seed")
+    grid.add_argument("--resolution", type=_parse_resolution,
+                      default=None, metavar="N_R,N_THETA",
+                      help="override the grid resolution")
+    grid.add_argument("--refine", action="store_true",
+                      help="double the resolution and emit deltas")
 
-    p_mod = sub.add_parser("modulus", parents=[shared],
+    p_mod = sub.add_parser("modulus", parents=[out],
                            help="classify a modulus of continuity")
     p_mod.add_argument("--config", required=True, metavar="PATH")
 
-    p_solve = sub.add_parser("solve", parents=[shared],
+    p_solve = sub.add_parser("solve", parents=[grid],
                              help="solve one Dirichlet problem")
     p_solve.add_argument("--config", required=True, metavar="PATH")
 
-    p_exp = sub.add_parser("experiment", parents=[shared],
+    p_exp = sub.add_parser("experiment", parents=[grid],
                            help="run scenarios or a sweep")
     p_exp.add_argument("scenarios", nargs="*", metavar="SCENARIO",
                        help="registered scenario names; none runs the "
@@ -180,15 +183,12 @@ def cmd_modulus(args) -> int:
         "schema": SCHEMA_VERSION,
         "modulus": m.to_config(),
         "verdict": osgood.value,
-        "phi_integrable": {
-            "finite": bool(integ.finite),
-            "value": float(integ.value),
-        },
+        "phi_integrable": {"finite": integ.finite, "value": integ.value},
         "psi_submultiplicative": {
-            "holds": bool(sub.holds),
-            "constant": float(sub.constant),
-            "worst_ratio": float(sub.worst_ratio),
-            "worst_pair": jsonable(list(sub.worst_pair)),
+            "holds": sub.holds,
+            "constant": sub.constant,
+            "worst_ratio": sub.worst_ratio,
+            "worst_pair": sub.worst_pair,
         },
     }
 
@@ -287,8 +287,8 @@ def cmd_solve(args) -> int:
         u, base_r, base_n = one_solve("", grids[0])
         report = {
             "schema": SCHEMA_VERSION,
-            "residual_norm": float(u.residual_norm),
-            "iterations": int(u.iterations),
+            "residual_norm": u.residual_norm,
+            "iterations": u.iterations,
             "grid": {"n_r": n_r, "n_theta": n_theta},
             "profile_window": [r_lo, r_hi],
         }
@@ -296,8 +296,8 @@ def cmd_solve(args) -> int:
             _, fine_r, fine_n = one_solve("_refined", grids[1])
             deltas = np.interp(base_r, fine_r, fine_n) - base_n
             report["refinement"] = {
-                "max_abs_delta_N": float(np.max(np.abs(deltas))),
-                "deltas": jsonable(deltas),
+                "max_abs_delta_N": np.max(np.abs(deltas)),
+                "deltas": deltas,
             }
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
@@ -358,7 +358,7 @@ def _run_one(cfg: ScenarioConfig) -> dict:
         report = run_scenario(cfg)
     except RegimeError as err:
         return {"scenario": cfg.scenario, "status": "regime_error",
-                "message": str(err), "max_radius": float(err.max_radius)}
+                "message": str(err), "max_radius": err.max_radius}
     except (OverflowError, ScenarioError) as err:  # e.g. a huge int as eps
         return {"scenario": cfg.scenario, "status": "scenario_error",
                 "message": str(err)}
@@ -402,11 +402,10 @@ def cmd_experiment(args) -> int:
         stem = name if seen[name] == 1 else f"{name}-{seen[name]}"
         if outcome["status"] == "report":
             report = outcome["report"]
-            doc = report.to_dict()
-            doc["schema"] = SCHEMA_VERSION
-            doc["config"] = cfg.to_dict()
             outputs.append(write_json(
-                os.path.join(args.out, f"{stem}.report.json"), doc))
+                os.path.join(args.out, f"{stem}.report.json"),
+                dict(vars(report), schema=SCHEMA_VERSION,
+                     config=cfg.to_dict())))
             outputs.append(write_csv(
                 os.path.join(args.out, f"{stem}.margins.csv"),
                 ["name", "radius", "lhs", "rhs", "margin",

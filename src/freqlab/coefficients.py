@@ -36,7 +36,6 @@ __all__ = [
     "empirical_modulus",
     "generate_holder",
     "homogeneous_projection",
-    "jsonable",
     "kernel_gradient_constant",
     "mollify",
     "mu_factor",
@@ -105,10 +104,6 @@ class CoefficientField:
             alpha, c_h = self.holder
             if not 0.0 < alpha <= 1.0 or c_h < 0.0:
                 raise FieldError(f"invalid Holder data {self.holder}")
-
-    @property
-    def isotropic(self) -> bool:
-        return self.arity is Arity.ISOTROPIC
 
     def evaluate(self, x: Any) -> np.ndarray:
         """Field values at one point (n,) or a batch (m, n)."""
@@ -344,21 +339,6 @@ def _cusp_profile(modulus: Modulus, pts: np.ndarray,
     """omega(min(|x - anchor|, 1)) per point; omega(0) = 0 for every kind."""
     d = _anchor_distance(pts, anchor)
     return modulus.omega(np.minimum(d, 1.0, out=d))
-
-
-def jsonable(obj: Any) -> Any:
-    """obj with mappings, sequences, arrays and numpy scalars turned
-    into plain JSON values (dicts with string keys, lists, Python
-    numbers)."""
-    if isinstance(obj, Mapping):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _ball_sample(count: int, n: int, radius: float, seed: int) -> np.ndarray:

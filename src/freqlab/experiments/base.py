@@ -24,7 +24,6 @@ from ..coefficients import (
     FieldError,
     empirical_modulus,
     generate_holder,
-    jsonable,
 )
 from ..frequency import almgren_frequency
 from ..modulus import Modulus
@@ -211,11 +210,6 @@ class MarginRow:
     margin: float
     refined_margin: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "radius": self.radius, "lhs": self.lhs,
-                "rhs": self.rhs, "margin": self.margin,
-                "refined_margin": self.refined_margin}
-
 
 @dataclass(frozen=True)
 class FittedConstant:
@@ -224,18 +218,13 @@ class FittedConstant:
     name: str
     value: float
     refined_value: float
+    rel_delta: float = dc_field(init=False)
 
-    @property
-    def rel_delta(self) -> float:
+    def __post_init__(self) -> None:
         scale = max(abs(self.value), abs(self.refined_value))
-        if scale <= FIT_FLOOR:
-            return 0.0
-        return abs(self.refined_value - self.value) / scale
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
-                "refined_value": self.refined_value,
-                "rel_delta": self.rel_delta}
+        object.__setattr__(
+            self, "rel_delta", 0.0 if scale <= FIT_FLOOR
+            else abs(self.refined_value - self.value) / scale)
 
 
 @dataclass
@@ -247,17 +236,6 @@ class ExperimentReport:
     violations: list
     meta: dict
     warnings: list
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "verdict": self.verdict.value,
-            "margins": [m.to_dict() for m in self.margins],
-            "fitted": {k: v.to_dict() for k, v in self.fitted.items()},
-            "violations": list(self.violations),
-            "meta": jsonable(self.meta),
-            "warnings": list(self.warnings),
-        }
 
 
 # -- field and boundary-data builders --------------------------------------
@@ -384,14 +362,19 @@ def certify_holder(f: CoefficientField) -> Optional[str]:
     return None
 
 
+def _polar_sample(seed: int, r_lo: float, r_hi: float) -> np.ndarray:
+    """256 points: angles, then radii in (max(r_lo, 1e-3), r_hi)."""
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2.0 * math.pi, size=256)
+    rr = rng.uniform(max(r_lo, 1e-3), r_hi, size=256)
+    return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
+
+
 def measured_eps(f: CoefficientField, seed: int = 0x5EED,
                  r_lo: float = 0.0) -> float:
     """Measured sup |a - 1| (isotropic) or sup |A - I| (matrix) on
     sampled points with |x| in (r_lo, 1)."""
-    rng = np.random.default_rng(seed)
-    th = rng.uniform(0.0, 2.0 * math.pi, size=256)
-    rr = rng.uniform(max(r_lo, 1e-3), 1.0, size=256)
-    pts = np.column_stack([rr * np.cos(th), rr * np.sin(th)])
+    pts = _polar_sample(seed, r_lo, 1.0)
     if f.arity is Arity.ISOTROPIC:
         return float(np.max(np.abs(f.evaluate(pts) - 1.0)))
     mats = f.matrices(pts)
@@ -401,10 +384,7 @@ def measured_eps(f: CoefficientField, seed: int = 0x5EED,
 def field_gap(f0: CoefficientField, f1: CoefficientField, r_lo: float,
               seed: int = 0xD1FF) -> float:
     """Measured sup |A_0 - A_1| on sampled points with |x| in (r_lo, 1)."""
-    rng = np.random.default_rng(seed)
-    th = rng.uniform(0.0, 2.0 * math.pi, size=256)
-    rr = rng.uniform(max(r_lo, 1e-3), 0.999, size=256)
-    pts = np.column_stack([rr * np.cos(th), rr * np.sin(th)])
+    pts = _polar_sample(seed, r_lo, 0.999)
     return float(np.max(np.abs(f0.matrices(pts) - f1.matrices(pts))))
 
 

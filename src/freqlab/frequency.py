@@ -94,10 +94,6 @@ class FrequencyProfile:
         """(radii, N) sorted by increasing radius."""
         return self.radii[::-1].copy(), self.N[::-1].copy()
 
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        return [(float(r), float(d), float(h), float(n))
-                for r, d, h, n in zip(self.radii, self.D, self.H, self.N)]
-
 
 def _vanishing_threshold(u: DiscreteSolution) -> float:
     return 1e-14 * float(np.mean(u.values ** 2))
@@ -192,16 +188,6 @@ class HIdentityReport:
     m_bound: float
     delta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "sup_error": self.sup_error,
-            "normalized_sup": self.normalized_sup,
-            "m_bound": self.m_bound,
-            "delta": self.delta,
-            "per_radius": [{"r": float(r), "e": float(e)}
-                           for r, e in zip(self.radii, self.errors)],
-        }
-
 
 def verify_H_identity(u: DiscreteSolution, f: CoefficientField,
                       radii: Optional[Sequence[float]] = None,
@@ -239,16 +225,6 @@ class HomogeneousMonotonicityReport:
     violations: np.ndarray
     max_drop: float
     h_identity_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "max_drop": self.max_drop,
-            "h_identity_residual": self.h_identity_residual,
-            "violations": [float(r) for r in self.violations],
-            "per_radius": [{"r": float(r), "N": float(n)}
-                           for r, n in zip(self.radii, self.n_values)],
-        }
 
 
 def _check_zero_homogeneous(abar: CoefficientField) -> None:

@@ -1,11 +1,17 @@
 """Deterministic file formats: JSON configs and reports, RFC 4180 CSV
 tables, and a binary grid container.  All writers go through a
 write-temp-rename step so partial files never appear under the final
-name, and none of the formats embeds wall-clock data."""
+name, and none of the formats embeds wall-clock data.
+
+``canonical_json`` is the one JSON-plaining rule: beyond what ``json``
+writes, numpy scalars and arrays become ``tolist()``, enums their value
+and dataclasses a dict of their fields (``init=False`` ones too); any
+other type raises ``TypeError``, and a NaN or infinity ``ValueError``."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io as _io
 import json
@@ -13,6 +19,7 @@ import math
 import os
 import struct
 import tempfile
+from enum import Enum
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -73,10 +80,22 @@ def atomic_write_text(path: str, text: str) -> str:
     return atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _plain(obj: Any) -> Any:
+    """``json``'s fallback, applied again to what it returns."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name)
+                for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def canonical_json(obj: Any) -> str:
     """Stable rendering used both for files and for hashing."""
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      ensure_ascii=True, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
+                      allow_nan=False, default=_plain) + "\n"
 
 
 def config_hash(obj: Any) -> str:

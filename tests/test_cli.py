@@ -1,6 +1,9 @@
 """Tests for serialization, plotting, and the command line front end."""
 
+import dataclasses
+import enum
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +50,55 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+class _Color(enum.Enum):
+    RED = "red"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    left: float
+    right: object
+    total: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.left + 1.0)
+
+
+def test_canonical_json_plains_numpy_enums_and_dataclasses():
+    rich = {
+        "f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+        "s": np.float32(0.5), "zero_d": np.array(2.5),
+        "two_d": np.arange(4, dtype=np.int32).reshape(2, 2),
+        "color": _Color.RED,
+        "pair": _Pair(np.float64(1.5), [_Color.RED, (np.int64(7), None)]),
+        "nested": [({"k": np.array([1.0, 2.0])},), np.float64(1e-300)],
+    }
+    plain = {
+        "f": 0.1, "i": -3, "b": True, "s": 0.5, "zero_d": 2.5,
+        "two_d": [[0, 1], [2, 3]],
+        "color": "red",
+        "pair": {"left": 1.5, "right": ["red", [7, None]], "total": 2.5},
+        "nested": [[{"k": [1.0, 2.0]}], 1e-300],
+    }
+    assert canonical_json(rich) == canonical_json(plain)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, math.nan]),
+    np.array([[math.inf]]),
+    _Pair(math.nan, 0),
+    _Pair(0.0, np.float64(-math.inf)),
+])
+def test_canonical_json_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValueError):
+        canonical_json({"a": [bad]})
+
+
+def test_canonical_json_names_an_unwritable_type():
+    with pytest.raises(TypeError, match="object"):
+        canonical_json({"a": object()})
 
 
 def test_config_hash_tracks_content():
@@ -199,6 +251,17 @@ def test_cli_modulus_osgood(tmp_path, capsys):
     assert report["psi_submultiplicative"]["holds"] is True
     for name in ("modulus_table.csv", "modulus.svg", "manifest.json"):
         assert os.path.exists(os.path.join(out, name))
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--resolution", "9,16"],
+                                  ["--refine"]])
+def test_cli_modulus_rejects_grid_options(tmp_path, flag):
+    # modulus reads no grid and no seed override: argparse refuses them
+    cfg = write_config(tmp_path / "m.json",
+                       {"schema": 1, "modulus": {"kind": "linear"}})
+    out = str(tmp_path / "out")
+    assert main(["modulus", "--config", cfg, "--out", out, *flag]) == 2
+    assert not os.path.exists(out)
 
 
 def test_cli_modulus_non_osgood(tmp_path):

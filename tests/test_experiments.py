@@ -20,6 +20,7 @@ from freqlab.experiments import (
     registered_scenarios,
     run_scenario,
 )
+from freqlab.io import canonical_json
 
 LOW = {"n_r": 33, "n_theta": 64}
 MID = {"n_r": 49, "n_theta": 96}
@@ -430,12 +431,26 @@ def test_margins_pair_with_refinement():
 
 
 def test_report_serializes_to_json():
+    # pins the report.json layout: the verdict's value, six fields per
+    # margin and four per fitted constant, rel_delta among them
     rep = run_scenario(default_config("eps_approx", **LOW))
-    blob = json.dumps(rep.to_dict(), sort_keys=True)
-    back = json.loads(blob)
-    assert back["scenario"] == "eps_approx"
-    assert back["verdict"] == "Consistent"
-    assert len(back["margins"]) == len(rep.margins)
+    expected = {
+        "scenario": "eps_approx",
+        "verdict": "Consistent",
+        "margins": [{"name": m.name, "radius": m.radius, "lhs": m.lhs,
+                     "rhs": m.rhs, "margin": m.margin,
+                     "refined_margin": m.refined_margin}
+                    for m in rep.margins],
+        "fitted": {k: {"name": v.name, "value": v.value,
+                       "refined_value": v.refined_value,
+                       "rel_delta": v.rel_delta}
+                   for k, v in rep.fitted.items()},
+        "violations": rep.violations,
+        "meta": rep.meta,
+        "warnings": rep.warnings,
+    }
+    assert rep.margins and rep.fitted
+    assert json.loads(canonical_json(rep)) == expected
 
 
 def test_scalar_invariance_of_margins():

@@ -1,6 +1,8 @@
 """Module boundaries: every freqlab module's ``__all__`` names what the
-module defines, and only ``modulus`` branches on a modulus kind."""
+module defines, only ``modulus`` branches on a modulus kind, and only
+``ScenarioConfig`` writes its own dict."""
 
+import ast
 import pathlib
 import pkgutil
 import re
@@ -33,4 +35,18 @@ def test_only_modulus_branches_on_modulus_kinds():
         if path != root / "modulus.py"
         for no, line in enumerate(path.read_text().splitlines(), 1)
         if _KIND_TEST.search(line)]
+    assert not offenders, offenders
+
+
+def test_only_the_config_dialect_defines_to_dict():
+    # io.canonical_json plains every report; ScenarioConfig.to_dict is
+    # the config dialect that from_dict reads back
+    root = pathlib.Path(freqlab.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}: {node.name}.to_dict"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name != "ScenarioConfig"
+        and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name == "to_dict" for item in node.body)]
     assert not offenders, offenders
