@@ -868,9 +868,10 @@ def _not_a_knot_fit(x0: float, h: float, m: int) -> tuple[np.ndarray, Callable]:
     """Knot vector of the not-a-knot cubic spline on the axis x0 + h k,
     k < m, and a solver of A x = b for its (2, 2)-banded collocation
     matrix A, factored once per process (generate_holder's axis is fixed)
-    as A = L U by elimination without pivoting.  The solver takes every
-    column of b (rows p) at once, by one sweep over the rows each way,
-    and updates each row in place through one scratch row."""
+    as A = L U by elimination without pivoting.  The solver overwrites
+    its argument x, C-ordered floats with rows p, by A^-1 x, taking every
+    column at once by one sweep over the rows each way, and updates each
+    row in place through one scratch row."""
     axis = x0 + h * np.arange(m)
     t = np.concatenate([np.full(4, axis[0]), axis[2:-2], np.full(4, axis[-1])])
     lead, basis = _cubic_basis(t, axis)
@@ -893,8 +894,7 @@ def _not_a_knot_fit(x0: float, h: float, m: int) -> tuple[np.ndarray, Callable]:
                     a[2 + d - e][k + e] -= f * a[2 - e][k + e]
     # now a holds U: U[p, p + d] = a[2 - d][p + d]
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = np.array(b, dtype=float, order="C")
+    def solve(x: np.ndarray) -> np.ndarray:
         rows, tmp = list(x), np.empty_like(x[0])  # row views, scratch row
         for p in range(1, m):
             rows[p] -= np.multiply(low[0][p], rows[p - 1], out=tmp)
@@ -927,11 +927,15 @@ def _bicubic_interpolant(axis: np.ndarray, values: np.ndarray
     and Pinkus, 1977).  Here every diagonal entry is also at least 1.74
     times its column's subdiagonal entries; on generate_holder's
     1025-point fit the coefficients agree with a pivoted banded solve to
-    6.4e-16 relative.  Evaluation sums each point's 4 x 4 coefficients by
-    flat gathers against ``_uniform_basis``, with no per-point search."""
+    6.4e-16 relative.  The first solve works in place on ``values``,
+    which is overwritten when it is a C-ordered float array.  Evaluation
+    sums each point's 4 x 4 coefficients by flat gathers against
+    ``_uniform_basis``, with no per-point search."""
     m = axis.size
     t, solve = _not_a_knot_fit(float(axis[0]), float(axis[1] - axis[0]), m)
-    c = solve(solve(values).T).ravel()  # C^T = A^-1 (A^-1 values)^T
+    # C^T = A^-1 (A^-1 values)^T
+    half = solve(np.ascontiguousarray(values, dtype=float))
+    c = solve(np.ascontiguousarray(half.T)).ravel()
 
     def ev(pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape[0])
@@ -950,6 +954,21 @@ def _bicubic_interpolant(axis: np.ndarray, values: np.ndarray
         return out
 
     return ev
+
+
+def _lag_certificate(values: np.ndarray, alpha: float, h: float) -> float:
+    """Holder constant certificate of periodic grid values of spacing h:
+    the largest |values[i] - values[i - lag]| / (lag h)^alpha over the
+    axis-aligned lags 1, 2, 4, 8 and 16, the differences in one buffer."""
+    c_h = 0.0
+    diff = np.empty_like(values)
+    for v, d in ((values, diff), (values.T, diff.T)):
+        for lag in (1, 2, 4, 8, 16):
+            np.subtract(v[lag:], v[:-lag], out=d[lag:])
+            np.subtract(v[:lag], v[-lag:], out=d[:lag])
+            np.abs(diff, out=diff)
+            c_h = max(c_h, float(diff.max()) / (lag * h) ** alpha)
+    return c_h
 
 
 def generate_holder(alpha: float, amplitude: float,
@@ -977,15 +996,19 @@ def generate_holder(alpha: float, amplitude: float,
     m = _HOLDER_GRID
     rng = np.random.default_rng(int(seed))
     # the noise is real, so the half spectrum along the last axis holds
-    # every mode; temporaries are dropped as soon as they are used
-    spectrum = np.fft.rfft2(rng.standard_normal((m, m)))
+    # every mode; the 2-D transforms go one axis at a time, the complex
+    # axis in place (rfft2 and irfft2 give the same bits), and
+    # temporaries are dropped as soon as they are used
+    spectrum = np.fft.rfft(rng.standard_normal((m, m)), axis=1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
     k2 = (np.fft.fftfreq(m, d=1.0 / m)[:, None] ** 2
           + np.fft.rfftfreq(m, d=1.0 / m) ** 2)
     k2[0, 0] = 1.0
     spectrum *= np.sqrt(k2, out=k2) ** (-a - 1.0)
     del k2
     spectrum[0, 0] = 0.0
-    values = np.fft.irfft2(spectrum, s=(m, m))
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    values = np.fft.irfft(spectrum, n=m, axis=1)
     del spectrum
 
     # grid covers [-1, 1) per axis; index m//2 is the origin
@@ -1001,22 +1024,12 @@ def generate_holder(alpha: float, amplitude: float,
         raise GenerationError(
             f"synthesized range [{lo:.4g}, {hi:.4g}] leaves [0.5, 2]; "
             f"reduce amplitude {amp}")
+    c_h = _lag_certificate(values, a, 2.0 / m)
 
-    # wrap one periodic row per axis so the closed disk is covered
-    ev = _bicubic_interpolant(np.append(axis, 1.0),
-                              np.pad(values, [(0, 1), (0, 1)], mode="wrap"))
-
-    # Holder constant certificate from axis-aligned periodic grid lags:
-    # values[i] - values[i - lag], with the wrapped rows, in one buffer
-    h = 2.0 / m
-    c_h = 0.0
-    diff = np.empty_like(values)
-    for v, d in ((values, diff), (values.T, diff.T)):
-        for lag in (1, 2, 4, 8, 16):
-            np.subtract(v[lag:], v[:-lag], out=d[lag:])
-            np.subtract(v[:lag], v[-lag:], out=d[:lag])
-            np.abs(diff, out=diff)
-            c_h = max(c_h, float(diff.max()) / (lag * h) ** a)
+    # wrap one periodic row per axis so the closed disk is covered; the
+    # fit overwrites this copy, the only one left
+    values = np.pad(values, [(0, 1), (0, 1)], mode="wrap")
+    ev = _bicubic_interpolant(np.append(axis, 1.0), values)
 
     return CoefficientField(
         Arity.ISOTROPIC, 2, ev, 0.5, holder=(a, c_h),

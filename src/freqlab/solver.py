@@ -44,12 +44,15 @@ neighbourhood, and place 9 couples ring 0 to the origin, whose own row
 rows of the unknowns against the unknowns or the boundary nodes, so one
 product serves both: the stencil times the node values, laid out ring
 by ring between two rings of zeros, with zeros on the nodes the product
-leaves out.  An assembly is the field at the face samples, one (cells,
-16) @ (16, 16) product for the 4 x 4 cell matrices and one slice add
-per local node pair (a, b) into the stencil.  numpy is the program's
-only dependency.  Only plans are cached: an assembly belongs to the
-solutions solved with it, and energies in a solution's coefficient are
-read from that solution.
+leaves out.  An assembly is the field's coefficient entries at the
+face samples, one (cells, 4 k) @ (4 k, 16) product for the 4 x 4 cell
+matrices and one slice add per local node pair (a, b) into the stencil.
+A scalar field has k = 1 entry, a, and a matrix field k = 3, b_rr,
+b_rt + b_tr and b_tt of B.  The identity field is not evaluated: its B
+is exactly I, and all its cell matrices are one, held once.  numpy is
+the program's only dependency.  Only plans are cached: an assembly
+belongs to the solutions solved with it, and energies in a solution's
+coefficient are read from that solution.
 
 The summation orders are those of a scipy-backed solver, so solutions
 are its solutions bit for bit.  Its scatter summed each entry in cell
@@ -262,18 +265,13 @@ _CELL_PLACE = (3 * (_CELL_LOCAL[None, :, 0] - _CELL_LOCAL[:, None, 0])
 
 def _rotated_tensor(f: CoefficientField, pts: np.ndarray, c: np.ndarray,
                     s: np.ndarray) -> np.ndarray:
-    """B = Q^T A Q at polar points ``pts`` whose angles have cosines
-    ``c`` and sines ``s``, (m, 2, 2)."""
+    """B = Q^T A Q of a matrix field at polar points ``pts`` whose angles
+    have cosines ``c`` and sines ``s``, (m, 2, 2)."""
     a = f.evaluate(pts)
-    if f.arity is Arity.ISOTROPIC:
-        out = np.zeros(a.shape + (2, 2))
-        out[..., 0, 0] = a
-        out[..., 1, 1] = a
-        return out
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     cc, cs, ss = c * c, c * s, s * s
     # Q = [[c, -s], [s, c]]; the off-diagonal entries stay separate so
-    # that _check_elliptic still sees an asymmetric A
+    # that _energy_entries still sees an asymmetric A
     out = np.empty(a.shape)
     mixed = cs * (a01 + a10)
     out[..., 0, 0] = cc * a00 + mixed + ss * a11
@@ -284,18 +282,39 @@ def _rotated_tensor(f: CoefficientField, pts: np.ndarray, c: np.ndarray,
     return out
 
 
-def _check_elliptic(b: np.ndarray, where: str) -> float:
-    """Raise unless b is SPD; return its eigenvalue ratio."""
-    sym_gap = float(np.max(np.abs(b[..., 0, 1] - b[..., 1, 0])))
-    if sym_gap > 1e-10:
-        raise FieldError(f"coefficient matrix asymmetric by {sym_gap:.3g} {where}")
-    half_tr = 0.5 * (b[..., 0, 0] + b[..., 1, 1])
-    disc = np.sqrt(0.25 * (b[..., 0, 0] - b[..., 1, 1]) ** 2
-                   + b[..., 0, 1] ** 2)
-    lo = float(np.min(half_tr - disc))
+def _energy_entries(b: np.ndarray, where: str) -> tuple[np.ndarray, float]:
+    """The entries (m, k) of coefficients b, scalars (m,) or matrices
+    (m, 2, 2), that a quadratic form <b g, g> reads: k = 1, a of b = a I,
+    or k = 3, (b_00, b_01 + b_10, b_11); and their largest eigenvalue over
+    their smallest.  Raises unless every b is SPD."""
+    if b.ndim == 1:
+        lo, hi, entries = b, b, b[:, None]
+    else:
+        sym_gap = float(np.max(np.abs(b[:, 0, 1] - b[:, 1, 0])))
+        if sym_gap > 1e-10:
+            raise FieldError(
+                f"coefficient matrix asymmetric by {sym_gap:.3g} {where}")
+        half_tr = 0.5 * (b[:, 0, 0] + b[:, 1, 1])
+        disc = np.sqrt(0.25 * (b[:, 0, 0] - b[:, 1, 1]) ** 2
+                       + b[:, 0, 1] ** 2)
+        lo, hi = half_tr - disc, half_tr + disc
+        entries = np.stack([b[:, 0, 0], b[:, 0, 1] + b[:, 1, 0], b[:, 1, 1]],
+                           axis=1)
+    lo = float(np.min(lo))
     if not lo > 0.0:  # NaN too
         raise FieldError(f"ellipticity violated: eigenvalue {lo:.3g} {where}")
-    return float(np.max(half_tr + disc)) / lo
+    return entries, float(np.max(hi)) / lo
+
+
+def _by_entries(forms: np.ndarray, k: int) -> np.ndarray:
+    """Forms (..., 2, 2, n) linear in a 2 x 2 coefficient b, as the
+    coefficients (..., k, n) of b's k entries (see ``_energy_entries``):
+    the same forms wherever b is a I (k = 1) or symmetric (k = 3)."""
+    if k == 1:
+        return (forms[..., 0, 0, :] + forms[..., 1, 1, :])[..., None, :]
+    return np.stack([forms[..., 0, 0, :],
+                     0.5 * (forms[..., 0, 1, :] + forms[..., 1, 0, :]),
+                     forms[..., 1, 1, :]], axis=-2)
 
 
 # CG stops once the recurred residual of unit-size data is NaN or this
@@ -309,8 +328,11 @@ class _Plan:
     """What every assembly on one grid shares, all geometry: the face
     samples with their angles' cosines and sines, the cells' nodes and
     volume weights, the core triangles, the unknown order (ring by ring,
-    the origin last), and the matrix that turns a cell's B at its four
-    faces into its 4 x 4 stiffness matrix."""
+    the origin last), and for k = 1 and 3 coefficient entries (see
+    ``_energy_entries``) the matrices that turn a cell's entries at its
+    four faces into its 4 x 4 stiffness matrix, ``stiffness[k]`` (4 k,
+    16), and a core triangle's into its 3 x 3 one, ``tri_forms[k]``
+    (n_theta, k, 9)."""
 
     def __init__(self, grid: PolarGrid):
         self.n_r, self.n_t = n_r, n_t = grid.n_r, grid.n_theta
@@ -318,10 +340,15 @@ class _Plan:
         h, k = grid.d_s, grid.d_theta
         th = grid.theta
         self.quad_w = w = h * k / 4.0
-        self.quad_g = g = _GRAD_ROWS / np.array([[h], [k]])
+        g = _GRAD_ROWS / np.array([[h], [k]])
+        # the gradients (q, i) at the four faces from u_m - u_0, m = 1..3:
+        # the rows of G sum to zero, so constants give exactly zero
+        self.diff_grads = g.transpose(2, 0, 1).reshape(4, 8)[1:]
         # cell_k[m, n] = w sum_q G_q[i, m] B_q[i, j] G_q[j, n], as one
-        # product of each cell's (q, i, j) entries with this matrix
-        self.stiffness = w * np.einsum("qim,qjn->qijmn", g, g).reshape(16, 16)
+        # product of each cell's entries at its faces, (q, e), with these
+        full = w * np.einsum("qim,qjn->qijmn", g, g).reshape(4, 2, 2, 16)
+        self.stiffness = {k: _by_entries(full, k).reshape(4 * k, 16)
+                          for k in (1, 3)}
 
         # face samples: ring faces at (r_i, theta_{j+1/2}), then spoke
         # faces at (r_{i+1/2}, theta_j)
@@ -360,6 +387,9 @@ class _Plan:
             np.stack([-e2[:, 1], e2[:, 0]], axis=1),
         ], axis=1) / (2.0 * area)[:, None, None]
         self.tri_area = area
+        full = area[:, None, None, None] * np.einsum(
+            "tai,tbj->tijab", self.tri_g, self.tri_g).reshape(n_t, 2, 2, 9)
+        self.tri_forms = {k: _by_entries(full, k) for k in (1, 3)}
         self.tri_mids = np.concatenate(
             [0.5 * (p + p_next), 0.5 * p_next, 0.5 * p])
         self.tri_nodes = np.stack(
@@ -371,12 +401,14 @@ class _Plan:
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask)
         for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+            for x in a.values() if isinstance(a, dict) else (a,):
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
 
     def cell_faces(self, at_faces: np.ndarray) -> list[np.ndarray]:
-        """Face-sample values (B, say) at each cell's inner and outer ring
-        face and first and second spoke face, each (n_r - 1, n_theta, ...)."""
+        """Face-sample values (coefficient entries, say) at each cell's
+        inner and outer ring face and first and second spoke face, each
+        (n_r - 1, n_theta, ...)."""
         n_r, n_t, tail = self.n_r, self.n_t, at_faces.shape[1:]
         rf = at_faces[:n_r * n_t].reshape((n_r, n_t) + tail)
         sf = at_faces[n_r * n_t:].reshape((n_r - 1, n_t) + tail)
@@ -384,25 +416,47 @@ class _Plan:
 
     @cached_property
     def identity(self) -> tuple:
-        """The identity field's cell and core-triangle matrices."""
+        """The identity field's cell matrices, one 4 x 4 matrix K_0 seen
+        from every cell, and its core-triangle matrices."""
         return _element_matrices(self, CoefficientField.identity())[:2]
 
 
 def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
     """f's cell matrices (n_r - 1, n_theta, 4, 4) and core-triangle
-    matrices (n_theta, 3, 3), B at the faces, the core's frozen tensors,
-    and their largest eigenvalue over their smallest."""
-    face_b = _rotated_tensor(f, plan.face_pts, plan.face_cos, plan.face_sin)
-    contrast = _check_elliptic(face_b, "at a cell face")
-    # per cell the (q, i, j) entries of B at its four faces
-    quad_b = np.stack([b.reshape(plan.n_band, plan.n_t, 4)
-                       for b in plan.cell_faces(face_b)], axis=2)
-    cell_k = (quad_b.reshape(-1, 16) @ plan.stiffness).reshape(quad_b.shape)
-    tri_a = f.matrices(plan.tri_mids).reshape(3, plan.n_t, 2, 2).mean(axis=0)
-    contrast = max(contrast, _check_elliptic(tri_a, "inside the core disk"))
-    tri_k = plan.tri_area[:, None, None] * np.einsum(
-        "tai,tij,tbj->tab", plan.tri_g, tri_a, plan.tri_g)
-    return cell_k, tri_k, face_b, tri_a, contrast
+    matrices (n_theta, 3, 3), its coefficient entries at the faces
+    (faces, k) and in the core (n_theta, k), and their largest eigenvalue
+    over their smallest.
+
+    A scalar field has k = 1 entry, a; a matrix field has k = 3, those of
+    B = Q^T A Q, checked symmetric before they are taken.  The cell
+    matrices are one (cells, 4 k) @ (4 k, 16) product of each cell's
+    entries at its four faces with ``plan.stiffness[k]``.  The identity is
+    not evaluated: its B is exactly I, so it has a = 1 and every cell
+    matrix is K_0 = 1^T ``plan.stiffness[1]``, held once."""
+    n_band, n_t = plan.n_band, plan.n_t
+    if f.kind == "identity":
+        face = np.broadcast_to(1.0, (plan.face_pts.shape[0], 1))
+        core = np.broadcast_to(1.0, (n_t, 1))
+        k0 = (np.ones(4) @ plan.stiffness[1]).reshape(4, 4)
+        cell_k = np.broadcast_to(k0, (n_band, n_t, 4, 4))
+        contrast = 1.0
+    else:
+        face, contrast = _energy_entries(
+            f.evaluate(plan.face_pts) if f.arity is Arity.ISOTROPIC
+            else _rotated_tensor(f, plan.face_pts, plan.face_cos,
+                                 plan.face_sin), "at a cell face")
+        k = face.shape[1]
+        quad = np.concatenate(plan.cell_faces(face), axis=2)
+        cell_k = (quad.reshape(-1, 4 * k) @ plan.stiffness[k]).reshape(
+            n_band, n_t, 4, 4)
+        at_tri = f.evaluate(plan.tri_mids)
+        core, core_contrast = _energy_entries(
+            at_tri.reshape((3, n_t) + at_tri.shape[1:]).mean(axis=0),
+            "inside the core disk")
+        contrast = max(contrast, core_contrast)
+    tri_k = np.einsum("tk,tkm->tm", core,
+                      plan.tri_forms[core.shape[1]]).reshape(n_t, 3, 3)
+    return cell_k, tri_k, face, core, contrast
 
 
 def _scatter(cell_k: np.ndarray, tri_k: np.ndarray) -> tuple:
@@ -471,24 +525,23 @@ class _Assembly:
         self.plan = plan = _get_plan(grid)
         self.interior, self.boundary = plan.interior, plan.boundary
         n_r, n_t = grid.n_r, grid.n_theta
-        (cell_k, tri_k, self.face_b, self.tri_a,
+        (cell_k, tri_k, self.face_coef, self.core_coef,
          contrast) = _element_matrices(plan, f)
+        # for the energy, without any potential's mass
         self.cell_k, self.tri_k = cell_k, tri_k
         # row sums of the mass matrices; the stiffness's are zero
         cell_rows, tri_rows = np.zeros((n_r - 1, n_t, 4)), np.zeros((n_t, 3))
         if potential is not None:
-            self.cell_k = cell_k.copy()  # for the energy, without the mass
             vq = np.stack(plan.cell_faces(potential(plan.face_pts)), axis=-1)
             mass = ((plan.cell_volw * vq).reshape(-1, 4)
                     @ _CELL_MASS).reshape(cell_k.shape)
-            cell_k += mass
+            cell_k = cell_k + mass
             cell_rows = mass.sum(axis=-1)
-            self.tri_k = tri_k.copy()
             vt = potential(plan.tri_mids).reshape(3, n_t).T
             mass = np.einsum("tq,qm,qn->tmn",
                              (plan.tri_area / 3.0)[:, None] * vt,
                              _TRI_BASIS, _TRI_BASIS)
-            tri_k += mass
+            tri_k = tri_k + mass
             tri_rows = mass.sum(axis=-1)
         self.stencil, self.origin_row = _scatter(cell_k, tri_k)
 
@@ -763,28 +816,45 @@ def solve_dirichlet(f: CoefficientField, r: float, g: Any, grid: PolarGrid,
 # -- functionals ---------------------------------------------------------
 
 
+def _squares(gv: np.ndarray, k: int) -> np.ndarray:
+    """The terms of <b gv, gv> that b's k entries multiply (see
+    ``_energy_entries``), (..., k) for gradients gv (..., 2)."""
+    if k == 1:
+        return np.einsum("...i,...i->...", gv, gv)[..., None]
+    g0, g1 = gv[..., 0], gv[..., 1]
+    out = np.empty(gv.shape[:-1] + (3,))
+    np.multiply(g0, g0, out=out[..., 0])
+    np.multiply(g0, g1, out=out[..., 1])
+    np.multiply(g1, g1, out=out[..., 2])
+    return out
+
+
 def _cumulative_energy(u: DiscreteSolution) -> np.ndarray:
     """u's energy inside each grid radius; index i matches radii[i].
 
-    Evaluated in factored form (G u)^T B (G u) per quadrature point so
-    that constant values give exactly zero."""
+    Evaluated in factored form, the coefficient entries against the
+    matching squares of G u at each quadrature point, with G u taken from
+    differences of u so that constant values give exactly zero."""
     cached = u._cache.get("cumE")
     if cached is not None:
         return cached
     asm, values = u._assembly, u.values
     plan = asm.plan
+    k = asm.face_coef.shape[1]
     uc = values[plan.cell_nodes]
-    band = np.zeros(u.grid.n_r - 1)
-    for g, b in zip(plan.quad_g, plan.cell_faces(asm.face_b)):
-        gv = np.einsum("im,btm->bti", g, uc)
-        band += plan.quad_w * np.einsum("bti,btij,btj->b", gv, b, gv)
+    gv = ((uc[..., 1:] - uc[..., :1]).reshape(-1, 3)
+          @ plan.diff_grads).reshape(uc.shape + (2,))
+    coef = np.concatenate(plan.cell_faces(asm.face_coef), axis=2)
+    band = plan.quad_w * np.einsum("btqk,btqk->b",
+                                   coef.reshape(gv.shape[:3] + (k,)),
+                                   _squares(gv, k))
     ut = values[plan.tri_nodes]
     # gradient from differences against the origin node: exact for
     # constants since the basis gradients sum to zero
     dv = ut[:, 1:] - ut[:, :1]
     gv = np.einsum("tmi,tm->ti", plan.tri_g[:, 1:, :], dv)
     core = float(np.sum(plan.tri_area * np.einsum(
-        "ti,tij,tj->t", gv, asm.tri_a, gv)))
+        "tk,tk->t", asm.core_coef, _squares(gv, k))))
     cum = np.empty(u.grid.n_r)
     cum[0] = core
     cum[1:] = core + np.cumsum(band)

@@ -618,6 +618,60 @@ def test_generate_holder_matches_complex_fft_synthesis(alpha, amplitude,
     assert f.holder[1] == pytest.approx(c_h, rel=1e-13)
 
 
+def _two_dimensional_fft_holder(alpha, amplitude, seed):
+    """generate_holder's spline coefficients and c_h from its synthesis
+    as it reads most directly: rfft2 and irfft2, a fit whose solves work
+    on copies, and lag differences by np.roll."""
+    m = 1024
+    rng = np.random.default_rng(seed)
+    spectrum = np.fft.rfft2(rng.standard_normal((m, m)))
+    k2 = (np.fft.fftfreq(m, d=1.0 / m)[:, None] ** 2
+          + np.fft.rfftfreq(m, d=1.0 / m) ** 2)
+    k2[0, 0] = 1.0
+    spectrum = spectrum * np.sqrt(k2) ** (-alpha - 1.0)
+    spectrum[0, 0] = 0.0
+    values = np.fft.irfft2(spectrum, s=(m, m))
+    values = values - values[m // 2, m // 2]
+    values = values * amplitude / max(values.max(), -values.min()) + 1.0
+    c_h = 0.0
+    for axis in (0, 1):
+        for lag in (1, 2, 4, 8, 16):
+            d = np.abs(values - np.roll(values, lag, axis=axis))
+            c_h = max(c_h, float(d.max()) / (lag * 2.0 / m) ** alpha)
+    _, solve = _not_a_knot_fit(-1.0, 2.0 / m, m + 1)
+    grid = np.pad(values, [(0, 1), (0, 1)], mode="wrap")
+    half = solve(grid.copy())
+    return solve(half.T.copy()).ravel(), c_h
+
+
+@pytest.mark.parametrize("alpha,amplitude,seed", [
+    (0.75, 0.05, 7), (0.7, 0.4, 3)])
+def test_generate_holder_matches_two_dimensional_fft_bit_for_bit(
+        alpha, amplitude, seed):
+    # one axis at a time and in place, the synthesis keeps every bit
+    f = generate_holder(alpha, amplitude, seed)
+    ev = f.evaluator
+    closure = dict(zip(ev.__code__.co_freevars,
+                       (cell.cell_contents for cell in ev.__closure__)))
+    coefficients, c_h = _two_dimensional_fft_holder(alpha, amplitude, seed)
+    assert np.array_equal(closure["c"], coefficients)
+    assert f.holder[1] == c_h
+
+
+def test_generate_holder_peak_memory_is_small():
+    # numpy reports its buffers to tracemalloc; the synthesis once held
+    # the noise's spectrum, two copies of the grid values and two of the
+    # padded grid at once (32 MB)
+    generate_holder(0.75, 0.05, 3)  # the fit's factor, once per process
+    tracemalloc.start()
+    try:
+        generate_holder(0.75, 0.05, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
+
+
 def test_bicubic_interpolant_matches_fitpack_evaluation():
     # fitpack's own evaluation of the same fit is the oracle, on the
     # wrapped grid that generate_holder interpolates

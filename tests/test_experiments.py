@@ -20,6 +20,14 @@ from freqlab.experiments import (
     registered_scenarios,
     run_scenario,
 )
+from freqlab.experiments.base import (
+    GROSS_FRACTION,
+    REL_TOL,
+    STABILITY_LIMIT,
+    FittedConstant,
+    MarginRow,
+    decide,
+)
 from freqlab.io import canonical_json
 
 LOW = {"n_r": 33, "n_theta": 64}
@@ -483,3 +491,71 @@ def test_every_run_ends_in_one_verdict():
         assert isinstance(rep.verdict, Verdict)
         if rep.verdict is not Verdict.CONSISTENT:
             assert rep.violations
+
+
+# -- the decision rule at its thresholds ------------------------------------
+
+
+def _row(margin, lhs=2.0, rhs=1.0):
+    return MarginRow("bound", 0.5, lhs, rhs, margin, margin)
+
+
+def _fit(rel_delta):
+    # a fit whose drift is rel_delta exactly; 1 -> 0.75 drifts by 0.25
+    fc = FittedConstant("c", 1.0, 0.75)
+    object.__setattr__(fc, "rel_delta", rel_delta)
+    return fc
+
+
+def _ulps(x):
+    return np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)
+
+
+def test_fit_drift_of_a_quarter_is_exact():
+    assert FittedConstant("c", 1.0, 0.75).rel_delta == STABILITY_LIMIT == 0.25
+
+
+def test_decide_row_at_the_noise_allowance():
+    # scale max(|lhs|, |rhs|) = 2; a margin of -REL_TOL times it passes
+    below, at, above = _ulps(-REL_TOL * 2.0)
+    assert decide([_row(at)], {}) == (Verdict.CONSISTENT, [])
+    assert decide([_row(above)], {}) == (Verdict.CONSISTENT, [])
+    verdict, violations = decide([_row(below)], {})
+    assert verdict is Verdict.MARGINAL_VIOLATIONS
+    assert violations == [
+        f"bound at r=0.5: margin {below:.3e} (scale 2.000e+00)"]
+    # the scale is the larger side, whichever it is
+    assert decide([_row(below, lhs=-1.0, rhs=-2.0)], {})[0] is \
+        Verdict.MARGINAL_VIOLATIONS
+    assert decide([_row(below, lhs=1.0, rhs=4.0)], {})[0] is \
+        Verdict.CONSISTENT
+
+
+def test_decide_row_at_the_gross_fraction():
+    below, at, above = _ulps(-GROSS_FRACTION * 2.0)
+    for margin in (at, above):
+        verdict, violations = decide([_row(margin)], {})
+        assert verdict is Verdict.MARGINAL_VIOLATIONS
+        assert violations == [
+            f"bound at r=0.5: margin {margin:.3e} (scale 2.000e+00)"]
+    verdict, violations = decide([_row(below), _row(0.0)], {})
+    assert verdict is Verdict.INCONSISTENT
+    assert len(violations) == 1
+
+
+def test_decide_fit_at_the_stability_limit():
+    below, at, above = _ulps(STABILITY_LIMIT)
+    for rel_delta in (below, at):
+        assert decide([_row(0.0)], {"c": _fit(rel_delta)}) == \
+            (Verdict.CONSISTENT, [])
+    verdict, violations = decide([_row(0.0)], {"c": _fit(above)})
+    assert verdict is Verdict.MARGINAL_VIOLATIONS
+    assert violations == [
+        "fitted c moved 25.0% under refinement (1 -> 0.75)"]
+    # drift demotes no further than marginal, and adds to a row's text
+    verdict, violations = decide([_row(-GROSS_FRACTION)], {"c": _fit(above)})
+    assert verdict is Verdict.MARGINAL_VIOLATIONS
+    assert len(violations) == 2
+    verdict, violations = decide([_row(-1.0)], {"c": _fit(above)})
+    assert verdict is Verdict.INCONSISTENT
+    assert len(violations) == 2

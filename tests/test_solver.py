@@ -899,9 +899,10 @@ def _reference_elements(g, f, potential):
 
     def tensor(r, t):
         r, t = np.broadcast_arrays(r, t)
-        c, s = np.cos(t).ravel(), np.sin(t).ravel()
-        return _rotated_tensor(f, at(r, t).reshape(-1, 2), c,
-                               s).reshape(r.shape + (2, 2))
+        a = f.matrices(at(r, t).reshape(-1, 2)).reshape(r.shape + (2, 2))
+        c, s = np.cos(t), np.sin(t)
+        q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        return np.einsum("...ji,...jk,...kl->...il", q, a, q)
 
     ring_b = tensor(g.radii[:, None], th + 0.5 * k)
     spoke_b = tensor(r_mid[:, None], th)
@@ -1086,6 +1087,61 @@ def test_flux_energy_equals_volume_energy_at_every_radius(g, seed):
     for r in g.radii:
         gap = abs(dirichlet_energy_flux(u, r) - dirichlet_energy(u, r))
         assert gap <= 1e-13 * total
+
+
+def _as_matrix_field(f):
+    """The scalar field f as the matrix field a I, assembled through the
+    rotated tensor."""
+    return CoefficientField.from_callable(f.matrices, arity=Arity.ANISOTROPIC,
+                                          n=2, lam=f.lam)
+
+
+@given(GRIDS, st.sampled_from(["holder", "homogeneous"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_scalar_and_matrix_assembly_of_one_field_agree(g, name, seed):
+    f = HOLDER if name == "holder" else homogeneous_profile()
+    wrapped = _as_matrix_field(f)
+    plan = solver_module._get_plan(g)
+    cell_k = solver_module._element_matrices(plan, f)[0]
+    ref = solver_module._element_matrices(plan, wrapped)[0]
+    assert np.abs(cell_k - ref).max() <= 1e-14 * np.abs(ref).max()
+    rng = np.random.default_rng(seed)
+    g_out = rng.normal(size=g.n_theta)
+    u = solve_dirichlet(f, 1.0, g_out, g)
+    v = solve_dirichlet(wrapped, 1.0, g_out, g)
+    assert np.abs(u.values - v.values).max() <= 1e-12 * np.abs(g_out).max()
+    # the two energy forms on the same nodal values
+    mixed = replace(v, values=u.values, _cache={})
+    cum = solver_module._cumulative_energy(u)
+    assert (np.abs(cum - solver_module._cumulative_energy(mixed)).max()
+            <= 1e-13 * cum[-1])
+
+
+@given(GRIDS)
+def test_identity_cell_matrices_are_one_matrix(g):
+    # held once, and equal to what the scalar and the rotated paths give
+    plan = solver_module._get_plan(g)
+    cell_k = plan.identity[0]
+    k0 = cell_k[0, 0]
+    assert np.all(cell_k == k0)
+    scale = np.abs(k0).max()
+    for f in (CoefficientField.constant(1.0),
+              CoefficientField.from_callable(
+                  I2.evaluator, arity=Arity.ANISOTROPIC, n=2, lam=1.0)):
+        got = solver_module._element_matrices(plan, f)[0]
+        assert np.abs(got - k0).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("scalar,match", [
+    (lambda p: p[..., 0] + 0.2, "ellipticity violated: eigenvalue -0.795"),
+    (lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0), "eigenvalue nan")])
+def test_scalar_and_matrix_fields_fail_alike(scalar, match):
+    f = CoefficientField.from_callable(scalar, arity=Arity.ISOTROPIC, n=2,
+                                       lam=0.1)
+    g = PolarGrid.disk(17, 32)
+    for field in (f, _as_matrix_field(f)):
+        with pytest.raises(FieldError, match=f"{match} at a cell face"):
+            solve_dirichlet(field, 1.0, np.ones(32), g)
 
 
 def test_plan_cache_keeps_grids_of_one_shape_apart():
