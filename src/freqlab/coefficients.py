@@ -64,6 +64,11 @@ def _as_points(x: Any, n: int) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def _radii(pts: np.ndarray) -> np.ndarray:
+    """The distances |x| of planar points (m, 2) from the origin."""
+    return np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Scalar or matrix coefficient field on the closed ball of radius
@@ -108,7 +113,7 @@ class CoefficientField:
     def evaluate(self, x: Any) -> np.ndarray:
         """Field values at one point (n,) or a batch (m, n)."""
         pts, single = _as_points(x, self.n)
-        r = np.sqrt(np.sum(pts * pts, axis=1))
+        r = _radii(pts)
         rmax = float(r.max(initial=0.0))
         # NaN radii fail this comparison too
         if not rmax <= self.domain_radius + 1e-9:
@@ -293,7 +298,7 @@ class CoefficientField:
         lam = min(lo, 1.0 / hi)
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            r = np.sqrt(np.sum(pts * pts, axis=1))
+            r = _radii(pts)
             s = (r - mid) / half
             out = np.ones(pts.shape[0])
             inside = np.abs(s) < 1.0
@@ -355,7 +360,7 @@ def _ball_sample(count: int, n: int, radius: float, seed: int) -> np.ndarray:
 def mu_factor(f: CoefficientField, x: Any) -> np.ndarray:
     """Radial quadratic form <A(x) x/|x|, x/|x|>; equals a(x) for scalars."""
     pts, single = _as_points(x, f.n)
-    r = np.sqrt(np.sum(pts * pts, axis=1))
+    r = _radii(pts)
     if np.any(r == 0.0):
         raise FieldError("mu is undefined at the origin")
     if f.arity is Arity.ISOTROPIC:
@@ -708,7 +713,7 @@ def homogeneous_projection(f: CoefficientField, r: float) -> CoefficientField:
     center_value = float(np.mean(base_ev(ring)))
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        r_pts = np.sqrt(np.sum(pts * pts, axis=1))
+        r_pts = _radii(pts)
         out = np.full(pts.shape[0], center_value)
         pos = r_pts > 0.0
         if np.any(pos):

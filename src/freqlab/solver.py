@@ -43,7 +43,7 @@ neighbourhood, and place 9 couples ring 0 to the origin, whose own row
 (ring 0, then itself) is kept apart.  ``k_ii`` and ``k_ib`` are the
 rows of the unknowns against the unknowns or the boundary nodes, so one
 product serves both: the stencil times the node values, laid out ring
-by ring between two rings of zeros, with zeros on the nodes the product
+by ring after a ring of zeros, with zeros on the nodes the product
 leaves out.  An assembly is the field's coefficient entries at the
 face samples, one (cells, 4 k) @ (4 k, 16) product for the 4 x 4 cell
 matrices and one slice add per local node pair (a, b) into the stencil.
@@ -54,18 +54,10 @@ the program's only dependency.  Only plans are cached: an assembly
 belongs to the solutions solved with it, and energies in a solution's
 coefficient are read from that solution.
 
-The summation orders are those of a scipy-backed solver, so solutions
-are its solutions bit for bit.  Its scatter summed each entry in cell
-order, triangles last: the slice adds take local nodes a = 2, 1, 3, 0,
-which is cell order, except in angle column 0, whose cell on the left
-wraps to the end of its ring (a = 1, 2, 0, 3 there); a triangle on the
-left goes before its right neighbour except at angle 0, and the
-origin's diagonal is a running sum over the triangles.  Its CSR and CSC
-products summed each row from 0.0 in ascending column order: the places
-0..8 and then the origin, with angle columns 0 and n_theta - 1 summed
-again in the order their wrapped neighbours take.  A place the product
-leaves out adds 0 times a finite value to a sum that started at +0.0,
-which changes no bit of it.
+Every angle column is summed in the same order, so the product of a
+constant field's operator commutes with rotation by a grid angle
+exactly, but in the rows of ring 0, whose core triangles carry their
+angles' roundoff.
 
 The energy functional is evaluated in the same quadrature as the
 assembly, so the divergence-theorem identity
@@ -462,54 +454,33 @@ def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
 def _scatter(cell_k: np.ndarray, tri_k: np.ndarray) -> tuple:
     """The stencil (10, n_r, n_theta) of the cell matrices (n_r - 1,
     n_theta, 4, 4) and core-triangle matrices (n_theta, 3, 3), and the
-    origin's row.  Each entry is summed from 0.0 in cell order,
-    triangles last."""
+    origin's row.  Every entry is summed in the same order: local nodes
+    a = 0..3 of the cells, then the triangles."""
     n_band, n_t = cell_k.shape[:2]
     stencil = np.zeros((10, n_band + 1, n_t))
-    # the cell matrices place-first, (a, b, i, j), copied a few bands at
-    # a time: a plain transposed copy is 2.5 times slower at 257 x 512
+    # the cell matrices place-first, by_place[a, b, i, j] from the cell
+    # whose node a is node (i + da, j): nodes 2 and 3 (ea = 1) one angle
+    # column on, wrapping.  Copied a few bands at a time: a plain
+    # transposed copy is 2.5 times slower at 257 x 512
     by_place = np.empty((4, 4, n_band, n_t))
     step = max(1, 2048 // n_t)
     for i in range(0, n_band, step):
-        by_place[:, :, i:i + step] = cell_k[i:i + step].transpose(2, 3, 0, 1)
-    # Cell order: the cells of ring i - 1 come first, and in a ring the
-    # cell on the left (local nodes 2, 3) first.  Through flat slices,
-    # node a of cell (i, j) being node (i + da, j + ea); that is right
-    # but in angle column 0, whose cell on the left is its ring's last:
-    # that column is summed again.
-    flat = stencil.reshape(10, -1)
-    for a in (2, 1, 3, 0):
-        da, ea = _CELL_LOCAL[a]
-        start, size = da * n_t + ea, n_band * n_t - ea
+        bands = cell_k[i:i + step].transpose(2, 3, 0, 1)
+        by_place[:2, :, i:i + step] = bands[:2]
+        by_place[2:, :, i:i + step, 1:] = bands[2:, ..., :-1]
+        by_place[2:, :, i:i + step, 0] = bands[2:, ..., -1]
+    for a in range(4):
+        da = _CELL_LOCAL[a, 0]
         for b in range(4):
-            flat[_CELL_PLACE[a, b], start:start + size] += \
-                by_place[a, b].ravel()[:size]
-    stencil[:, :, 0] = 0.0
-    for a in (1, 2, 0, 3):
-        da, ea = _CELL_LOCAL[a]
-        for b in range(4):
-            stencil[_CELL_PLACE[a, b], da:da + n_band, 0] += \
-                by_place[a, b, :, -ea]
+            stencil[_CELL_PLACE[a, b], da:da + n_band] += by_place[a, b]
     # ring-0 node j is triangle j's first ring node and triangle j - 1's
     # second; the places of their rows' columns (origin, first, second)
     prev = np.roll(tri_k, 1, axis=0)
-    first = (tri_k[:, 1], (9, 4, 5), tri_k[:, 0, 1])
-    second = (prev[:, 2], (9, 3, 4), prev[:, 0, 2])
-    origin_row = np.zeros(n_t + 1)
-    for cols, parts in ((slice(1, None), (second, first)),
-                        (slice(0, 1), (first, second))):
-        for rows, places, col in parts:
-            stencil[places, 0, cols] += rows[cols].T
-            origin_row[:n_t][cols] += col[cols]
-    origin_row[n_t] = np.cumsum(np.append(0.0, tri_k[:, 0, 0]))[-1]
+    stencil[(9, 4, 5), 0] += tri_k[:, 1].T
+    stencil[(9, 3, 4), 0] += prev[:, 2].T
+    origin_row = np.append(tri_k[:, 0, 1] + prev[:, 0, 2],
+                           tri_k[:, 0, 0].sum())
     return stencil, origin_row
-
-
-# the places of angle columns 0 and n_theta - 1 in ascending column
-# order: there the angle neighbour across theta = 0 wraps to the other
-# end of its ring
-_WRAPPED_ORDERS = ((0, (1, 2, 0, 4, 5, 3, 7, 8, 6)),
-                   (-1, (2, 0, 1, 5, 3, 4, 8, 6, 7)))
 
 
 class _Assembly:
@@ -583,42 +554,35 @@ class _Assembly:
     def product(self, x: np.ndarray, boundary: bool = False) -> np.ndarray:
         """``k_ii @ x`` for x on the unknowns, or ``k_ib @ x`` for x on
         the boundary nodes: the unknowns' rows of the stencil times the
-        node values, zero off x's nodes.  Each row is summed from 0.0 in
-        ascending column order, then the origin's row in its order."""
+        node values, zero off x's nodes.  Each ring row is summed from
+        0.0 over the places in order, the same in every angle column."""
         stencil, n_t = self.stencil, self.grid.n_theta
         n = stencil.shape[1] - 1  # unknown rings
-        size = n * n_t
-        # the node values ring by ring between two rings of zeros, and one
-        # zero more at each end; (ring, angle) is at n_t (ring + 1) + angle + 1
-        flat = np.zeros((n + 3) * n_t + 2)
+        # (ring, angle) at n_t (ring + 1) + angle + 1: a zero and a ring of
+        # zeros before ring 0, the boundary ring and a zero after the last
+        flat = np.zeros((n + 2) * n_t + 2)
         rings = flat[1:-1].reshape(-1, n_t)
         origin = 0.0
         if boundary:
-            rings[-2] = x
+            rings[-1] = x
         else:
-            rings[1:-2] = x[:size].reshape(n, n_t)
+            rings[1:-1] = x[:-1].reshape(n, n_t)
             origin = x[-1]
-        # the places in order, through shifted slices: right but in angle
-        # columns 0 and n_theta - 1, which the next loop sums again
+        # the places in order through shifted slices; where the angle
+        # neighbour wraps, from column j = 0 or n_theta - 1 to the other
+        # end of its ring, the term is taken again
         rows = stencil[:, :n]
-        flat_rows = rows.reshape(10, size)
-        out, term = np.zeros(size), np.empty(size)
+        out, term = np.zeros((n, n_t)), np.empty((n, n_t))
         for p in range(9):
             di, dj = divmod(p, 3)
-            start = di * n_t + dj
-            out += np.multiply(flat_rows[p], flat[start:start + size],
-                               out=term)
-        out = out.reshape(n, n_t)
-        for j, order in _WRAPPED_ORDERS:
-            col = np.zeros(n)
-            for p in order:
-                di, dj = divmod(p, 3)
-                col += rows[p, :, j] * rings[di:di + n, (j + dj - 1) % n_t]
-            out[:, j] = col
-        out = out.ravel()
-        out[:n_t] += rows[9, 0] * origin
-        last = self.origin_row * np.append(rings[1], origin)
-        return np.append(out, np.cumsum(np.append(0.0, last))[-1])
+            shifted = flat[di * n_t + dj:][:n * n_t].reshape(n, n_t)
+            np.multiply(rows[p], shifted, out=term)
+            if dj != 1:
+                j = 0 if dj == 0 else n_t - 1
+                term[:, j] = rows[p, :, j] * rings[di:di + n, n_t - 1 - j]
+            out += term
+        out[0] += rows[9, 0] * origin
+        return np.append(out, self.origin_row @ np.append(rings[1], origin))
 
     def ring_mean_solve(self, r: np.ndarray) -> np.ndarray:
         n_t = self.grid.n_theta
@@ -855,9 +819,7 @@ def _cumulative_energy(u: DiscreteSolution) -> np.ndarray:
     gv = np.einsum("tmi,tm->ti", plan.tri_g[:, 1:, :], dv)
     core = float(np.sum(plan.tri_area * np.einsum(
         "tk,tk->t", asm.core_coef, _squares(gv, k))))
-    cum = np.empty(u.grid.n_r)
-    cum[0] = core
-    cum[1:] = core + np.cumsum(band)
+    cum = np.append(core, core + np.cumsum(band))
     u._cache["cumE"] = cum
     return cum
 
@@ -950,13 +912,8 @@ def volume_mean_square(u: DiscreteSolution, r: float,
         um = np.einsum("qm,tm->tq", _TRI_BASIS, ut)
         core = float(np.sum(plan.tri_area / 3.0 * np.sum(um ** 2, axis=1)))
         core_area = float(plan.tri_area.sum())
-        cum = np.empty(u.grid.n_r)
-        cum[0] = core
-        cum[1:] = core + np.cumsum(band)
-        area = np.empty(u.grid.n_r)
-        area[0] = core_area
-        area[1:] = core_area + np.cumsum(band_area)
-        cached = (cum, area)
+        cached = (np.append(core, core + np.cumsum(band)),
+                  np.append(core_area, core_area + np.cumsum(band_area)))
         if tag:
             u._cache[tag] = cached
     cum, area = cached

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from freqlab.coefficients import (
     _kernel_table,
     _not_a_knot_fit,
     _profile_table,
+    _radii,
     _uniform_basis,
     kernel_gradient_constant,
     mollify,
@@ -750,6 +752,17 @@ def test_evaluate_outside_domain_rejected():
     f = CoefficientField.constant(1.0)
     with pytest.raises(FieldError):
         f.evaluate((1.2, 0.0))
+    # the domain check's radii are the sum of squares bit for bit, from
+    # subnormal to overflowing coordinates and on signed zeros and NaN
+    rng = np.random.default_rng(0)
+    pts = (rng.choice([-1.0, 1.0], (20000, 2))
+           * 10.0 ** rng.uniform(-320.0, 300.0, (20000, 2)))
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1.0, math.nan, math.inf,
+               -math.inf]
+    pts = np.concatenate([pts, list(itertools.product(special, repeat=2))])
+    with np.errstate(over="ignore"):
+        assert (_radii(pts).tobytes()
+                == np.sqrt(np.sum(pts * pts, axis=1)).tobytes())
 
 
 def test_symmetry_check_catches_asymmetric():

@@ -559,3 +559,13 @@ def test_decide_fit_at_the_stability_limit():
     verdict, violations = decide([_row(-1.0)], {"c": _fit(above)})
     assert verdict is Verdict.INCONSISTENT
     assert len(violations) == 2
+
+
+@pytest.mark.parametrize("name", ["eps_approx", "thin_annulus",
+                                  "schroedinger", "stability"])
+def test_a_constant_far_below_the_fit_reads_inconsistent(name):
+    # a negative control: c1 = 1e-6 is far below each scenario's own fit
+    assert run_scenario(default_config(name, **LOW)).verdict is \
+        Verdict.CONSISTENT
+    assert run_scenario(default_config(name, c1=1e-6, **LOW)).verdict is \
+        Verdict.INCONSISTENT

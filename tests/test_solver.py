@@ -967,14 +967,9 @@ def _reference_operator(g, f, potential):
     return asm, rows_i[:, asm.interior], rows_i[:, asm.boundary], kc, kt
 
 
-# the places of angle columns 0 and n_theta - 1 in ascending column order
-_WRAPPED = {0: [1, 2, 0, 4, 5, 3, 7, 8, 6], -1: [2, 0, 1, 5, 3, 4, 8, 6, 7]}
-
-
 def _stencil_entries(g, stencil, origin_row):
     """The (row node, column node, value) entries of a stencil and the
-    origin row, row by row, each row in the order the product sums it:
-    ascending column order."""
+    origin row, sorted by row and, in a row, by column."""
     n_r, n_t = g.n_r, g.n_theta
     i, j = np.divmod(np.arange(n_r * n_t), n_t)
     di, dj = np.divmod(np.arange(10), 3)
@@ -982,22 +977,19 @@ def _stencil_entries(g, stencil, origin_row):
     cols = ring * n_t + (j[:, None] + dj - 1) % n_t
     cols[(ring < 0) | (ring >= n_r)] = -1
     cols[:, 9] = np.where(i == 0, n_r * n_t, -1)
-    vals = stencil.reshape(10, -1).T.copy()
-    for col, order in _WRAPPED.items():
-        at = j == j[col]
-        cols[at, :9] = cols[at][:, order]
-        vals[at, :9] = vals[at][:, order]
     has = cols >= 0
     rows = np.broadcast_to(np.arange(n_r * n_t)[:, None], cols.shape)[has]
-    return (np.append(rows, np.full(n_t + 1, n_r * n_t)),
-            np.append(cols[has], np.append(np.arange(n_t), n_r * n_t)),
-            np.append(vals[has], origin_row))
+    rows = np.append(rows, np.full(n_t + 1, n_r * n_t))
+    cols = np.append(cols[has], np.append(np.arange(n_t), n_r * n_t))
+    vals = np.append(stencil.reshape(10, -1).T[has], origin_row)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
 
 
 def _csr(asm, boundary=False):
     """k_ii, or k_ib with ``boundary``, as a scipy CSR matrix read from
-    the assembly's stencil: the unknowns' rows, each row's entries in the
-    order the product sums them, the places off the columns left out."""
+    the assembly's stencil: the unknowns' rows, the places off the
+    columns left out."""
     columns = asm.boundary if boundary else asm.interior
     row_at, col_at = (np.full(asm.grid.node_count, -1) for _ in range(2))
     row_at[asm.interior] = np.arange(asm.interior.size)
@@ -1009,18 +1001,6 @@ def _csr(asm, boundary=False):
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return csr_matrix((vals[keep], col_at[cols[keep]], indptr),
                       shape=(asm.interior.size, columns.size))
-
-
-def _ascending_row_sums(a, x):
-    """a @ x for a CSR matrix a, each row summed from 0.0 in its
-    entries' order."""
-    lengths = np.diff(a.indptr)
-    out = np.zeros(a.shape[0])
-    for k in range(lengths.max(initial=0)):
-        rows = np.flatnonzero(lengths > k)
-        at = a.indptr[rows] + k
-        out[rows] += a.data[at] * x[a.indices[at]]
-    return out
 
 
 def _csc(asm):
@@ -1044,15 +1024,12 @@ def test_plan_scatter_matches_coo_reference(g, name, with_potential):
     assert k_ii.has_canonical_format and k_ib.has_canonical_format
     assert _sparse_gap(k_ii, ref_ii) <= 1e-14 * scale
     assert _sparse_gap(k_ib, ref_ib) <= 1e-14 * scale
-    # exactly, signs of zeros too: the stencil of the reference element
-    # matrices holds np.bincount's sums, in cell order, triangles last
-    rows, cols, vals = _element_entries(g, kc, kt)
-    codes, at = np.unique(rows * g.node_count + cols, return_inverse=True)
-    sums = np.bincount(at.ravel(), weights=vals)
-    rows, cols, got = _stencil_entries(g, *solver_module._scatter(kc, kt))
-    order = np.argsort(rows * g.node_count + cols)
-    assert np.array_equal((rows * g.node_count + cols)[order], codes)
-    assert got[order].tobytes() == sums.tobytes()
+    # the stencil of the reference element matrices has their entries'
+    # pattern, node pair by node pair
+    rows, cols = _element_entries(g, kc, kt)[:2]
+    codes = np.unique(rows * g.node_count + cols)
+    rows, cols = _stencil_entries(g, *solver_module._scatter(kc, kt))[:2]
+    assert np.array_equal(rows * g.node_count + cols, codes)
 
 
 @given(GRIDS, st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -1066,8 +1043,26 @@ def test_padded_product_matches_csr_product(g, with_potential, seed):
         got = asm.product(x, boundary)
         assert got.shape == (ref.shape[0],)
         assert np.all(np.abs(got - ref @ x) <= 1e-15 * (abs(ref) @ abs(x)))
-        # exactly: each row summed from 0.0 in ascending column order
-        assert np.array_equal(got, _ascending_row_sums(ref, x))
+
+
+@given(GRIDS, st.sampled_from(["identity", "constant"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_rotating_x_rotates_a_constant_fields_product_exactly(g, name,
+                                                             seed):
+    # every angle column is summed in the same order; ring 0's rows are
+    # left out, its core triangles carrying their angles' roundoff
+    f = I2 if name == "identity" else CoefficientField.constant(2.5)
+    asm = solver_module._Assembly(g, f, None)
+    n_t = g.n_theta
+    rng = np.random.default_rng(seed)
+    for boundary in (False, True):
+        x = rng.normal(size=n_t if boundary else asm.interior.size)
+        turned = x.copy()
+        k = x.size if boundary else x.size - 1  # the ring nodes
+        turned[:k] = np.roll(x[:k].reshape(-1, n_t), 1, axis=1).ravel()
+        got = asm.product(x, boundary)[n_t:-1].reshape(-1, n_t)
+        rolled = asm.product(turned, boundary)[n_t:-1].reshape(-1, n_t)
+        assert np.array_equal(rolled, np.roll(got, 1, axis=1))
 
 
 @given(GRIDS)
