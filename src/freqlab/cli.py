@@ -1,23 +1,32 @@
-"""Command line front end.
+"""Command line front end.  Its config reference, one line per config
+object (* marks a required key; a kind or mode picks the keys after it;
+any other key is an error; the key tables, such as SOLVE_DOC, give types,
+defaults and ranges):
 
-Three subcommands drive the library from JSON configs:
+  modulus doc  schema*, modulus*, c_m
+  solve doc    schema*, grid*, boundary*, field (identity), profile, seed
+  grid         n_r*, n_theta*, r_min
+  profile      r_lo, r_hi
+  sweep doc    schema*, sweep* (experiment entries)
+  experiment   (a doc adds schema*) scenario*, field_spec, boundary_spec,
+               pair_spec, potential_spec, n_r, n_theta, r_min, radii,
+               t_floor, n0, c1, a_log, p, gamma, eps, delta, seed
+  field        kind*: identity; constant: value; diagonal: entries*;
+               affine: value, gradient*; holder: alpha*, amplitude*, seed;
+               cusp: modulus*, amplitude*, isotropic; bump: eps*, r_in*
+  modulus      kind*: linear; power: alpha*; log_power: p*; tabulated: t*,
+               omega*
+  boundary     kind*: constant: value; harmonic: degree*; mixture: terms*
+               ([degree, weight] pairs); fourier: modes (seeded)
+  potential    kind*: constant: value
+  pair         mode*: same; scaled: eps; bump: eps, r_in
 
-``freqlab modulus``     classify a modulus of continuity and check the
-                        transform hypotheses
-``freqlab solve``       one Dirichlet solve with a frequency profile
-``freqlab experiment``  scenario runs or a whole sweep
-
-``modulus`` takes only ``--config`` and ``--out``; ``solve`` and
-``experiment`` also take ``--seed``, ``--resolution`` and ``--refine``.
-
-Exit codes: 0 success (including branch verdicts), 1 scenario failure
-(margins violated or an admissibility regime error), 2 usage or
-configuration error (a non-finite number in a config among them), 3
-solver failure.  A scenario that cannot run writes ``<stem>.error.json``
-with its status: ``regime_error`` (exit 1), ``scenario_error`` or
-``field_error`` (a field its config cannot build, such as a Holder
-amplitude that leaves the ellipticity budget; exit 2), or
-``solver_error`` (exit 3).
+Exit codes: 0 success (branch verdicts too), 1 scenario failure, 2 usage
+or configuration error, 3 solver failure.  A scenario that cannot run
+writes ``<stem>.error.json`` with its status: ``regime_error`` (exit 1),
+``field_error`` (a field_spec that fails its check or cannot be built),
+``scenario_error`` (another spec that fails, or a run that cannot be
+evaluated; both exit 2) or ``solver_error`` (exit 3).
 """
 
 from __future__ import annotations
@@ -42,12 +51,15 @@ from .experiments import (
     default_sweep,
     run_scenario,
 )
-from .experiments.base import build_boundary, build_field
+from .experiments.base import (MODULUS_KINDS, build_boundary, build_field,
+                               build_modulus)
 from .frequency import almgren_frequency
 from .io import (
+    REQUIRED,
     SCHEMA_VERSION,
     ConfigError,
     atomic_write_text,
+    check_config,
     config_hash,
     load_config,
     write_csv,
@@ -55,7 +67,6 @@ from .io import (
     write_json,
 )
 from .modulus import (
-    Modulus,
     check_phi_integrable,
     check_submultiplicative_psi,
     classify_osgood,
@@ -63,12 +74,29 @@ from .modulus import (
 from .solver import PolarGrid, SolverError, solve_dirichlet
 from .svg import render_line_plot, render_margin_plot
 
-__all__ = ["main"]
+__all__ = ["MODULUS_DOC", "SOLVE_DOC", "SWEEP_DOC", "main"]
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
+
+# the command documents (see freqlab.io.check_config); an experiment
+# document is one experiments.SCENARIO_KEYS entry plus its schema
+MODULUS_DOC = {"schema": ("int", REQUIRED),
+               "modulus": (MODULUS_KINDS, REQUIRED),
+               "c_m": ("float", 100.0, "(0, inf)")}
+SOLVE_DOC = {
+    "schema": ("int", REQUIRED),
+    "grid": ({"n_r": ("int", REQUIRED, "[2, inf)"),
+              "n_theta": ("int", REQUIRED, "[8, inf)"),
+              "r_min": ("float?", None, "(0, 1)")}, REQUIRED),
+    "boundary": ("object", REQUIRED),
+    "field": ("object", {"kind": "identity"}),
+    "profile": ({"r_lo": ("float", 0.2), "r_hi": ("float", 0.9)}, {}),
+    "seed": ("int", 0, "[0, inf)"),
+}
+SWEEP_DOC = {"schema": ("int", REQUIRED), "sweep": ("objects", REQUIRED)}
 
 # branch verdicts count as success: the run established that the
 # estimate's hypotheses do not apply, which is a reportable outcome
@@ -151,34 +179,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(doc: dict, field: str, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object holding {field!r}, "
-                          f"got {type(doc).__name__}")
-    if field not in doc:
-        raise ConfigError(f"{path}: missing required field {field!r}")
-    return doc[field]
-
-
 # -- modulus ---------------------------------------------------------------
 
 
 def cmd_modulus(args) -> int:
     t0 = time.monotonic()
     doc = load_config(args.config)
-    spec = _require(doc, "modulus", args.config)
-    try:
-        m = Modulus.from_config(spec)
-        c_m = float(doc.get("c_m", 100.0))
-        seed = int(doc.get("seed", 0))
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as err:
-        raise ConfigError(
-            f"{args.config}: bad modulus block, c_m or seed: {err}") from err
+    cfg = check_config(doc, MODULUS_DOC)
+    m = build_modulus(cfg["modulus"], "modulus", ConfigError)
 
     osgood = classify_osgood(m)
     integ = check_phi_integrable(m)
-    sub = check_submultiplicative_psi(m, c_m)
+    sub = check_submultiplicative_psi(m, cfg["c_m"])
     report = {
         "schema": SCHEMA_VERSION,
         "modulus": m.to_config(),
@@ -205,10 +217,10 @@ def cmd_modulus(args) -> int:
             os.path.join(args.out, "modulus.svg"),
             render_line_plot(
                 [("omega(t)", t, omega), ("phi(t)", t, phi)],
-                title=f"modulus {spec.get('kind', '?')}: {osgood.value}",
+                title=f"modulus {m.kind}: {osgood.value}",
                 x_label="t", y_label="value")),
     ]
-    RunManifest("modulus", config_hash(doc), seed,
+    RunManifest("modulus", config_hash(doc), 0,
                 [], _relative(outputs, args.out), __version__,
                 time.monotonic() - t0).write(args.out)
     print(f"modulus verdict: {osgood.value}")
@@ -225,40 +237,22 @@ def _relative(paths, root):
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
     doc = load_config(args.config)
-    grid_spec = _require(doc, "grid", args.config)
-    boundary_spec = _require(doc, "boundary", args.config)
-    field_spec = doc.get("field", {"kind": "identity"})
-    profile_spec = doc.get("profile", {})
-    try:
-        seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
-        r_lo = float(profile_spec.get("r_lo", 0.2))
-        r_hi = float(profile_spec.get("r_hi", 0.9))
-    except (AttributeError, OverflowError, TypeError, ValueError) as err:
-        raise ConfigError(
-            f"{args.config}: bad seed or profile window: {err}") from err
+    override = {} if args.seed is None else {"seed": args.seed}
+    cfg = check_config({**doc, **override}, SOLVE_DOC)
+    r_lo, r_hi = float(cfg["profile"]["r_lo"]), float(cfg["profile"]["r_hi"])
     if not 0.0 < r_lo < r_hi <= 1.0:
-        raise ConfigError(
-            f"{args.config}: profile window [{r_lo}, {r_hi}] is invalid")
-
-    n_r = _require(grid_spec, "n_r", args.config)
-    n_theta = _require(grid_spec, "n_theta", args.config)
-    if args.resolution is not None:
-        n_r, n_theta = args.resolution
-    r_min = grid_spec.get("r_min")
+        raise ConfigError(f"profile window [{r_lo}, {r_hi}] is invalid")
+    grid = cfg["grid"]
+    n_r, n_theta = args.resolution or (grid["n_r"], grid["n_theta"])
+    sizes = [(n_r, n_theta)]
+    if args.refine:
+        sizes.append((2 * (n_r - 1) + 1, 2 * n_theta))
     try:
-        n_r, n_theta = int(n_r), int(n_theta)
-        r_min = None if r_min is None else float(r_min)
-        grids = [PolarGrid.disk(n_r, n_theta, r_min=r_min)]
-        if args.refine:
-            grids.append(PolarGrid.disk(2 * (n_r - 1) + 1, 2 * n_theta,
-                                        r_min=r_min))
-    except (OverflowError, TypeError, ValueError) as err:
-        raise ConfigError(f"{args.config}: bad grid: {err}") from err
-    try:
-        f = build_field(field_spec)
-        data = build_boundary(boundary_spec, seed)
-    except (FieldError, ScenarioError) as err:
-        raise ConfigError(f"{args.config}: {err}") from err
+        grids = [PolarGrid.disk(*size, r_min=grid["r_min"]) for size in sizes]
+    except ValueError as err:  # too few nodes, or more than the limit
+        raise ConfigError(f"grid: {err}") from None
+    f = build_field(cfg["field"], "field")
+    data = build_boundary(cfg["boundary"], cfg["seed"], "boundary")
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -283,29 +277,25 @@ def cmd_solve(args) -> int:
                 x_label="r", y_label="N")))
         return u, prof.radii[order], prof.N[order]
 
-    try:
-        u, base_r, base_n = one_solve("", grids[0])
-        report = {
-            "schema": SCHEMA_VERSION,
-            "residual_norm": u.residual_norm,
-            "iterations": u.iterations,
-            "grid": {"n_r": n_r, "n_theta": n_theta},
-            "profile_window": [r_lo, r_hi],
+    u, base_r, base_n = one_solve("", grids[0])
+    report = {
+        "schema": SCHEMA_VERSION,
+        "residual_norm": u.residual_norm,
+        "iterations": u.iterations,
+        "grid": {"n_r": n_r, "n_theta": n_theta},
+        "profile_window": [r_lo, r_hi],
+    }
+    if args.refine:
+        _, fine_r, fine_n = one_solve("_refined", grids[1])
+        deltas = np.interp(base_r, fine_r, fine_n) - base_n
+        report["refinement"] = {
+            "max_abs_delta_N": np.max(np.abs(deltas)),
+            "deltas": deltas,
         }
-        if args.refine:
-            _, fine_r, fine_n = one_solve("_refined", grids[1])
-            deltas = np.interp(base_r, fine_r, fine_n) - base_n
-            report["refinement"] = {
-                "max_abs_delta_N": np.max(np.abs(deltas)),
-                "deltas": deltas,
-            }
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
 
     outputs.append(write_json(os.path.join(args.out, "solve_report.json"),
                               report))
-    RunManifest("solve", config_hash(doc), seed,
+    RunManifest("solve", config_hash(doc), cfg["seed"],
                 [[g.n_r, g.n_theta] for g in grids],
                 _relative(outputs, args.out), __version__,
                 time.monotonic() - t0).write(args.out)
@@ -329,23 +319,17 @@ def _experiment_configs(args) -> list:
     if args.config is not None:
         doc = load_config(args.config)
         if "sweep" in doc:
-            entries = doc["sweep"]
-            if not isinstance(entries, list) or not entries:
-                raise ConfigError(
-                    f"{args.config}: 'sweep' must be a non-empty list")
+            entries = check_config(doc, SWEEP_DOC)["sweep"]
+            paths = [f"sweep[{i}]" for i in range(len(entries))]
         else:
             entries = [{k: v for k, v in doc.items() if k != "schema"}]
+            paths = [""]
         configs = []
-        for entry in entries:
-            if not isinstance(entry, dict) or "scenario" not in entry:
-                raise ConfigError(
-                    f"{args.config}: each sweep entry needs a 'scenario'")
-            name = entry["scenario"]
-            merged = dict(entry)
-            merged.update(overrides)
-            base = default_config(name).to_dict()
-            base.update(merged)
-            configs.append(ScenarioConfig.from_dict(base))
+        for path, entry in zip(paths, entries):
+            base = (default_config(entry["scenario"]).to_dict()
+                    if "scenario" in entry else {})
+            configs.append(ScenarioConfig.from_dict(
+                {**base, **entry, **overrides}, path))
         return configs
     if args.scenarios:
         return [default_config(name, **overrides)
@@ -373,15 +357,11 @@ def _run_one(cfg: ScenarioConfig) -> dict:
 
 def cmd_experiment(args) -> int:
     t0 = time.monotonic()
-    try:
-        configs = _experiment_configs(args)
-        if args.refine:
-            configs = [dataclasses.replace(c, n_r=2 * (c.n_r - 1) + 1,
-                                           n_theta=2 * c.n_theta)
-                       for c in configs]
-    except (OverflowError, ScenarioError, ValueError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    configs = _experiment_configs(args)
+    if args.refine:
+        configs = [dataclasses.replace(c, n_r=2 * (c.n_r - 1) + 1,
+                                       n_theta=2 * c.n_theta)
+                   for c in configs]
 
     jobs = max(1, args.jobs)
     if jobs == 1:
@@ -477,7 +457,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_experiment(args)
-    except ConfigError as err:
+    except (ConfigError, FieldError, ScenarioError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as err:

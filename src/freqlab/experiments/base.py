@@ -11,7 +11,6 @@ stable under refinement.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -26,6 +25,7 @@ from ..coefficients import (
     generate_holder,
 )
 from ..frequency import almgren_frequency
+from ..io import REQUIRED, ConfigError, check_config
 from ..modulus import Modulus
 from ..solver import (
     MAX_GRID_NODES,
@@ -82,84 +82,72 @@ class Verdict(Enum):
     SKIPPED = "Skipped"
 
 
+# a scenario run's key tables (see freqlab.io.check_config); its scalars
+# stay exact, as its report echoes them, so one past the float range fails
+# when the run uses it; each spec is checked where it is built, by a
+# builder that also checks the ranges its table leaves out
+SCENARIO_KEYS = {
+    "scenario": ("str", REQUIRED),
+    "field_spec": ("object", REQUIRED), "boundary_spec": ("object", REQUIRED),
+    "pair_spec": ("object?", None), "potential_spec": ("object?", None),
+    "n_r": ("int", 65, "[9, inf)"), "n_theta": ("int", 128, "[16, inf)"),
+    "r_min": ("float?", None, "(0, 1)"), "radii": ("floats", (0.9,), "(0, 1)"),
+    "t_floor": ("number", 0.02, "(0, 1)"), "n0": ("number", 2.0, "(0, inf)"),
+    "c1": ("number", 4.0, "(0, inf)"), "a_log": ("number", 2.5, "(0, inf)"),
+    "p": ("number", 4.0, "[4, inf)"), "gamma": ("number", 0.75, "(0, 1)"),
+    "eps": ("number", 0.05, "[0, inf)"), "delta": ("number", 0.0, "[0, inf)"),
+    "seed": ("int", 0, "[0, inf)"),
+}
+MODULUS_KINDS = {"kind": {
+    "linear": {}, "power": {"alpha": ("float", REQUIRED)},
+    "log_power": {"p": ("float", REQUIRED)},
+    "tabulated": {"t": ("floats", REQUIRED), "omega": ("floats", REQUIRED)},
+}}
+FIELD_KINDS = {"kind": {
+    "identity": {}, "constant": {"value": ("float", 1.0)},
+    "diagonal": {"entries": ("floats", REQUIRED)},
+    "affine": {"value": ("float", 1.0), "gradient": ("floats", REQUIRED)},
+    "holder": {"alpha": ("float", REQUIRED), "amplitude": ("float", REQUIRED),
+               "seed": ("int", 0, "[0, inf)")},
+    "cusp": {"modulus": (MODULUS_KINDS, REQUIRED),
+             "amplitude": ("float", REQUIRED), "isotropic": ("bool", False)},
+    "bump": {"eps": ("float", REQUIRED), "r_in": ("float", REQUIRED)},
+}}
+BOUNDARY_KINDS = {"kind": {
+    "constant": {"value": ("float", 1.0)},
+    "harmonic": {"degree": ("int", REQUIRED)},
+    "mixture": {"terms": ("terms", REQUIRED)},
+    "fourier": {"modes": ("int", 8, "[0, inf)")},
+}}
+# a null pair_spec is the bump mode, a null pair eps the config's eps, and
+# a null potential_spec V = 0
+PAIR_MODES = {"mode": {
+    "same": {}, "scaled": {"eps": ("float", None, "(-1, inf)")},
+    "bump": {"eps": ("float", None, "(-1, inf)"),
+             "r_in": ("float", 0.5, "(0, 1)")},
+}}
+POTENTIAL_KINDS = {"kind": {"constant": {"value": ("float", 0.0)}}}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Immutable description of one scenario run."""
+    """Immutable description of one scenario run: a field for each key of
+    ``SCENARIO_KEYS``, in its order.  Build it with ``from_dict``, which
+    checks it against that table."""
 
-    scenario: str
-    field_spec: dict
-    boundary_spec: dict
-    pair_spec: Optional[dict] = None
-    potential_spec: Optional[dict] = None
-    n_r: int = 65
-    n_theta: int = 128
-    r_min: Optional[float] = None
-    radii: tuple = (0.9,)
-    t_floor: float = 0.02
-    n0: float = 2.0
-    c1: float = 4.0
-    a_log: float = 2.5
-    p: float = 4.0
-    gamma: float = 0.75
-    eps: float = 0.05
-    delta: float = 0.0
-    seed: int = 0
+    __annotations__ = dict.fromkeys(SCENARIO_KEYS, object)
 
     def __post_init__(self) -> None:
-        self._check_types()
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if not self.scenario:
-            raise ValueError("scenario id must be nonempty")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.p < 4.0:
-            raise ValueError(f"decay exponent p must be >= 4, got {self.p}")
-        if self.n0 <= 0.0 or self.c1 <= 0.0 or self.a_log <= 0.0:
-            raise ValueError("n0, c1 and a_log must be positive")
-        if self.eps < 0.0 or self.delta < 0.0:
-            raise ValueError("eps and delta must be nonnegative")
-        if self.n_r < 9 or self.n_theta < 16:
-            raise ValueError("grid resolution too small for a scenario run")
+        if any(a <= b for a, b in zip(self.radii, self.radii[1:])):
+            raise ConfigError("radius schedule must be strictly decreasing")
         # every run also solves on the refined grid
         fine_r, fine_theta = 2 * (self.n_r - 1) + 1, 2 * self.n_theta
         if fine_r * fine_theta > MAX_GRID_NODES:
-            raise ValueError(
+            raise ConfigError(
                 f"grid resolution {self.n_r} x {self.n_theta} too large: its "
                 f"refinement {fine_r} x {fine_theta} exceeds the limit of "
                 f"{MAX_GRID_NODES} ring nodes")
-        if not self.radii or any(not 0.0 < r < 1.0 for r in self.radii):
-            raise ValueError("radius schedule must lie inside (0, 1)")
-        if any(a <= b for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radius schedule must be strictly decreasing")
-        if not 0.0 < self.t_floor < 1.0:
-            raise ValueError("t_floor must lie in (0, 1)")
-
-    def _check_types(self) -> None:
-        """Reject a field of the wrong type with ValueError, as a bad
-        value is rejected, before any comparison can raise TypeError."""
-        def number(v, kind=numbers.Real) -> bool:
-            return isinstance(v, kind) and not isinstance(v, bool)
-
-        checks = [("scenario", isinstance(self.scenario, str), "a string")]
-        checks += [(name, isinstance(getattr(self, name), dict), "an object")
-                   for name in ("field_spec", "boundary_spec")]
-        checks += [(name, getattr(self, name) is None
-                    or isinstance(getattr(self, name), dict), "an object or null")
-                   for name in ("pair_spec", "potential_spec")]
-        checks += [(name, number(getattr(self, name), numbers.Integral),
-                    "an integer") for name in ("n_r", "n_theta", "seed")]
-        checks += [(name, number(getattr(self, name)), "a number")
-                   for name in ("t_floor", "n0", "c1", "a_log", "p", "gamma",
-                                "eps", "delta")]
-        checks.append(("r_min", self.r_min is None or number(self.r_min),
-                       "a number or null"))
-        checks.append(("radii", isinstance(self.radii, (list, tuple))
-                       and all(number(r) for r in self.radii),
-                       "a list of numbers"))
-        for name, ok, want in checks:
-            if not ok:
-                raise ValueError(
-                    f"{name} must be {want}, got {getattr(self, name)!r}")
 
     def smallness_warnings(self) -> list:
         out = []
@@ -185,18 +173,9 @@ class ScenarioConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in dc_fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        radii = kwargs.get("radii")
-        if radii is not None:
-            if not isinstance(radii, (list, tuple)):
-                raise ValueError(f"radii must be a list of radii, got {radii!r}")
-            kwargs["radii"] = tuple(radii)
-        return cls(**kwargs)
+    def from_dict(cls, data: dict, path: str = "") -> "ScenarioConfig":
+        """``data`` checked against ``SCENARIO_KEYS``; raises ConfigError."""
+        return cls(**check_config(data, SCENARIO_KEYS, path))
 
 
 @dataclass(frozen=True)
@@ -241,66 +220,60 @@ class ExperimentReport:
 # -- field and boundary-data builders --------------------------------------
 
 
-def build_field(spec: dict) -> CoefficientField:
-    """Coefficient field from a config dict keyed by 'kind'; raises
-    FieldError for an unknown kind or a missing or ill-typed key, as for
-    a field that cannot be built."""
-    try:
-        return _field_from_spec(spec)
-    except FieldError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as err:
-        raise FieldError(f"bad field spec {spec!r}: {err!r}") from err
+def build_field(spec: dict, path: str = "field_spec") -> CoefficientField:
+    """Coefficient field from a config object checked against
+    ``FIELD_KINDS``; raises FieldError for one that fails the check or
+    cannot be built, such as a Holder amplitude past the ellipticity
+    budget."""
+    return _field_from_spec(check_config(spec, FIELD_KINDS, path, FieldError),
+                            path)
 
 
-def _field_from_spec(spec: dict) -> CoefficientField:
-    kind = spec.get("kind")
+def _field_from_spec(spec: dict, path: str) -> CoefficientField:
+    kind = spec["kind"]
     if kind == "identity":
         return CoefficientField.identity()
     if kind == "constant":
-        return CoefficientField.constant(float(spec.get("value", 1.0)))
+        return CoefficientField.constant(spec["value"])
     if kind == "diagonal":
-        return CoefficientField.diagonal([float(v) for v in spec["entries"]])
+        return CoefficientField.diagonal(spec["entries"])
     if kind == "affine":
-        return CoefficientField.affine(float(spec.get("value", 1.0)),
-                                       [float(v) for v in spec["gradient"]])
+        return CoefficientField.affine(spec["value"], spec["gradient"])
     if kind == "holder":
-        return generate_holder(float(spec["alpha"]), float(spec["amplitude"]),
-                               int(spec.get("seed", 0)))
+        return generate_holder(spec["alpha"], spec["amplitude"], spec["seed"])
     if kind == "cusp":
-        m = Modulus.from_config(spec["modulus"])
-        amp = float(spec["amplitude"])
-        if spec.get("isotropic", False):
-            return CoefficientField.cusp_isotropic(m, amp)
-        return CoefficientField.cusp_anisotropic(m, amp)
-    if kind == "bump":
-        return CoefficientField.annulus_bump(float(spec["eps"]),
-                                             float(spec["r_in"]))
-    raise FieldError(f"unknown field kind {kind!r}")
+        m = build_modulus(spec["modulus"], f"{path}.modulus", FieldError)
+        if spec["isotropic"]:
+            return CoefficientField.cusp_isotropic(m, spec["amplitude"])
+        return CoefficientField.cusp_anisotropic(m, spec["amplitude"])
+    return CoefficientField.annulus_bump(spec["eps"], spec["r_in"])
 
 
-def build_boundary(spec: dict, seed: int) -> Callable:
-    """Boundary-data callable on point batches, from a config dict;
-    raises ScenarioError for an unknown kind or a missing or ill-typed
-    key."""
+def build_modulus(spec: dict, path: str, error: type) -> Modulus:
+    """``Modulus.from_config`` of a checked config object; raises
+    ``error`` for one that names no modulus, such as a log_power p that
+    leaves omega(t_cut) zero or infinite."""
     try:
-        return _boundary_from_spec(spec, seed)
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as err:
-        raise ScenarioError(f"bad boundary spec {spec!r}: {err!r}") from err
+        return Modulus.from_config(spec)
+    except ValueError as err:
+        raise error(f"{path}: {err}") from None
 
 
-def _boundary_from_spec(spec: dict, seed: int) -> Callable:
-    kind = spec.get("kind")
+def build_boundary(spec: dict, seed: int,
+                   path: str = "boundary_spec") -> Callable:
+    """Boundary-data callable on point batches, from a config object
+    checked against ``BOUNDARY_KINDS``; raises ScenarioError for one that
+    fails the check.  ``seed`` draws the fourier kind's coefficients."""
+    spec = check_config(spec, BOUNDARY_KINDS, path, ScenarioError)
+    kind = spec["kind"]
     if kind == "constant":
-        value = float(spec.get("value", 1.0))
+        value = float(spec["value"])
 
         def g_const(pts):
             return np.full(np.asarray(pts).shape[0], value)
         return g_const
     if kind == "harmonic":
-        degree = int(spec["degree"])
+        degree = spec["degree"]
 
         def g_harm(pts):
             pts = np.asarray(pts, dtype=float)
@@ -308,7 +281,7 @@ def _boundary_from_spec(spec: dict, seed: int) -> Callable:
             return np.real(z ** degree)
         return g_harm
     if kind == "mixture":
-        terms = [(int(k), float(w)) for k, w in spec["terms"]]
+        terms = [(k, float(w)) for k, w in spec["terms"]]
 
         def g_mix(pts):
             pts = np.asarray(pts, dtype=float)
@@ -318,23 +291,21 @@ def _boundary_from_spec(spec: dict, seed: int) -> Callable:
                 out += w * np.real(z ** k)
             return out
         return g_mix
-    if kind == "fourier":
-        modes = int(spec.get("modes", 8))
-        rng = np.random.default_rng(seed)
-        cs = rng.normal(size=modes) / (1.0 + np.arange(modes))
-        sn = rng.normal(size=modes) / (1.0 + np.arange(modes))
+    modes = spec["modes"]
+    rng = np.random.default_rng(seed)
+    cs = rng.normal(size=modes) / (1.0 + np.arange(modes))
+    sn = rng.normal(size=modes) / (1.0 + np.arange(modes))
 
-        def g_fourier(pts):
-            pts = np.asarray(pts, dtype=float)
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            rr = np.hypot(pts[..., 0], pts[..., 1])
-            out = np.zeros(pts.shape[:-1])
-            for k in range(modes):
-                out += rr ** (k + 1) * (cs[k] * np.cos((k + 1) * th)
-                                        + sn[k] * np.sin((k + 1) * th))
-            return out
-        return g_fourier
-    raise ScenarioError(f"unknown boundary kind {kind!r}")
+    def g_fourier(pts):
+        pts = np.asarray(pts, dtype=float)
+        th = np.arctan2(pts[..., 1], pts[..., 0])
+        rr = np.hypot(pts[..., 0], pts[..., 1])
+        out = np.zeros(pts.shape[:-1])
+        for k in range(modes):
+            out += rr ** (k + 1) * (cs[k] * np.cos((k + 1) * th)
+                                    + sn[k] * np.sin((k + 1) * th))
+        return out
+    return g_fourier
 
 
 def field_modulus(f: CoefficientField) -> Modulus:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coefficients import Arity, CoefficientField
+from ..io import check_config
 from ..solver import (
     PolarGrid,
     SolverError,
@@ -15,6 +16,7 @@ from ..solver import (
     weighted_gradient_energy,
 )
 from .base import (
+    POTENTIAL_KINDS,
     Branch,
     Evaluation,
     RegimeError,
@@ -34,10 +36,8 @@ RHO_FRACTIONS = (0.9, 0.7, 0.5, 0.3)
 def _potential_from_spec(spec):
     if spec is None:
         return None, 0.0
-    kind = spec.get("kind")
-    if kind != "constant":
-        raise ScenarioError(f"unknown potential kind {kind!r}")
-    value = float(spec.get("value", 0.0))
+    value = float(check_config(spec, POTENTIAL_KINDS, "potential_spec",
+                               ScenarioError)["value"])
     if value == 0.0:
         return None, 0.0
 

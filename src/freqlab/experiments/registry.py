@@ -108,9 +108,8 @@ def registered_scenarios() -> tuple:
 
 
 def default_config(scenario: str, **overrides) -> ScenarioConfig:
-    kwargs = dict(_entry(scenario)[2])
-    kwargs.update(overrides)
-    return ScenarioConfig(scenario=scenario, **kwargs)
+    return ScenarioConfig.from_dict(
+        {"scenario": scenario, **_entry(scenario)[2], **overrides})
 
 
 def default_sweep(**overrides) -> list:

@@ -8,8 +8,10 @@ from __future__ import annotations
 import math
 
 from ..coefficients import Arity, CoefficientField
+from ..io import check_config
 from ..solver import gradient_energy, weighted_gradient_energy
 from .base import (
+    PAIR_MODES,
     REL_TOL,
     Evaluation,
     ScenarioError,
@@ -50,16 +52,14 @@ def _bumped_field(f, eps: float, r_in: float) -> CoefficientField:
 def stability_prepare(cfg):
     """The configured field and its pair from cfg.pair_spec."""
     f0 = build_field(cfg.field_spec)
-    pair = cfg.pair_spec or {"mode": "bump"}
-    mode = pair.get("mode", "bump")
-    if mode == "same":
+    pair = check_config(cfg.pair_spec or {"mode": "bump"}, PAIR_MODES,
+                        "pair_spec", ScenarioError)
+    if pair["mode"] == "same":
         return f0, f0
-    if mode == "scaled":
-        return f0, _scaled_field(f0, 1.0 + float(pair.get("eps", cfg.eps)))
-    if mode == "bump":
-        return f0, _bumped_field(f0, float(pair.get("eps", cfg.eps)),
-                                 float(pair.get("r_in", 0.5)))
-    raise ScenarioError(f"unknown pair mode {mode!r}")
+    eps = float(cfg.eps if pair["eps"] is None else pair["eps"])
+    if pair["mode"] == "scaled":
+        return f0, _scaled_field(f0, 1.0 + eps)
+    return f0, _bumped_field(f0, eps, float(pair["r_in"]))
 
 
 def stability_eval(cfg, setup, data, grid):

@@ -6,7 +6,10 @@ name, and none of the formats embeds wall-clock data.
 ``canonical_json`` is the one JSON-plaining rule: beyond what ``json``
 writes, numpy scalars and arrays become ``tolist()``, enums their value
 and dataclasses a dict of their fields (``init=False`` ones too); any
-other type raises ``TypeError``, and a NaN or infinity ``ValueError``."""
+other type raises ``TypeError``, and a NaN or infinity ``ValueError``.
+
+``check_config`` is the one config checker: every config object, from a
+command document down to a field's modulus, is a key table checked by it."""
 
 from __future__ import annotations
 
@@ -18,20 +21,23 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .solver import DiscreteSolution, PolarGrid
 
 __all__ = [
+    "REQUIRED",
     "SCHEMA_VERSION",
     "ConfigError",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_json",
+    "check_config",
     "config_hash",
     "load_config",
     "read_grid",
@@ -132,11 +138,92 @@ def load_config(path: str) -> dict:
     schema = doc.get("schema")
     if schema is None:
         raise ConfigError(f"{path}: missing required field 'schema'")
-    if schema != SCHEMA_VERSION:
+    if _fault(schema, "int") or schema != SCHEMA_VERSION:  # true == 1.0 == 1
         raise ConfigError(
             f"{path}: field 'schema' is {schema!r}; this tool reads "
             f"schema {SCHEMA_VERSION}")
     return doc
+
+
+REQUIRED = "required"  # the default of a key that must be given
+_TYPES = {"int": (int, "an integer"), "number": ((int, float), "a number"),
+          "float": ((int, float), "a number"), "str": (str, "a string"),
+          "bool": (bool, "true or false"), "object": (dict, "an object")}
+# a list type's item type, or a pair's two
+_ITEMS = {"floats": "float", "objects": "object", "terms": "term",
+          "term": ("int", "float")}
+
+
+def _fault(value: Any, kind: str) -> Optional[str]:
+    """Why ``value`` is not of type ``kind``; None when it is."""
+    if kind in _ITEMS:
+        pair = isinstance(_ITEMS[kind], tuple)
+        if not isinstance(value, (list, tuple)) or not value or (
+                pair and len(value) != 2):
+            want = "an [int, float] pair" if pair else "a nonempty list"
+            return f"expected {want}, got {value!r}"
+        kinds = _ITEMS[kind] if pair else [_ITEMS[kind]] * len(value)
+        return next(filter(None, map(_fault, value, kinds)), None)
+    types, want = _TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) != (
+            kind == "bool"):
+        return f"expected {want}, got {value!r}"
+    if kind == "float" and abs(value) > sys.float_info.max:
+        return f"{value!r} is too large for a float"
+    return None
+
+
+def check_config(doc: Any, table: dict, path: str = "",
+                 error: type = ConfigError) -> dict:
+    """``doc`` checked against ``table``, each absent key set to its
+    default; raises ``error`` naming the key's path at the first fault.
+
+    A table maps a key to ``(type, default[, range])``.  The type is a
+    nested table or a name: ``int``, ``number`` (of any size), ``float``
+    (within the float range; no bool is a number), ``str``, ``bool``,
+    ``object``, or a nonempty list of float, object or [int, float]
+    (``floats``, ``objects``, ``terms``); a ``?`` suffix also takes null.
+    A range such as ``"(0, 1]"`` bounds a value or each item of a list.
+    A key mapped to a dict of tables, as ``{"kind": {"linear": {},
+    ...}}``, picks by its value the table for the rest of the object.
+    Values come back as given, so an integer stays exact."""
+    if not isinstance(doc, dict):
+        raise error(f"{path or 'config'}: expected an object, got {doc!r}")
+    prefix, table = f"{path}." if path else "", dict(table)
+    for key, entry in list(table.items()):
+        if isinstance(entry, dict):
+            choice = doc.get(key)
+            if not isinstance(choice, str) or choice not in entry:
+                noun = path.rsplit(".", 1)[-1].removesuffix("_spec")
+                raise error(f"{prefix}{key}: unknown {noun} {key} "
+                            f"{choice!r}; expected {', '.join(entry)}")
+            table.update({key: ("str", REQUIRED)}, **entry[choice])
+    unknown = [prefix + key for key in doc if key not in table]
+    if unknown:
+        raise error(f"unknown config keys: {', '.join(unknown)}; expected "
+                    f"{', '.join(sorted(table))}")
+    out = {}
+    for key, (kind, default, *bounds) in table.items():
+        value = out[key] = doc.get(key, default)
+        if key not in doc and default == REQUIRED:
+            raise error(f"{prefix}{key}: missing required key")
+        if isinstance(kind, dict):
+            out[key] = check_config(value, kind, prefix + key, error)
+        elif key in doc and not (value is None and kind.endswith("?")):
+            fault = _fault(value, kind.rstrip("?"))
+            items = value if kind in _ITEMS else [value]
+            if not fault and bounds and not all(
+                    _within(v, bounds[0]) for v in items):
+                fault = f"{value!r} is not in {bounds[0]}"
+            if fault:
+                raise error(f"{prefix}{key}: {fault}")
+    return out
+
+
+def _within(value: Any, bounds: str) -> bool:
+    lo, hi = (float(end) for end in bounds[1:-1].split(","))
+    return ((lo < value if bounds[0] == "(" else lo <= value)
+            and (value < hi if bounds[-1] == ")" else value <= hi))
 
 
 def _cell(value: Any) -> str:

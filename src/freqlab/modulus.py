@@ -288,7 +288,7 @@ class Modulus:
 
     @staticmethod
     def from_config(cfg: dict) -> "Modulus":
-        kind = cfg.get("kind")
+        kind = cfg["kind"]
         if kind == "linear":
             return Modulus.linear()
         if kind == "power":

@@ -1,20 +1,39 @@
 """Tests for serialization, plotting, and the command line front end."""
 
+import contextlib
 import dataclasses
 import enum
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from freqlab.cli import main
-from freqlab.experiments import default_config, run_scenario
+import freqlab.cli
+from freqlab.cli import MODULUS_DOC, SOLVE_DOC, SWEEP_DOC, main
+from freqlab.experiments import (
+    default_config,
+    registered_scenarios,
+    run_scenario,
+)
+from freqlab.experiments.base import (
+    BOUNDARY_KINDS,
+    FIELD_KINDS,
+    PAIR_MODES,
+    POTENTIAL_KINDS,
+    SCENARIO_KEYS,
+)
 from freqlab.io import (
+    REQUIRED,
     ConfigError,
     canonical_json,
     config_hash,
@@ -130,6 +149,8 @@ def test_load_config_reports_parse_position(tmp_path):
     {"value": 1},
     {"schema": 99},
     [1, 2, 3],
+    {"schema": True},
+    {"schema": 1.0},
 ])
 def test_load_config_rejects_bad_schema(tmp_path, doc):
     path = write_config(tmp_path / "cfg.json", doc)
@@ -695,6 +716,179 @@ def test_cli_scenario_scalar_beyond_float_range_writes_error_file(
     error = json.load(open(os.path.join(out, f"{scenario}.error.json")))
     assert error["status"] == "scenario_error"
     assert "too large" in error["message"]
+
+
+# -- cli: the config schema -------------------------------------------------
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("modulus", {"modulus": {"kind": "power", "alpha": 0.4}, "cm": 5.0},
+     "cm"),
+    ("modulus", {"modulus": {"kind": "power", "alpha": 0.4, "alfa": 0.9}},
+     "modulus.alfa"),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32}, "boundary": _HARMONIC,
+               "feild": {"kind": "identity"}}, "feild"),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32, "rmin": 0.3},
+               "boundary": _HARMONIC}, "grid.rmin"),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32}, "boundary": _HARMONIC,
+               "profil": {"r_lo": 0.3}}, "profil"),
+    ("solve", {"grid": {"n_r": 17, "n_theta": 32},
+               "boundary": {"kind": "harmonic", "degre": 2}},
+     "boundary.degre"),
+    # a seed beside the sweep is no sweep's seed
+    ("experiment", {"seed": 7, "sweep": [{"scenario": "tildeN"}]}, "seed"),
+], ids=["modulus_cm", "modulus_alfa", "solve_feild", "grid_rmin",
+        "solve_profil", "boundary_degre", "sweep_seed"])
+def test_cli_misspelt_key_is_config_error(tmp_path, capsys, command, doc,
+                                          path):
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, **doc})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: unknown config keys: " + path in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, spec, status", [
+    ("tildeN", {"field_spec": {"kind": "holder", "alpha": 0.75,
+                               "amplitude": 0.05, "sed": 99}}, "field_error"),
+    ("dichot", {"field_spec": {"kind": "cusp", "amplitude": 0.15, "modulus": {
+        "kind": "log_power", "p": 1.0, "t_cut": 0.5}}}, "field_error"),
+    ("stability", {"pair_spec": {"mode": "bump", "esp": 0.05}},
+     "scenario_error"),
+    ("schroedinger", {"potential_spec": {"kind": "constant", "valeu": 2.0}},
+     "scenario_error"),
+], ids=["holder_sed", "log_power_t_cut", "pair_esp", "potential_valeu"])
+def test_cli_sweep_entry_misspelt_spec_writes_error_file(tmp_path, capsys,
+                                                        scenario, spec,
+                                                        status):
+    cfg = write_config(tmp_path / "e.json", {"schema": 1, "sweep": [
+        {"scenario": scenario, "n_r": 17, "n_theta": 32, **spec}]})
+    out = str(tmp_path / "out")
+    assert main(["experiment", "--config", cfg, "--out", out]) == 2
+    assert status in capsys.readouterr().err
+    error = json.load(open(os.path.join(out, f"{scenario}.error.json")))
+    assert error["status"] == status
+    assert next(iter(spec)) in error["message"]
+
+
+# the table each object-typed key is checked against where it is built
+_SPEC_TABLES = {
+    "field": FIELD_KINDS, "field_spec": FIELD_KINDS,
+    "boundary": BOUNDARY_KINDS, "boundary_spec": BOUNDARY_KINDS,
+    "pair_spec": PAIR_MODES, "potential_spec": POTENTIAL_KINDS,
+}
+# a valid value for each key whose default does not serve
+_SAMPLES = {
+    "schema": 1, "n_r": 9, "n_theta": 16, "r_min": 0.05, "degree": 2,
+    "terms": [[1, 1.0], [3, 0.5]], "entries": [1.0, 2.0],
+    "gradient": [0.1, 0.0], "alpha": 0.5, "amplitude": 0.05, "eps": 0.1,
+    "r_in": 0.3, "p": 1.0, "t": [0.1, 1.0], "omega": [0.2, 0.5],
+}
+# an experiment document's specs default to its scenario's registered ones
+_EXPERIMENT_DOC = {**SCENARIO_KEYS, "schema": ("int", REQUIRED),
+                   "field_spec": ("object", None),
+                   "boundary_spec": ("object", None)}
+_NOT_NUMBERS = [True, "1", [1], None]
+
+
+def _nested(key, entry):
+    """The table of an object-typed key: nested, or its spec's; or None."""
+    return entry[0] if isinstance(entry[0], dict) else _SPEC_TABLES.get(key)
+
+
+def _draw_doc(draw, table):
+    """A valid object of ``table``: its required keys and a drawn subset
+    of the others."""
+    doc = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            doc[key] = draw(st.sampled_from(sorted(entry)))
+            doc.update(_draw_doc(draw, entry[doc[key]]))
+        elif entry[1] == REQUIRED or draw(st.booleans()):
+            sub = _nested(key, entry)
+            doc[key] = (_draw_doc(draw, sub) if sub
+                        else _SAMPLES.get(key, entry[1]))
+    return doc
+
+
+def _objects(doc, table, path=""):
+    """(path, object, its table with the chosen kind's keys) for ``doc``
+    and every object nested in it."""
+    flat = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            flat[key] = ("str", REQUIRED)
+            entry = entry[doc[key]]
+        flat.update(entry if isinstance(entry, dict) else {key: entry})
+    yield path, doc, flat
+    for key, entry in flat.items():
+        sub = _nested(key, entry)
+        if sub and isinstance(doc.get(key), dict):
+            yield from _objects(doc[key], sub, f"{path}.{key}".lstrip("."))
+
+
+@given(data=st.data())
+def test_cli_fuzz_one_config_fault_exits_2_naming_its_path(data):
+    # a valid document with one fault at any depth: an unknown key, a
+    # number's value of the wrong type, or a required key left out
+    command = data.draw(st.sampled_from(["solve", "modulus", "experiment"]))
+    if command == "experiment":
+        name = data.draw(st.sampled_from(registered_scenarios()))
+        entry = json.loads(json.dumps(default_config(name).to_dict()))
+        keep = data.draw(st.sets(st.sampled_from(sorted(entry))))
+        doc, table = {"schema": 1, **{k: entry[k] for k in keep},
+                      "scenario": name}, _EXPERIMENT_DOC
+    else:
+        table = SOLVE_DOC if command == "solve" else MODULUS_DOC
+        doc = _draw_doc(data.draw, table)
+    faults = []
+    for path, obj, flat in _objects(doc, table):
+        faults.append((path, obj, "typo", 0))
+        for key, (kind, default, *_) in flat.items():
+            if key not in obj:
+                continue
+            if default == REQUIRED:
+                faults.append((path, obj, key, KeyError))
+            if kind in ("int", "float", "number", "float?"):
+                faults += [(path, obj, key, bad) for bad in _NOT_NUMBERS
+                           if bad is not None or not kind.endswith("?")]
+    path, obj, key, bad = data.draw(st.sampled_from(faults))
+    if bad is KeyError:
+        del obj[key]
+    else:
+        obj[key] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config",
+                         write_config(os.path.join(tmp, "c.json"), doc),
+                         "--out", out])
+        assert code == 2, (doc, err.getvalue())
+        assert f"{path}.{key}".lstrip(".") in err.getvalue(), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if command != "experiment":
+            assert not os.path.exists(out)
+
+
+def test_cli_docstring_names_every_config_key():
+    doc = freqlab.cli.__doc__
+    tables = [MODULUS_DOC, SOLVE_DOC, SWEEP_DOC, SCENARIO_KEYS,
+              *_SPEC_TABLES.values()]
+    missing = set()
+    while tables:
+        for key, entry in tables.pop().items():
+            if not re.search(rf"\b{key}\b", doc):
+                missing.add(key)
+            if isinstance(entry, dict):  # kinds, then their keys
+                tables += list(entry.values())
+                missing |= {k for k in entry
+                            if not re.search(rf"\b{k}\b", doc)}
+            elif isinstance(entry[0], dict):  # a nested object's keys
+                tables.append(entry[0])
+    assert not missing
 
 
 def test_cli_usage_errors():

@@ -21,14 +21,20 @@ from freqlab.experiments import (
     run_scenario,
 )
 from freqlab.experiments.base import (
+    BOUNDARY_KINDS,
+    FIELD_KINDS,
     GROSS_FRACTION,
+    MODULUS_KINDS,
+    PAIR_MODES,
+    POTENTIAL_KINDS,
     REL_TOL,
+    SCENARIO_KEYS,
     STABILITY_LIMIT,
     FittedConstant,
     MarginRow,
     decide,
 )
-from freqlab.io import canonical_json
+from freqlab.io import canonical_json, check_config
 
 LOW = {"n_r": 33, "n_theta": 64}
 MID = {"n_r": 49, "n_theta": 96}
@@ -115,6 +121,26 @@ def test_config_dict_roundtrip_property(name, overrides):
     assert ScenarioConfig.from_dict(data) == cfg
     data["field_spec"]["extra"] = 1
     assert "extra" not in cfg.field_spec
+
+
+def test_registered_defaults_pass_their_tables():
+    # no table rejects a shipped default, down to a cusp field's modulus
+    checked = []
+    for name in registered_scenarios():
+        cfg = check_config(default_config(name).to_dict(), SCENARIO_KEYS)
+        specs = [("field_spec", FIELD_KINDS),
+                 ("boundary_spec", BOUNDARY_KINDS),
+                 ("pair_spec", PAIR_MODES),
+                 ("potential_spec", POTENTIAL_KINDS)]
+        for key, table in specs:
+            if cfg[key] is not None:
+                spec = check_config(cfg[key], table, key)
+                checked.append(key)
+                if spec.get("kind") == "cusp":
+                    check_config(spec["modulus"], MODULUS_KINDS, key)
+                    checked.append("modulus")
+    assert set(checked) == {"field_spec", "boundary_spec", "pair_spec",
+                            "potential_spec", "modulus"}
 
 
 def test_config_smallness_warnings():
