@@ -18,8 +18,8 @@ defaults and ranges):
                omega*
   boundary     kind*: constant: value; harmonic: degree*; mixture: terms*
                ([degree, weight] pairs); fourier: modes (seeded)
-  potential    kind*: constant: value
-  pair         mode*: same; scaled: eps; bump: eps, r_in
+  potential    (schroedinger only) kind*: constant: value
+  pair         (stability only) mode*: same; scaled: eps; bump: eps, r_in
 
 Exit codes: 0 success (branch verdicts too), 1 scenario failure, 2 usage
 or configuration error, 3 solver failure.  A scenario that cannot run

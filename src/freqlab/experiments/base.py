@@ -113,9 +113,12 @@ FIELD_KINDS = {"kind": {
              "amplitude": ("float", REQUIRED), "isotropic": ("bool", False)},
     "bump": {"eps": ("float", REQUIRED), "r_in": ("float", REQUIRED)},
 }}
+# the degrees of harmonic boundary data: a ring of n_theta nodes resolves
+# degrees below n_theta / 2, and no grid has over MAX_GRID_NODES / 2 angles
+DEGREES = f"[{-MAX_GRID_NODES // 4}, {MAX_GRID_NODES // 4}]"
 BOUNDARY_KINDS = {"kind": {
     "constant": {"value": ("float", 1.0)},
-    "harmonic": {"degree": ("int", REQUIRED)},
+    "harmonic": {"degree": ("int", REQUIRED, DEGREES)},
     "mixture": {"terms": ("terms", REQUIRED)},
     "fourier": {"modes": ("int", 8, "[0, inf)")},
 }}
@@ -281,6 +284,9 @@ def build_boundary(spec: dict, seed: int,
             return np.real(z ** degree)
         return g_harm
     if kind == "mixture":
+        for i, (k, _) in enumerate(spec["terms"]):
+            check_config({"degree": k}, BOUNDARY_KINDS["kind"]["harmonic"],
+                         f"{path}.terms[{i}]", ScenarioError)
         terms = [(k, float(w)) for k, w in spec["terms"]]
 
         def g_mix(pts):

@@ -117,5 +117,12 @@ def default_sweep(**overrides) -> list:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ExperimentReport:
-    prepare, evaluate, _ = _entry(cfg.scenario)
+    """Run a scenario; a pair_spec or potential_spec that its registered
+    defaults do not name, so that it would go unread, is a ScenarioError."""
+    prepare, evaluate, defaults = _entry(cfg.scenario)
+    for key in ("pair_spec", "potential_spec"):
+        if getattr(cfg, key) is not None and key not in defaults:
+            readers = [name for name, e in SCENARIOS.items() if key in e[2]]
+            raise ScenarioError(f"{key}: {cfg.scenario} reads no {key} "
+                                f"(read by {', '.join(readers)})")
     return paired_report(cfg, prepare, evaluate)

@@ -44,7 +44,7 @@ neighbourhood, and place 9 couples ring 0 to the origin, whose own row
 rows of the unknowns against the unknowns or the boundary nodes, so one
 product serves both: the stencil times the node values, laid out ring
 by ring after a ring of zeros, with zeros on the nodes the product
-leaves out.  An assembly is the field's coefficient entries at the
+leaves out.  An assembly takes the field's coefficient entries at the
 face samples, one (cells, 4 k) @ (4 k, 16) product for the 4 x 4 cell
 matrices and one slice add per local node pair (a, b) into the stencil.
 A scalar field has k = 1 entry, a, and a matrix field k = 3, b_rr,
@@ -60,7 +60,8 @@ exactly, but in the rows of ring 0, whose core triangles carry their
 angles' roundoff.
 
 The energy functional is evaluated in the same quadrature as the
-assembly, so the divergence-theorem identity
+assembly, from the coefficient entries an assembly keeps in place of
+cell matrices, so the divergence-theorem identity
 D(r) = int_{boundary} u <A grad u, nu> holds discretely to roundoff at
 every grid radius.  The boundary mass H is Simpson's rule on the
 piecewise-linear ring trace, a different rule, so the discrete
@@ -83,7 +84,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -406,49 +406,52 @@ class _Plan:
         sf = at_faces[n_r * n_t:].reshape((n_r - 1, n_t) + tail)
         return [rf[:-1], rf[1:], sf, np.roll(sf, -1, axis=1)]
 
-    @cached_property
-    def identity(self) -> tuple:
-        """The identity field's cell matrices, one 4 x 4 matrix K_0 seen
-        from every cell, and its core-triangle matrices."""
-        return _element_matrices(self, CoefficientField.identity())[:2]
-
 
 def _element_matrices(plan: _Plan, f: CoefficientField) -> tuple:
-    """f's cell matrices (n_r - 1, n_theta, 4, 4) and core-triangle
-    matrices (n_theta, 3, 3), its coefficient entries at the faces
-    (faces, k) and in the core (n_theta, k), and their largest eigenvalue
-    over their smallest.
+    """f's cell and core-triangle matrices (see ``_matrices``), its
+    coefficient entries at the faces (faces, k) and in the core (n_theta,
+    k), and their largest eigenvalue over their smallest.  An assembly
+    keeps the entries; the matrices live only while it is built.
 
     A scalar field has k = 1 entry, a; a matrix field has k = 3, those of
-    B = Q^T A Q, checked symmetric before they are taken.  The cell
-    matrices are one (cells, 4 k) @ (4 k, 16) product of each cell's
-    entries at its four faces with ``plan.stiffness[k]``.  The identity is
-    not evaluated: its B is exactly I, so it has a = 1 and every cell
-    matrix is K_0 = 1^T ``plan.stiffness[1]``, held once."""
-    n_band, n_t = plan.n_band, plan.n_t
+    B = Q^T A Q, checked symmetric before they are taken.  The identity is
+    not evaluated: its B is exactly I, so its a = 1 is held once."""
     if f.kind == "identity":
         face = np.broadcast_to(1.0, (plan.face_pts.shape[0], 1))
-        core = np.broadcast_to(1.0, (n_t, 1))
-        k0 = (np.ones(4) @ plan.stiffness[1]).reshape(4, 4)
-        cell_k = np.broadcast_to(k0, (n_band, n_t, 4, 4))
-        contrast = 1.0
+        core, contrast = face[:plan.n_t], 1.0
     else:
         face, contrast = _energy_entries(
             f.evaluate(plan.face_pts) if f.arity is Arity.ISOTROPIC
             else _rotated_tensor(f, plan.face_pts, plan.face_cos,
                                  plan.face_sin), "at a cell face")
-        k = face.shape[1]
-        quad = np.concatenate(plan.cell_faces(face), axis=2)
-        cell_k = (quad.reshape(-1, 4 * k) @ plan.stiffness[k]).reshape(
-            n_band, n_t, 4, 4)
         at_tri = f.evaluate(plan.tri_mids)
         core, core_contrast = _energy_entries(
-            at_tri.reshape((3, n_t) + at_tri.shape[1:]).mean(axis=0),
+            at_tri.reshape((3, plan.n_t) + at_tri.shape[1:]).mean(axis=0),
             "inside the core disk")
         contrast = max(contrast, core_contrast)
+    return (*_matrices(plan, face, core, 0, plan.n_band), face, core,
+            contrast)
+
+
+def _matrices(plan: _Plan, face: np.ndarray, core: np.ndarray, lo: int,
+              hi: int) -> tuple:
+    """The cell matrices (hi - lo, n_theta, 4, 4) of bands lo to hi, one
+    (cells, 4 k) @ (4 k, 16) product of each cell's entries ``face`` at
+    its four faces with ``plan.stiffness[k]``, and the core-triangle
+    matrices (n_theta, 3, 3) of entries ``core``.  Entries held once, as
+    the identity's, give one cell matrix K_0, held once."""
+    k = face.shape[1]
+    if face.strides[0] == 0:
+        one = (np.tile(face[0], 4) @ plan.stiffness[k]).reshape(4, 4)
+        cell_k = np.broadcast_to(one, (hi - lo, plan.n_t, 4, 4))
+    else:
+        quad = np.concatenate([q[lo:hi] for q in plan.cell_faces(face)],
+                              axis=2)
+        cell_k = (quad.reshape(-1, 4 * k) @ plan.stiffness[k]).reshape(
+            hi - lo, plan.n_t, 4, 4)
     tri_k = np.einsum("tk,tkm->tm", core,
-                      plan.tri_forms[core.shape[1]]).reshape(n_t, 3, 3)
-    return cell_k, tri_k, face, core, contrast
+                      plan.tri_forms[k]).reshape(plan.n_t, 3, 3)
+    return cell_k, tri_k
 
 
 def _scatter(cell_k: np.ndarray, tri_k: np.ndarray) -> tuple:
@@ -484,11 +487,11 @@ def _scatter(cell_k: np.ndarray, tri_k: np.ndarray) -> tuple:
 
 
 class _Assembly:
-    """Cell matrices and the assembled operator for one (grid, field,
-    potential) triple: the field at the plan's face samples, one product
-    for the 4 x 4 cell matrices, the operator as ``stencil`` (10, n_r,
-    n_theta) by place and the ``origin_row`` (see ``_scatter``;
-    ``product`` applies them), and the factored ring-mean operator."""
+    """The assembled operator for one (grid, field, potential) triple:
+    the field's coefficient entries (``face_coef``, ``core_coef``), the
+    operator as ``stencil`` (10, n_r, n_theta) by place and the
+    ``origin_row`` (see ``_scatter``; ``product`` applies them), and the
+    factored ring-mean operator.  It keeps no cell matrix."""
 
     def __init__(self, grid: PolarGrid, f: CoefficientField,
                  potential: Optional[Callable[[np.ndarray], np.ndarray]]):
@@ -498,8 +501,6 @@ class _Assembly:
         n_r, n_t = grid.n_r, grid.n_theta
         (cell_k, tri_k, self.face_coef, self.core_coef,
          contrast) = _element_matrices(plan, f)
-        # for the energy, without any potential's mass
-        self.cell_k, self.tri_k = cell_k, tri_k
         # row sums of the mass matrices; the stiffness's are zero
         cell_rows, tri_rows = np.zeros((n_r - 1, n_t, 4)), np.zeros((n_t, 3))
         if potential is not None:
@@ -793,22 +794,18 @@ def _squares(gv: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _cumulative_energy(u: DiscreteSolution) -> np.ndarray:
-    """u's energy inside each grid radius; index i matches radii[i].
-
-    Evaluated in factored form, the coefficient entries against the
-    matching squares of G u at each quadrature point, with G u taken from
+def _energies(plan: _Plan, face: np.ndarray, core: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """The energy of nodal ``values`` inside each grid radius (index i
+    matches radii[i]) for coefficient entries ``face`` (faces, k) and
+    ``core`` (n_theta, k), in factored form: the entries against the
+    matching squares of G u at each quadrature point, G u taken from
     differences of u so that constant values give exactly zero."""
-    cached = u._cache.get("cumE")
-    if cached is not None:
-        return cached
-    asm, values = u._assembly, u.values
-    plan = asm.plan
-    k = asm.face_coef.shape[1]
+    k = face.shape[1]
     uc = values[plan.cell_nodes]
     gv = ((uc[..., 1:] - uc[..., :1]).reshape(-1, 3)
           @ plan.diff_grads).reshape(uc.shape + (2,))
-    coef = np.concatenate(plan.cell_faces(asm.face_coef), axis=2)
+    coef = np.concatenate(plan.cell_faces(face), axis=2)
     band = plan.quad_w * np.einsum("btqk,btqk->b",
                                    coef.reshape(gv.shape[:3] + (k,)),
                                    _squares(gv, k))
@@ -817,11 +814,18 @@ def _cumulative_energy(u: DiscreteSolution) -> np.ndarray:
     # constants since the basis gradients sum to zero
     dv = ut[:, 1:] - ut[:, :1]
     gv = np.einsum("tmi,tm->ti", plan.tri_g[:, 1:, :], dv)
-    core = float(np.sum(plan.tri_area * np.einsum(
-        "tk,tk->t", asm.core_coef, _squares(gv, k))))
-    cum = np.append(core, core + np.cumsum(band))
-    u._cache["cumE"] = cum
-    return cum
+    inner = float(np.sum(plan.tri_area * np.einsum(
+        "tk,tk->t", core, _squares(gv, k))))
+    return np.append(inner, inner + np.cumsum(band))
+
+
+def _cumulative_energy(u: DiscreteSolution) -> np.ndarray:
+    """u's energy inside each grid radius; index i matches radii[i]."""
+    if "cumE" not in u._cache:
+        asm = u._assembly
+        u._cache["cumE"] = _energies(asm.plan, asm.face_coef,
+                                     asm.core_coef, u.values)
+    return u._cache["cumE"]
 
 
 def _ring_index(grid: PolarGrid, r: float) -> int:
@@ -834,7 +838,7 @@ def _ring_index(grid: PolarGrid, r: float) -> int:
 
 def dirichlet_energy(u: DiscreteSolution, r: float) -> float:
     """D(r): energy <A grad u, grad u> inside grid radius r, from the
-    cell quadratic forms."""
+    coefficient entries in factored form."""
     i = _ring_index(u.grid, r)
     return float(_cumulative_energy(u)[i])
 
@@ -843,21 +847,23 @@ def energy_flux_profile(u: DiscreteSolution,
                         radii: Sequence[float]) -> np.ndarray:
     """D in boundary-flux form at each of the grid radii ``radii``: the
     sum over the ring's nodes of u times the discrete flux from the
-    cells inside, by one product over the bands the radii span.
-    Identical to ``dirichlet_energy`` by the divergence structure."""
+    cells inside, by one product over the cell matrices of the bands the
+    radii span.  Identical to ``dirichlet_energy`` by the divergence
+    structure."""
     asm = u._assembly
     rings = np.array([_ring_index(u.grid, r) for r in radii], dtype=int)
     out = np.zeros(rings.size)
     outer = rings > 0
-    # views of the spanned bands; local nodes 1, 2 lie on a band's outer ring
+    # the spanned bands; local nodes 1, 2 lie on a band's outer ring
     lo, hi = rings[outer].min(initial=1) - 1, rings.max(initial=0)
+    cell_k, tri_k = _matrices(asm.plan, asm.face_coef, asm.core_coef, lo, hi)
     uc = u.values[asm.plan.cell_nodes[lo:hi]]
-    forces = np.einsum("btmn,btn->btm", asm.cell_k[lo:hi], uc)
+    forces = np.einsum("btmn,btn->btm", cell_k, uc)
     band = rings[outer] - 1 - lo
     out[outer] = np.sum(forces[band, :, 1:3] * uc[band, :, 1:3], axis=(1, 2))
     if not outer.all():
         ut = u.values[asm.plan.tri_nodes]
-        forces = np.einsum("tmn,tn->tm", asm.tri_k, ut)
+        forces = np.einsum("tmn,tn->tm", tri_k, ut)
         out[~outer] = np.sum(forces[:, 1:] * ut[:, 1:])
     return out
 
@@ -867,30 +873,23 @@ def dirichlet_energy_flux(u: DiscreteSolution, r: float) -> float:
     return float(energy_flux_profile(u, [r])[0])
 
 
-def _element_energy(grid: PolarGrid, plan: _Plan, cell_k: np.ndarray,
-                    tri_k: np.ndarray, values: np.ndarray, r: float) -> float:
-    """sum of the element energies values^T K values inside grid
-    radius r."""
-    i = _ring_index(grid, r)
-    uc = values[plan.cell_nodes[:i]]
-    ut = values[plan.tri_nodes]
-    return (float(np.einsum("btmn,btm,btn->", cell_k[:i], uc, uc))
-            + float(np.einsum("tmn,tm,tn->", tri_k, ut, ut)))
-
-
 def weighted_gradient_energy(u: DiscreteSolution, values: np.ndarray,
                              r: float) -> float:
     """int_{B_r} <A grad z, grad z> for arbitrary nodal values z on u's
     grid, e.g. differences of two solutions, with A the field u was
     solved with (any potential's mass left out)."""
+    i = _ring_index(u.grid, r)
     asm = u._assembly
-    return _element_energy(u.grid, asm.plan, asm.cell_k, asm.tri_k, values, r)
+    return float(_energies(asm.plan, asm.face_coef, asm.core_coef,
+                           values)[i])
 
 
 def gradient_energy(grid: PolarGrid, values: np.ndarray, r: float) -> float:
     """int_{B_r} |grad z|^2 for arbitrary nodal values z on the grid."""
+    i = _ring_index(grid, r)
     plan = _get_plan(grid)
-    return _element_energy(grid, plan, *plan.identity, values, r)
+    ones = np.broadcast_to(1.0, (plan.face_pts.shape[0], 1))
+    return float(_energies(plan, ones, ones[:plan.n_t], values)[i])
 
 
 def volume_mean_square(u: DiscreteSolution, r: float,

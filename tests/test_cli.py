@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -716,6 +717,74 @@ def test_cli_scenario_scalar_beyond_float_range_writes_error_file(
     error = json.load(open(os.path.join(out, f"{scenario}.error.json")))
     assert error["status"] == "scenario_error"
     assert "too large" in error["message"]
+
+
+def test_cli_integer_literal_past_digit_limit_is_config_error(tmp_path,
+                                                             capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"schema": 1, "grid": {"n_r": 17, "n_theta": 32}, '
+                    '"boundary": {"kind": "harmonic", "degree": 1%s}}'
+                    % ("0" * 5000))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "5001 digits" in err
+    assert not out.exists()
+
+
+# a valid integer, but a degree no grid resolves: z ** degree overflows
+_HUGE_DEGREE = 10 ** 20
+
+
+@pytest.mark.parametrize("command, boundary, path", [
+    ("solve", {"kind": "harmonic", "degree": _HUGE_DEGREE},
+     "boundary.degree"),
+    ("solve", {"kind": "mixture", "terms": [[1, 1.0], [_HUGE_DEGREE, 0.5]]},
+     "boundary.terms[1].degree"),
+    ("experiment", {"kind": "harmonic", "degree": -_HUGE_DEGREE},
+     "boundary_spec.degree"),
+    ("experiment", {"kind": "mixture", "terms": [[_HUGE_DEGREE, 1.0]]},
+     "boundary_spec.terms[0].degree"),
+], ids=["solve_harmonic", "solve_mixture", "sweep_harmonic", "sweep_mixture"])
+def test_cli_huge_degree_is_config_error(tmp_path, capsys, command, boundary,
+                                         path):
+    if command == "solve":
+        doc = {"grid": {"n_r": 17, "n_theta": 32}, "boundary": boundary}
+    else:
+        doc = {"sweep": [{"scenario": "eps_approx", "n_r": 17, "n_theta": 32,
+                          "boundary_spec": boundary}]}
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, **doc})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "is not in [-1048576, 1048576]" in err
+    if command == "solve":
+        assert not out.exists()
+    else:
+        error = json.load(open(out / "eps_approx.error.json"))
+        assert error["status"] == "scenario_error"
+
+
+@pytest.mark.parametrize("scenario, spec", [
+    ("eps_approx", {"pair_spec": {"mode": "bogus"},
+                    "potential_spec": {"kind": "x"}}),
+    ("stability", {"potential_spec": {"kind": "constant", "value": 1.0}}),
+    ("schroedinger", {"pair_spec": {"mode": "same"}}),
+], ids=["eps_approx_both", "stability_potential", "schroedinger_pair"])
+def test_cli_unread_spec_is_scenario_error(tmp_path, capsys, scenario, spec):
+    # only the scenario whose registered defaults name a spec reads it
+    cfg = write_config(tmp_path / "e.json",
+                       {"schema": 1, "scenario": scenario, **spec})
+    out = str(tmp_path / "out")
+    assert main(["experiment", "--config", cfg, "--resolution", "17,32",
+                 "--out", out]) == 2
+    assert "scenario_error" in capsys.readouterr().err
+    error = json.load(open(os.path.join(out, f"{scenario}.error.json")))
+    assert error["status"] == "scenario_error"
+    assert error["message"].startswith(f"{next(iter(spec))}: {scenario} "
+                                       "reads no")
 
 
 # -- cli: the config schema -------------------------------------------------

@@ -498,7 +498,8 @@ class TestBoundaryMass:
         data = rng.normal(size=64)
         for f in (HOLDER, D21):
             u = solve_dirichlet(f, 1.0, data, g)
-            asm = u._assembly
+            plan = u._assembly.plan
+            cell_k, tri_k = solver_module._element_matrices(plan, f)[:2]
 
             def ring_h(i):
                 rho, th = g.radii[i], g.theta
@@ -515,11 +516,11 @@ class TestBoundaryMass:
 
             def ring_d(i):
                 if i == 0:
-                    ut = u.values[asm.plan.tri_nodes]
-                    forces = np.einsum("tmn,tn->tm", asm.tri_k, ut)
+                    ut = u.values[plan.tri_nodes]
+                    forces = np.einsum("tmn,tn->tm", tri_k, ut)
                     return float(np.sum(forces[:, 1:] * ut[:, 1:]))
-                uc = u.values[asm.plan.cell_nodes[i - 1]]
-                forces = np.einsum("tmn,tn->tm", asm.cell_k[i - 1], uc)
+                uc = u.values[plan.cell_nodes[i - 1]]
+                forces = np.einsum("tmn,tn->tm", cell_k[i - 1], uc)
                 return float(np.sum(forces[:, 1:3] * uc[:, 1:3]))
 
             for rings in (np.arange(g.n_r), np.arange(g.n_r)[::-3], [7]):
@@ -613,8 +614,8 @@ class TestVolumeFunctionals:
             u1, z, 1.0)
 
     def test_energy_after_potential_solve_leaves_mass_out(self):
-        # the solution's cell matrices hold no potential mass: bit for
-        # bit those of a fresh assembly without the potential
+        # the energy reads coefficient entries, which hold no potential
+        # mass: bit for bit those of a fresh assembly without it
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(D21, 1.0, harmonic_deg(2), g, potential=_potential)
         fresh = replace(u, _assembly=solver_module._Assembly(g, D21, None))
@@ -625,7 +626,7 @@ class TestVolumeFunctionals:
                 weighted_gradient_energy(fresh, u.values, r)
 
     def test_gradient_mean_square_builds_no_assembly(self, monkeypatch):
-        # the identity field's cell matrices come from the grid's plan
+        # the identity field's entries are a broadcast 1 on the grid's plan
         g = PolarGrid.disk(33, 64)
         u = solve_dirichlet(HOLDER, 1.0, harmonic_deg(2), g)
         plan = u._assembly.plan
@@ -689,6 +690,12 @@ class TestSolutionUtilities:
                                         abs=1e-13)
 
 
+def _cell_matrices(asm):
+    """The cell matrices of the coefficient entries an assembly keeps."""
+    return solver_module._matrices(asm.plan, asm.face_coef, asm.core_coef,
+                                   0, asm.plan.n_band)[0]
+
+
 class TestOperatorCache:
     def test_distinct_custom_fields_not_conflated(self):
         g = PolarGrid.disk(17, 32)
@@ -712,7 +719,8 @@ class TestOperatorCache:
             f = CoefficientField.from_callable(
                 lambda p: np.full(p.shape[:-1], c),
                 arity=Arity.ISOTROPIC, n=2, lam=1.0 / c)
-            return solve_dirichlet(f, 1.0, np.ones(16), g)._assembly.cell_k
+            return _cell_matrices(
+                solve_dirichlet(f, 1.0, np.ones(16), g)._assembly)
 
         ref = cell_k(1.0)
         for c in range(2, 9):
@@ -725,8 +733,8 @@ class TestOperatorCache:
 
         clear_operator_cache()
         g = PolarGrid.disk(5, 8)
-        ref = solve_dirichlet(CoefficientField.constant(1.0), 1.0,
-                              np.ones(8), g)._assembly.cell_k
+        ref = _cell_matrices(solve_dirichlet(
+            CoefficientField.constant(1.0), 1.0, np.ones(8), g)._assembly)
         values = [1.0 + 0.1 * i for i in range(12)] * 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -739,7 +747,7 @@ class TestOperatorCache:
         finally:
             sys.setswitchinterval(interval)
         for c, u in zip(values, results):
-            np.testing.assert_allclose(u._assembly.cell_k, c * ref,
+            np.testing.assert_allclose(_cell_matrices(u._assembly), c * ref,
                                        rtol=1e-14, atol=0.0)
 
 
@@ -1116,7 +1124,7 @@ def test_scalar_and_matrix_assembly_of_one_field_agree(g, name, seed):
 def test_identity_cell_matrices_are_one_matrix(g):
     # held once, and equal to what the scalar and the rotated paths give
     plan = solver_module._get_plan(g)
-    cell_k = plan.identity[0]
+    cell_k = solver_module._element_matrices(plan, I2)[0]
     k0 = cell_k[0, 0]
     assert np.all(cell_k == k0)
     scale = np.abs(k0).max()
@@ -1125,6 +1133,44 @@ def test_identity_cell_matrices_are_one_matrix(g):
                   I2.evaluator, arity=Arity.ANISOTROPIC, n=2, lam=1.0)):
         got = solver_module._element_matrices(plan, f)[0]
         assert np.abs(got - k0).max() <= 1e-15 * scale
+
+
+@given(GRIDS, st.sampled_from(["holder", "symmetric", "identity"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_gradient_energies_equal_element_quadratic_forms(g, name, seed):
+    # the factored energies of arbitrary nodal values z against the
+    # oracle z^T K z, summed over the cells inside each radius and the core
+    f = {"holder": HOLDER, "symmetric": SYMMETRIC, "identity": I2}[name]
+    plan = solver_module._get_plan(g)
+    cell_k, tri_k = solver_module._element_matrices(plan, f)[:2]
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=g.node_count) + rng.normal(scale=5.0)
+    zc, zt = z[plan.cell_nodes], z[plan.tri_nodes]
+    cells = np.einsum("btmn,btm,btn->btmn", cell_k, zc, zc)
+    core = np.einsum("tmn,tm,tn->tmn", tri_k, zt, zt)
+    u = solve_dirichlet(f, 1.0, np.ones(g.n_theta), g)
+    for i in sorted({0, 1, g.n_r // 2, g.n_r - 1}):
+        r = g.radii[i]
+        got = [weighted_gradient_energy(u, z, r)]
+        if name == "identity":
+            got.append(gradient_energy(g, z, r))
+        want = cells[:i].sum() + core.sum()
+        scale = np.abs(cells[:i]).sum() + np.abs(core).sum()
+        for e in got:
+            assert abs(e - want) <= 1e-13 * scale
+
+
+def test_assembly_keeps_no_cell_matrices():
+    # what an assembly keeps grows with the nodes, never 16 entries a
+    # cell: its cell matrices are freed once the operator is built
+    g = PolarGrid.disk(129, 256)
+    cells = (g.n_r - 1) * g.n_theta
+    for f, potential in ((I2, None), (SYMMETRIC, _potential)):
+        asm = solver_module._Assembly(g, f, potential)
+        for name, a in vars(asm).items():
+            if isinstance(a, np.ndarray):
+                assert a.shape[-2:] != (4, 4), name
+                assert a.size < 16 * cells, name
 
 
 @pytest.mark.parametrize("scalar,match", [
