@@ -815,6 +815,7 @@ def empirical_modulus(f: CoefficientField, sample_count: int,
 # -- random Holder fields -----------------------------------------------
 
 _HOLDER_GRID = 1024
+_HOLDER_BLOCK = 64  # rows per block of the synthesis and its certificate
 
 
 # points per pass of the spline evaluator, keeping its temporaries in cache
@@ -964,16 +965,24 @@ def _bicubic_interpolant(axis: np.ndarray, values: np.ndarray
 def _lag_certificate(values: np.ndarray, alpha: float, h: float) -> float:
     """Holder constant certificate of periodic grid values of spacing h:
     the largest |values[i] - values[i - lag]| / (lag h)^alpha over the
-    axis-aligned lags 1, 2, 4, 8 and 16, the differences in one buffer."""
-    c_h = 0.0
-    diff = np.empty_like(values)
-    for v, d in ((values, diff), (values.T, diff.T)):
-        for lag in (1, 2, 4, 8, 16):
-            np.subtract(v[lag:], v[:-lag], out=d[lag:])
-            np.subtract(v[:lag], v[-lag:], out=d[:lag])
-            np.abs(diff, out=diff)
-            c_h = max(c_h, float(diff.max()) / (lag * h) ** alpha)
-    return c_h
+    axis-aligned lags 1, 2, 4, 8 and 16, the differences a block of rows
+    at a time in one scratch block (a max is the same float in any order)."""
+    top = dict.fromkeys((1, 2, 4, 8, 16), 0.0)  # largest |difference|
+    scratch = np.empty((_HOLDER_BLOCK, values.shape[1]))
+    for lo in range(0, values.shape[0], _HOLDER_BLOCK):
+        v = values[lo:lo + _HOLDER_BLOCK]
+        d = scratch[:len(v)]
+        for lag in top:
+            np.subtract(v[:, lag:], v[:, :-lag], out=d[:, lag:])
+            np.subtract(v[:, :lag], v[:, -lag:], out=d[:, :lag])
+            top[lag] = max(top[lag], float(np.abs(d, out=d).max()))
+            if lo >= lag:  # rows i - lag
+                np.subtract(v, values[lo - lag:lo - lag + len(v)], out=d)
+            else:  # the first block, of at least 16 rows, wraps round
+                np.subtract(v[lag:], values[:len(v) - lag], out=d[lag:])
+                np.subtract(v[:lag], values[-lag:], out=d[:lag])
+            top[lag] = max(top[lag], float(np.abs(d, out=d).max()))
+    return max(t / (lag * h) ** alpha for lag, t in top.items())
 
 
 def generate_holder(alpha: float, amplitude: float,
@@ -998,26 +1007,35 @@ def generate_holder(alpha: float, amplitude: float,
             Arity.ISOTROPIC, 2, CoefficientField.constant().evaluator, 1.0,
             holder=(a, 0.0), kind="holder_synthetic")
 
-    m = _HOLDER_GRID
+    m, rows = _HOLDER_GRID, _HOLDER_BLOCK
     rng = np.random.default_rng(int(seed))
-    # the noise is real, so the half spectrum along the last axis holds
-    # every mode; the 2-D transforms go one axis at a time, the complex
-    # axis in place (rfft2 and irfft2 give the same bits), and
-    # temporaries are dropped as soon as they are used
-    spectrum = np.fft.rfft(rng.standard_normal((m, m)), axis=1)
+    # two full-size buffers: the half spectrum (the noise is real) and the
+    # padded grid the fit takes over.  Noise, weight and the last axis's
+    # transforms go a block of rows at a time, axis 0's in place; rfft2 and
+    # irfft2 give the same bits.  No full-size temporary is left to the heap
+    spectrum = np.empty((m, m // 2 + 1), dtype=complex)
+    noise = np.empty((rows, m))
+    for lo in range(0, m, rows):
+        block = rng.standard_normal(out=noise[:min(rows, m - lo)])
+        np.fft.rfft(block, axis=1, out=spectrum[lo:lo + rows])
     np.fft.fft(spectrum, axis=0, out=spectrum)
-    k2 = (np.fft.fftfreq(m, d=1.0 / m)[:, None] ** 2
-          + np.fft.rfftfreq(m, d=1.0 / m) ** 2)
-    k2[0, 0] = 1.0
-    spectrum *= np.sqrt(k2, out=k2) ** (-a - 1.0)
-    del k2
+    kx, ky2 = np.fft.fftfreq(m, d=1.0 / m), np.fft.rfftfreq(m, d=1.0 / m) ** 2
+    for lo in range(0, m, rows):
+        k2 = kx[lo:lo + rows, None] ** 2 + ky2
+        if lo == 0:
+            k2[0, 0] = 1.0
+        spectrum[lo:lo + rows] *= np.sqrt(k2, out=k2) ** (-a - 1.0)
     spectrum[0, 0] = 0.0
     np.fft.ifft(spectrum, axis=0, out=spectrum)
-    values = np.fft.irfft(spectrum, n=m, axis=1)
+    padded = np.empty((m + 1, m + 1))
+    for lo in range(0, m, rows):
+        np.fft.irfft(spectrum[lo:lo + rows], n=m, axis=1,
+                     out=padded[lo:lo + rows, :m])
     del spectrum
 
     # grid covers [-1, 1) per axis; index m//2 is the origin
     axis = -1.0 + 2.0 * np.arange(m) / m
+    values = padded[:m, :m]
     values -= values[m // 2, m // 2]
     peak = max(float(values.max()), -float(values.min()))
     values *= amp
@@ -1032,9 +1050,10 @@ def generate_holder(alpha: float, amplitude: float,
     c_h = _lag_certificate(values, a, 2.0 / m)
 
     # wrap one periodic row per axis so the closed disk is covered; the
-    # fit overwrites this copy, the only one left
-    values = np.pad(values, [(0, 1), (0, 1)], mode="wrap")
-    ev = _bicubic_interpolant(np.append(axis, 1.0), values)
+    # fit overwrites the padded grid
+    padded[:m, m] = padded[:m, 0]
+    padded[m] = padded[0]
+    ev = _bicubic_interpolant(np.append(axis, 1.0), padded)
 
     return CoefficientField(
         Arity.ISOTROPIC, 2, ev, 0.5, holder=(a, c_h),

@@ -113,14 +113,14 @@ FIELD_KINDS = {"kind": {
              "amplitude": ("float", REQUIRED), "isotropic": ("bool", False)},
     "bump": {"eps": ("float", REQUIRED), "r_in": ("float", REQUIRED)},
 }}
-# the degrees of harmonic boundary data: a ring of n_theta nodes resolves
+# harmonic degrees and fourier mode counts: a ring of n_theta nodes resolves
 # degrees below n_theta / 2, and no grid has over MAX_GRID_NODES / 2 angles
 DEGREES = f"[{-MAX_GRID_NODES // 4}, {MAX_GRID_NODES // 4}]"
 BOUNDARY_KINDS = {"kind": {
     "constant": {"value": ("float", 1.0)},
     "harmonic": {"degree": ("int", REQUIRED, DEGREES)},
     "mixture": {"terms": ("terms", REQUIRED)},
-    "fourier": {"modes": ("int", 8, "[0, inf)")},
+    "fourier": {"modes": ("int", 8, f"[0, {MAX_GRID_NODES // 4}]")},
 }}
 # a null pair_spec is the bump mode, a null pair eps the config's eps, and
 # a null potential_spec V = 0

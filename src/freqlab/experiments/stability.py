@@ -91,10 +91,8 @@ def stability_eval(cfg, setup, data, grid):
 
     r_cut = snap(grid, cfg.radii[0])
     eps_hat = field_gap(f0, f1, r_cut)
-    d0_cut = gradient_energy(grid, u0.values, r_cut)
-    d1_cut = gradient_energy(grid, u1.values, r_cut)
-    d0_raw = gradient_energy(grid, u0.values, r_out)
-    d1_raw = gradient_energy(grid, u1.values, r_out)
+    d0_cut, d0_raw = gradient_energy(grid, u0.values, (r_cut, r_out))
+    d1_cut, d1_raw = gradient_energy(grid, u1.values, (r_cut, r_out))
     delta0 = d0_cut / max(d0_raw, 1e-300)
     delta1 = d1_cut / max(d1_raw, 1e-300)
     delta_hat = max(delta0, delta1)

@@ -115,8 +115,9 @@ def write_json(path: str, obj: Any) -> str:
 def load_config(path: str) -> dict:
     """Parse a JSON run configuration and check its schema version.
     Parse failures report the line and column; NaN, infinities, float
-    literals beyond the float range (``1e400``) and integer literals
-    past the interpreter's digit limit (4,300 by default) are rejected."""
+    literals beyond the float range (``1e400``), integer literals past
+    the interpreter's digit limit (4,300 by default) and nesting past
+    the interpreter's recursion limit are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -138,6 +139,8 @@ def load_config(path: str) -> dict:
         raise
     except ValueError as err:  # an integer literal past int's digit limit
         raise ConfigError(f"{path}: {err}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: values nested too deep") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     schema = doc.get("schema")

@@ -884,12 +884,16 @@ def weighted_gradient_energy(u: DiscreteSolution, values: np.ndarray,
                            values)[i])
 
 
-def gradient_energy(grid: PolarGrid, values: np.ndarray, r: float) -> float:
-    """int_{B_r} |grad z|^2 for arbitrary nodal values z on the grid."""
-    i = _ring_index(grid, r)
+def gradient_energy(grid: PolarGrid, values: np.ndarray,
+                    r: float | Sequence[float]) -> float | list[float]:
+    """int_{B_r} |grad z|^2 for arbitrary nodal values z on the grid; for
+    a sequence of grid radii, the list of them from one pass."""
+    rings = [_ring_index(grid, x) for x in (r if np.ndim(r) else [r])]
     plan = _get_plan(grid)
     ones = np.broadcast_to(1.0, (plan.face_pts.shape[0], 1))
-    return float(_energies(plan, ones, ones[:plan.n_t], values)[i])
+    cum = _energies(plan, ones, ones[:plan.n_t], values)
+    out = [float(cum[i]) for i in rings]
+    return out if np.ndim(r) else out[0]
 
 
 def volume_mean_square(u: DiscreteSolution, r: float,

@@ -767,6 +767,39 @@ def test_cli_huge_degree_is_config_error(tmp_path, capsys, command, boundary,
         assert error["status"] == "scenario_error"
 
 
+@pytest.mark.parametrize("command, path", [
+    ("solve", "boundary.modes"), ("experiment", "boundary_spec.modes")])
+def test_cli_huge_fourier_modes_is_config_error(tmp_path, capsys, command,
+                                                path):
+    # the bound is checked before the coefficients are drawn
+    boundary = {"kind": "fourier", "modes": _HUGE_DEGREE}
+    if command == "solve":
+        doc = {"grid": {"n_r": 17, "n_theta": 32}, "boundary": boundary}
+    else:
+        doc = {"sweep": [{"scenario": "eps_approx", "n_r": 17, "n_theta": 32,
+                          "boundary_spec": boundary}]}
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, **doc})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "is not in [0, 1048576]" in err
+    if command == "experiment":
+        error = json.load(open(out / "eps_approx.error.json"))
+        assert error["status"] == "scenario_error"
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_cli_deeply_nested_config_is_config_error(tmp_path, capsys, command):
+    # json.loads recurses once per level, past the recursion limit
+    path = tmp_path / "c.json"
+    path.write_text('{"schema": 1, "grid": ' + "[" * 100000)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "nested too deep" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario, spec", [
     ("eps_approx", {"pair_spec": {"mode": "bogus"},
                     "potential_spec": {"kind": "x"}}),

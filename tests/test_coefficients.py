@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -567,7 +568,11 @@ def test_generate_holder_normalized_and_elliptic():
 
 
 def test_generate_holder_rejects_large_amplitude():
-    with pytest.raises(GenerationError):
+    # the message names the synthesized range, as the oracle finds it
+    values = _two_dimensional_fft_values(0.7, 10.0, 1)
+    lo, hi = values.min(), values.max()
+    with pytest.raises(GenerationError,
+                       match=re.escape(f"range [{lo:.4g}, {hi:.4g}] leaves")):
         generate_holder(0.7, 10.0, seed=1)
 
 
@@ -620,10 +625,9 @@ def test_generate_holder_matches_complex_fft_synthesis(alpha, amplitude,
     assert f.holder[1] == pytest.approx(c_h, rel=1e-13)
 
 
-def _two_dimensional_fft_holder(alpha, amplitude, seed):
-    """generate_holder's spline coefficients and c_h from its synthesis
-    as it reads most directly: rfft2 and irfft2, a fit whose solves work
-    on copies, and lag differences by np.roll."""
+def _two_dimensional_fft_values(alpha, amplitude, seed):
+    """generate_holder's grid values from its synthesis as it reads most
+    directly: whole-grid noise, rfft2 and irfft2."""
     m = 1024
     rng = np.random.default_rng(seed)
     spectrum = np.fft.rfft2(rng.standard_normal((m, m)))
@@ -634,7 +638,15 @@ def _two_dimensional_fft_holder(alpha, amplitude, seed):
     spectrum[0, 0] = 0.0
     values = np.fft.irfft2(spectrum, s=(m, m))
     values = values - values[m // 2, m // 2]
-    values = values * amplitude / max(values.max(), -values.min()) + 1.0
+    return values * amplitude / max(values.max(), -values.min()) + 1.0
+
+
+def _two_dimensional_fft_holder(alpha, amplitude, seed):
+    """generate_holder's grid values, spline coefficients and c_h from
+    ``_two_dimensional_fft_values``, a fit whose solves work on copies,
+    and lag differences by np.roll over the whole grid."""
+    m = 1024
+    values = _two_dimensional_fft_values(alpha, amplitude, seed)
     c_h = 0.0
     for axis in (0, 1):
         for lag in (1, 2, 4, 8, 16):
@@ -643,27 +655,33 @@ def _two_dimensional_fft_holder(alpha, amplitude, seed):
     _, solve = _not_a_knot_fit(-1.0, 2.0 / m, m + 1)
     grid = np.pad(values, [(0, 1), (0, 1)], mode="wrap")
     half = solve(grid.copy())
-    return solve(half.T.copy()).ravel(), c_h
+    return values, solve(half.T.copy()).ravel(), c_h
 
 
 @pytest.mark.parametrize("alpha,amplitude,seed", [
-    (0.75, 0.05, 7), (0.7, 0.4, 3)])
+    (0.75, 0.05, 7), (0.7, 0.4, 3), (0.3, 0.05, 7), (0.95, 0.05, 7),
+    (0.75, 0.2, 11), (0.75, 0.05, 2 ** 32 + 5)])
 def test_generate_holder_matches_two_dimensional_fft_bit_for_bit(
         alpha, amplitude, seed):
-    # one axis at a time and in place, the synthesis keeps every bit
+    # in row blocks, one axis at a time and in place, the synthesis keeps
+    # every bit: of the noise, the transforms, the range and the
+    # certificate's maxima
     f = generate_holder(alpha, amplitude, seed)
     ev = f.evaluator
     closure = dict(zip(ev.__code__.co_freevars,
                        (cell.cell_contents for cell in ev.__closure__)))
-    coefficients, c_h = _two_dimensional_fft_holder(alpha, amplitude, seed)
+    values, coefficients, c_h = _two_dimensional_fft_holder(alpha, amplitude,
+                                                            seed)
     assert np.array_equal(closure["c"], coefficients)
     assert f.holder[1] == c_h
+    assert f.meta["range"] == (values.min(), values.max())
 
 
 def test_generate_holder_peak_memory_is_small():
-    # numpy reports its buffers to tracemalloc; the synthesis once held
-    # the noise's spectrum, two copies of the grid values and two of the
-    # padded grid at once (32 MB)
+    # numpy reports its buffers to tracemalloc; the synthesis holds two
+    # full-size buffers, the half spectrum and the padded grid (8.41 MB
+    # each), and a block of rows; it once held the noise's spectrum, two
+    # copies of the grid values and two of the padded grid at once (32 MB)
     generate_holder(0.75, 0.05, 3)  # the fit's factor, once per process
     tracemalloc.start()
     try:
@@ -671,7 +689,7 @@ def test_generate_holder_peak_memory_is_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 18 * 2 ** 20
 
 
 def test_bicubic_interpolant_matches_fitpack_evaluation():

@@ -451,6 +451,22 @@ def test_one_assembly_per_solve(monkeypatch, name):
     assert counts["assemblies"] == counts["solves"]
 
 
+def test_stability_reads_each_solution_energy_in_one_pass(monkeypatch):
+    # per evaluation: four weighted energies, and three identity-field
+    # passes, one for the difference and one per solution at both radii
+    import freqlab.solver as solver
+
+    calls = []
+    energies = solver._energies
+
+    def counted(*args):
+        calls.append(args)
+        return energies(*args)
+    monkeypatch.setattr(solver, "_energies", counted)
+    run_scenario(default_config("stability", **LOW))
+    assert len(calls) == 2 * (4 + 3)  # base and refined
+
+
 # -- report invariants -----------------------------------------------------
 
 

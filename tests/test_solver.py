@@ -613,6 +613,24 @@ class TestVolumeFunctionals:
         assert gradient_energy(g, z, 1.0) == weighted_gradient_energy(
             u1, z, 1.0)
 
+    def test_gradient_energy_takes_several_radii_in_one_pass(self,
+                                                            monkeypatch):
+        g = PolarGrid.disk(33, 64)
+        z = solve_dirichlet(HOLDER, 1.0, harmonic_deg(2), g).values
+        radii = (g.radii[20], 1.0, g.radii[3])
+        want = [gradient_energy(g, z, r) for r in radii]
+        calls = []
+        energies = solver_module._energies
+
+        def counted(*args):
+            calls.append(args)
+            return energies(*args)
+        monkeypatch.setattr(solver_module, "_energies", counted)
+        assert gradient_energy(g, z, radii) == want
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="not a grid radius"):
+            gradient_energy(g, z, (1.0, 0.5))
+
     def test_energy_after_potential_solve_leaves_mass_out(self):
         # the energy reads coefficient entries, which hold no potential
         # mass: bit for bit those of a fresh assembly without it
